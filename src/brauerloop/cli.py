@@ -40,8 +40,9 @@ from .exactpoly import Rational
 from .linkpat import LinkPattern, enumerate_patterns
 from .psitable import MdegTable, compute_table
 
-TABLE_LIMIT = 8
-SYMBOLIC_LIMIT = 6  # larger sizes fall back to the stationary chain for z=0 values
+# the largest N whose symbolic table finishes; above it, z=0 values come
+# from the stationary chain
+SYMBOLIC_LIMIT = 6
 
 
 def _slug(pi: LinkPattern) -> str:
@@ -473,8 +474,8 @@ def _store(args) -> TableStore:
 
 
 def cmd_table(args) -> int:
-    if not 2 <= args.n <= TABLE_LIMIT:
-        raise SystemExit(f"error: --n must lie in 2..{TABLE_LIMIT}")
+    if not 2 <= args.n <= SYMBOLIC_LIMIT:
+        raise SystemExit(f"error: --n must lie in 2..{SYMBOLIC_LIMIT}")
     store = _store(args)
     table = store.get(args.n)
     path = Path(args.out) if args.out else store.path(args.n)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Mismatch
+from .errors import IdentityViolation, Mismatch
 from .exactpoly import MultiPoly
 from .linkpat import LinkPattern
 
@@ -43,6 +43,15 @@ def _seed(n: int) -> MultiPoly:
     return out
 
 
+def _result(n: int, poly: MultiPoly) -> DeltaResult:
+    """Multiply the chain output by A^n and read the degree at A=1, z=0."""
+    poly = poly * MultiPoly.gen_a(n) ** n
+    value = poly.evaluate(1, [0] * n)
+    if not (isinstance(value, int) and value > 0):
+        raise IdentityViolation(f"commuting degree at n={n} is {value}, not a positive integer")
+    return DeltaResult(n, poly, value)
+
+
 def delta(n: int) -> DeltaResult:
     """Grouped chain with immediate specialization of dead variables."""
     if n < 1:
@@ -52,10 +61,7 @@ def delta(n: int) -> DeltaResult:
         for i in range(1, g + 1):
             poly = poly.theta(i)
         poly = poly.subs_z(g + 1, 0)
-    poly = poly * MultiPoly.gen_a(n) ** n
-    value = poly.evaluate(1, [0] * n)
-    assert isinstance(value, int) and value > 0
-    return DeltaResult(n, poly, value)
+    return _result(n, poly)
 
 
 def delta_alt_order(n: int) -> DeltaResult:
@@ -66,10 +72,7 @@ def delta_alt_order(n: int) -> DeltaResult:
     for g in range(1, n):
         for i in range(g, 0, -1):
             poly = poly.theta(i)
-    poly = poly * MultiPoly.gen_a(n) ** n
-    value = poly.evaluate(1, [0] * n)
-    assert isinstance(value, int) and value > 0
-    return DeltaResult(n, poly, value)
+    return _result(n, poly)
 
 
 def degree_sequence(max_n: int) -> list[int]:

@@ -1,47 +1,52 @@
 """Dense exact linear algebra over the rationals, for small matrices.
 
 Everything works on plain lists of lists whose entries are ints or
-fractions.Fraction.  rank() scales rows to integers and runs Bareiss
-elimination, so intermediate entries stay minor-sized; rref/null_space
-use Fraction arithmetic.  Sizes here are small (at most a couple of
-hundred rows), so no pivot strategy beyond "first nonzero" is needed.
+fractions.Fraction.  One fraction-free (Bareiss) elimination does all
+the work: each row is scaled to integers, and every division in the
+elimination is exact, so intermediate entries stay minor-sized integers
+and no Fraction is formed.  rank() counts its pivots, det() reads the
+last pivot, and solve() back-substitutes from the echelon form of the
+augmented matrix.  Sizes here are small (at most a couple of hundred
+rows), so no pivot strategy beyond "first nonzero" is needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Sequence
 
 Rational = int | Fraction
 
 
-def _integer_rows(rows: Sequence[Sequence[Rational]]) -> list[list[int]]:
-    out = []
+def _echelon(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free echelon form of the integer-scaled rows.
+
+    Returns (rows, pivot columns, sign of the row swaps, product of the
+    row scales).  Row k of the result holds pivot k, and its entries are
+    (k+1)-minors of the scaled matrix, so the last pivot of a square
+    matrix of full rank is its determinant up to the swap sign.
+    """
+    m, scale = [], 1
     for r in rows:
-        den = 1
-        for x in r:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // gcd(den, x.denominator)
-        out.append([int(x * den) for x in r])
-    return out
-
-
-def rank(rows: Sequence[Sequence[Rational]]) -> int:
-    """Rank via fraction-free Bareiss elimination on integer-scaled rows."""
-    m = _integer_rows(rows)
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    prev = 1
+        den = lcm(*(x.denominator for x in r if isinstance(x, Fraction)))
+        m.append([int(x * den) for x in r])
+        scale *= den
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots: list[int] = []
+    sign = prev = 1
     for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
         piv = next((i for i in range(r, nrows) if m[i][col]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        lead = m[r][col]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
         top = m[r]
+        lead = top[col]
         for i in range(r + 1, nrows):
             row = m[i]
             f = row[col]
@@ -49,87 +54,46 @@ def rank(rows: Sequence[Sequence[Rational]]) -> int:
                 row[j] = (lead * row[j] - f * top[j]) // prev
             row[col] = 0
         prev = lead
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def rref(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        lead = m[r][col]
-        m[r] = [x / lead for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    return m, pivots, sign, scale
 
 
-def null_space(rows: Sequence[Sequence[Rational]]) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column."""
-    if not rows:
-        return []
-    m, pivots = rref(rows)
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
+def rank(rows: Sequence[Sequence[Rational]]) -> int:
+    """Rank: the number of pivots of the fraction-free elimination."""
+    return len(_echelon(rows)[1])
 
 
 def solve(rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) -> list[Fraction] | None:
-    """One solution of rows * x = rhs, or None if inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
+    """The unique solution of rows * x = rhs, or None if there is none or many.
+
+    The augmented matrix is eliminated once.  The system has exactly one
+    solution when every unknown's column holds a pivot and the rhs column
+    does not; then the last pivot d is the determinant of the pivot rows,
+    so d * x is an integer vector (Cramer) and back-substitution divides
+    exactly.
+    """
     ncols = len(rows[0]) if rows else 0
-    if ncols in pivots:
-        return None  # pivot in the rhs column
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][ncols]
-    return x
+    m, pivots, _, _ = _echelon([list(r) + [b] for r, b in zip(rows, rhs)])
+    if pivots != list(range(ncols)):
+        return None  # a free unknown, or a pivot in the rhs column
+    d = m[ncols - 1][ncols - 1] if ncols else 1
+    y = [0] * ncols
+    for k in range(ncols - 1, -1, -1):
+        row = m[k]
+        acc = d * row[ncols] - sum(row[j] * y[j] for j in range(k + 1, ncols))
+        y[k] = acc // row[k]
+    return [Fraction(v, d) for v in y]
 
 
 def det(rows: Sequence[Sequence[Rational]]) -> Rational:
-    """Determinant by Bareiss elimination (integer inputs stay integers)."""
+    """Determinant: the sign times the last pivot (integer inputs stay integers)."""
     n = len(rows)
-    m = [list(r) for r in rows]
-    if any(len(r) != n for r in m):
+    if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
     if n == 0:
         return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                q = Fraction(m[i][j] * m[k][k] - m[i][k] * m[k][j]) / Fraction(prev)
-                m[i][j] = int(q) if q.denominator == 1 else q
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    m, pivots, sign, scale = _echelon(rows)
+    if len(pivots) < n:
+        return 0
+    value = sign * m[n - 1][n - 1]
+    return value if scale == 1 else Fraction(value, scale)

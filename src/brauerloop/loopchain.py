@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import Mismatch, NonUniqueStationary
+from .errors import IdentityViolation, Mismatch, NonUniqueStationary
 from .linalg import rank, solve
 from .linkpat import LinkPattern, apply_e, apply_f, enumerate_patterns
 
@@ -30,7 +30,9 @@ def transition_matrix(n: int) -> tuple[tuple[LinkPattern, ...], list[list[Fracti
         for i in range(1, n + 1):
             rows[k][index[apply_e(pi, i)]] += e_step
             rows[k][index[apply_f(pi, i)]] += f_step
-    assert all(sum(row) == 1 for row in rows)
+    for pi, row in zip(pats, rows):
+        if sum(row) != 1:
+            raise IdentityViolation(f"row {pi} of the transition matrix sums to {sum(row)}")
     return pats, rows
 
 
@@ -57,28 +59,30 @@ def stationary(n: int) -> StationarySolution:
     """Exact stationary distribution, with integer rescaled weights.
 
     Solves x (P - I) = 0 with the normalization sum(x) = 1 appended as
-    an extra equation, so no pivot state is singled out; uniqueness is
-    certified by the rank of P - I.
+    an extra equation, so no pivot state is singled out.  One
+    fraction-free elimination both solves and certifies: the appended
+    system has a unique solution exactly when the kernel of P - I is a
+    line, and solve() returns None otherwise.  Only then is the rank
+    taken, to name the dimension of the stationary space in the error.
     """
     pats, rows = transition_matrix(n)
     m = len(pats)
     # each equation scaled by 3n so the elimination runs on integers
     system = [[int(3 * n * rows[i][j]) - (3 * n if i == j else 0) for i in range(m)]
               for j in range(m)]
-    if rank(system) != m - 1:
-        raise NonUniqueStationary(f"kernel of P - I is not a line at n={n}")
-    system.append([1] * m)
-    x = solve(system, [0] * m + [1])
+    x = solve(system + [[1] * m], [0] * m + [1])
     if x is None:
-        raise NonUniqueStationary(f"no stationary solution at n={n}")
+        raise NonUniqueStationary(
+            f"stationary space has dimension {m - rank(system)} at n={n}, not 1")
     if any(v <= 0 for v in x):
         raise NonUniqueStationary("stationary vector is not positive")
     low = min(x)
     normalized = {}
     for pi, v in zip(pats, x):
         w = v / low
-        assert w.denominator == 1, "rescaled weights must be integers"
-        normalized[pi] = int(w)
+        if w.denominator != 1:
+            raise IdentityViolation(f"rescaled weight of {pi} is {w}, not an integer")
+        normalized[pi] = w.numerator
     return StationarySolution(n, dict(zip(pats, x)), normalized)
 
 

@@ -2,7 +2,8 @@
 
 The Pfaffian here is the signed sum over perfect matchings, which works
 over any commutative coefficient domain (exact rationals or
-polynomials).  For odd size the relevant extension sums over the point
+polynomials).  For odd size the relevant extension borders the matrix
+with one extra point joined to all others, which sums over the point
 left out as well, with the sign of the permutation (a1 b1 ... an bn k);
 that is what the total-multidegree formula uses when N is odd.
 
@@ -22,7 +23,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterator, Sequence
 
-from .errors import PoleHit
+from .errors import IdentityViolation, PoleHit
 from .linalg import det
 
 
@@ -87,29 +88,17 @@ def pfaffian(m: SkewMatrix):
     return 0 if acc is None else acc
 
 
-def odd_pfaffian(m: SkewMatrix):
-    """The S_N matching sum that leaves one point out, for odd size.
+def skew_sum(m: SkewMatrix):
+    """The Pfaffian, extended to odd size by bordering.
 
-    Each term is signed by the permutation (a1 b1 ... an bn k) where k
-    is the omitted point; for size 1 the sum is 1.
+    An odd-size matrix gains one extra last point joined to every other
+    point with weight 1.  Expanding that Pfaffian along the extra point
+    gives the matching sum that leaves one point k out, each term signed
+    by the permutation (a1 b1 ... an bn k); for size 1 the value is 1.
     """
     if m.n % 2 == 0:
-        raise ValueError("odd size required")
-    acc = None
-    points = tuple(range(1, m.n + 1))
-    for k in points:
-        rest = tuple(p for p in points if p != k)
-        outer = -1 if (m.n - k) % 2 else 1
-        for sign, pairs in matchings_with_sign(rest):
-            term = outer * sign
-            for p in pairs:
-                term = term * m[p]
-            acc = term if acc is None else acc + term
-    return acc
-
-
-def skew_sum(m: SkewMatrix):
-    return pfaffian(m) if m.n % 2 == 0 else odd_pfaffian(m)
+        return pfaffian(m)
+    return pfaffian(SkewMatrix([row + [1] for row in m.rows] + [[-1] * m.n + [0]]))
 
 
 # ---------------------------------------------------------------- degree counts
@@ -127,7 +116,8 @@ def degree_determinant(n: int) -> int:
     if half == 0:
         return 1
     value = det(rows)
-    assert isinstance(value, int)
+    if not isinstance(value, int):
+        raise IdentityViolation(f"degree determinant at n={n} is {value}, not an integer")
     return value
 
 
@@ -159,8 +149,9 @@ def total_mdeg_pfaffian_value(n: int, a: Rational, z: Sequence[Rational]) -> Fra
         / ((a + z[i - 1] - z[j - 1]) * (a + z[j - 1] - z[i - 1])))
     value = Fraction(skew_sum(m))
     if n % 2 and (n // 2) % 2:
-        # odd sizes take the opposite matching orientation; forced by
-        # positivity and the computed tables at sizes 3 and 5
+        # odd sizes take the opposite matching orientation; checked
+        # against degree_determinant at sizes 1..9 by
+        # tests/test_pfdet.py::test_odd_sign_flip_limits_to_degree_determinant
         value = -value
     for i in range(n):
         for j in range(i + 1, n):
@@ -226,8 +217,6 @@ def d0_multiplicity_check(table, points: int = 20, seed: int = 4093) -> dict:
         loc = d1_mdeg_localization(n, a, z)
         pf = d1_mdeg_pfaffian_form(n, a, z)
         if loc != expected or pf != expected:
-            from .errors import IdentityViolation
-
             raise IdentityViolation(
                 f"square-zero cone forms disagree at a={a}, z={z}: "
                 f"{loc}, {pf}, expected {expected}")

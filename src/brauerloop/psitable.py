@@ -110,7 +110,8 @@ class MdegTable:
 
     def degree(self, pi: LinkPattern) -> int:
         v = self.entries[pi].evaluate(1, [0] * self.n)
-        assert isinstance(v, int), "stationary weight must be an integer"
+        if not isinstance(v, int):
+            raise IdentityViolation(f"degree of {pi} is {v}, not an integer")
         return v
 
     def degrees(self) -> dict[LinkPattern, int]:

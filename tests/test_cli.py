@@ -71,6 +71,12 @@ def test_table_json_format(tmp_path, capsys):
     assert set(obj["degrees"].values()) == {1}
 
 
+def test_table_rejects_sizes_it_cannot_finish(tmp_path):
+    with pytest.raises(SystemExit, match=r"--n must lie in 2\.\.6"):
+        cli.main(["table", "--n", "7", "--table-dir", str(tmp_path)])
+    assert not list(tmp_path.iterdir())
+
+
 def test_degrees_commuting(capsys):
     code, out = run(["degrees", "--scheme", "commuting", "--max-n", "4"], capsys)
     assert code == 0

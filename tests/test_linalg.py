@@ -1,0 +1,127 @@
+"""The fraction-free elimination behind rank, det and solve, checked
+against sympy on small exact matrices."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from brauerloop.linalg import det, rank, solve
+
+sympy = pytest.importorskip("sympy")
+
+
+def to_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                         for r in rows])
+
+
+def from_sympy(value):
+    return Fraction(int(value.p), int(value.q))
+
+
+def rand_entry(rng, fractions):
+    if fractions and rng.random() < 0.5:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    return rng.choice([0, 0, rng.randint(-6, 6)])
+
+
+def rand_matrix(rng, nrows, ncols, fractions=False, rank_at_most=None):
+    """Random rows; with rank_at_most, a product of two thin random factors."""
+    if rank_at_most is None:
+        return [[rand_entry(rng, fractions) for _ in range(ncols)] for _ in range(nrows)]
+    left = rand_matrix(rng, nrows, rank_at_most, fractions)
+    right = rand_matrix(rng, rank_at_most, ncols, fractions)
+    return [[sum(a * right[k][j] for k, a in enumerate(row)) for j in range(ncols)]
+            for row in left]
+
+
+def shapes():
+    rng = random.Random(2024)
+    for nrows in range(1, 6):
+        for ncols in range(1, 7):
+            for fractions in (False, True):
+                yield rand_matrix(rng, nrows, ncols, fractions)
+                low = rng.randint(0, min(nrows, ncols))
+                yield rand_matrix(rng, nrows, ncols, fractions, rank_at_most=low)
+
+
+def test_rank_matches_sympy():
+    for rows in shapes():
+        assert rank(rows) == to_sympy(rows).rank()
+
+
+def test_rank_edge_shapes():
+    assert rank([]) == 0
+    assert rank([[], []]) == 0
+    assert rank([[0, 0, 0], [0, 0, 0]]) == 0
+    assert rank([[0, 0], [0, 3], [0, 0]]) == 1
+    assert rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
+
+
+def test_det_matches_sympy():
+    for rows in shapes():
+        if len(rows) == len(rows[0]):
+            assert det(rows) == from_sympy(to_sympy(rows).det())
+
+
+def test_det_row_swaps_and_edges():
+    assert det([]) == 1
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[0, 2, 0], [0, 0, 3], [5, 0, 0]]) == 30
+    assert det([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
+    assert det([[1, 2], [2, 4]]) == 0
+    assert det([[0, 0], [1, 1]]) == 0
+    assert det([[Fraction(1, 2), 1], [1, Fraction(1, 3)]]) == Fraction(-5, 6)
+    value = det([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
+    assert value == 4 and type(value) is int
+    with pytest.raises(ValueError):
+        det([[1, 2, 3], [4, 5, 6]])
+
+
+def test_solve_unique_matches_sympy():
+    rng = random.Random(7)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        extra = rng.randint(0, 2)
+        a = rand_matrix(rng, n, n, fractions=rng.random() < 0.5)
+        while to_sympy(a).det() == 0:
+            a = rand_matrix(rng, n, n, fractions=rng.random() < 0.5)
+        x = [rand_entry(rng, True) for _ in range(n)]
+        # consistent extra equations: combinations of the square system
+        for _ in range(extra):
+            c = [rng.randint(-2, 2) for _ in range(n)]
+            a.append([sum(c[i] * a[i][j] for i in range(n)) for j in range(n)])
+        rows = list(a)
+        rng.shuffle(rows)
+        b = [sum(r[j] * x[j] for j in range(n)) for r in rows]
+        got = solve(rows, b)
+        want = to_sympy(rows).solve_least_squares(to_sympy([[v] for v in b]))
+        assert got == [Fraction(v) for v in x]
+        assert got == [from_sympy(v) for v in want]
+
+
+def test_solve_returns_none_unless_unique():
+    # inconsistent
+    assert solve([[1, 1], [1, 1]], [1, 2]) is None
+    assert solve([[1, 0], [0, 1], [1, 1]], [1, 1, 3]) is None
+    assert solve([[0, 0]], [1]) is None
+    # underdetermined: consistent with a free unknown
+    assert solve([[1, 1]], [2]) is None
+    assert solve([[1, 2], [2, 4]], [3, 6]) is None
+    assert solve([[0, 1], [0, 2]], [1, 2]) is None
+    # square singular systems, from sympy's own verdict
+    rng = random.Random(11)
+    for _ in range(20):
+        rows = rand_matrix(rng, 4, 4, fractions=True, rank_at_most=3)
+        b = [rand_entry(rng, True) for _ in range(4)]
+        assert to_sympy(rows).rank() < 4
+        assert solve(rows, b) is None
+
+
+def test_solve_fraction_entries_and_zero_rows():
+    rows = [[Fraction(1, 2), Fraction(1, 3)], [0, 0], [Fraction(-1, 4), 1]]
+    rhs = [Fraction(5, 6), 0, Fraction(3, 4)]
+    assert solve(rows, rhs) == [Fraction(1), Fraction(1)]
+    assert solve([[3]], [2]) == [Fraction(2, 3)]
+    assert solve([], []) == []

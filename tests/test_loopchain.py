@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from brauerloop.errors import Mismatch
+from brauerloop import loopchain
+from brauerloop.errors import Mismatch, NonUniqueStationary
 from brauerloop.linkpat import LinkPattern, enumerate_patterns
 from brauerloop.loopchain import (
     StationarySolution,
@@ -48,6 +49,15 @@ def test_stationary_four():
     }
     assert sum(sol.probabilities.values()) == 1
     assert sol.minimum == Fraction(1, 7)
+
+
+def test_stationary_rejects_reducible_chain(monkeypatch):
+    # every pattern absorbing: the stationary space is the whole space
+    pats = enumerate_patterns(4)
+    identity = [[Fraction(int(i == j)) for j in range(len(pats))] for i in range(len(pats))]
+    monkeypatch.setattr(loopchain, "transition_matrix", lambda n: (pats, identity))
+    with pytest.raises(NonUniqueStationary, match="dimension 3"):
+        stationary(4)
 
 
 def test_match_with_table(tables):

@@ -16,12 +16,11 @@ from brauerloop.pfdet import (
     d1_mdeg_pfaffian_form,
     degree_determinant,
     matchings_with_sign,
-    odd_pfaffian,
     pfaffian,
     skew_sum,
     total_mdeg_pfaffian_value,
 )
-from brauerloop.psitable import random_point
+from brauerloop.psitable import random_point, target_degree
 
 
 def pfaffian_naive(rows):
@@ -126,19 +125,17 @@ def test_pfaffian_against_naive_and_determinant():
 
 def test_odd_pfaffian():
     rng = random.Random(5)
-    assert odd_pfaffian(SkewMatrix([[0]])) == 1
+    assert skew_sum(SkewMatrix([[0]])) == 1
     m = rand_skew(3, rng)
-    assert odd_pfaffian(m) == m[1, 2] - m[1, 3] + m[2, 3]
-    with pytest.raises(ValueError):
-        odd_pfaffian(rand_skew(2, rng))
+    assert skew_sum(m) == m[1, 2] - m[1, 3] + m[2, 3]
 
 
 def test_odd_pfaffian_matches_symmetrized_sum():
     rng = random.Random(7)
-    for n in (3, 5):
+    for n in (1, 3, 5):
         for _ in range(8):
             m = rand_skew(n, rng)
-            assert odd_pfaffian(m) == symmetrized_matching_sum(m.rows)
+            assert skew_sum(m) == symmetrized_matching_sum(m.rows)
 
 
 def test_even_pfaffian_matches_symmetrized_sum():
@@ -153,7 +150,7 @@ def test_skew_sum_dispatch():
     m4 = rand_skew(4, rng)
     assert skew_sum(m4) == pfaffian(m4)
     m3 = rand_skew(3, rng)
-    assert skew_sum(m3) == odd_pfaffian(m3)
+    assert skew_sum(m3) == pfaffian(SkewMatrix.build(4, lambda i, j: m3[i, j] if j < 4 else 1))
 
 
 def test_degree_determinant_values():
@@ -168,6 +165,23 @@ def test_total_mdeg_value_matches_tables(tables):
         for _ in range(5):
             a, z = random_point(n, rng)
             assert total_mdeg_pfaffian_value(n, a, z) == total.evaluate(a, z)
+
+
+def test_odd_sign_flip_limits_to_degree_determinant():
+    # At A=1, z=eps*(0..n-1) the formula is a polynomial in eps of degree
+    # target_degree(n) whose value at eps=0 (a pole of the formula itself)
+    # is the degree sum; Lagrange interpolation reaches it from eps != 0.
+    # The sign flip at odd n is empirical, so sizes 7 and 9 test it anew.
+    for n in range(1, 10):
+        eps = [Fraction(1, 10 * n + k) for k in range(target_degree(n) + 1)]
+        at_zero = Fraction(0)
+        for k, e in enumerate(eps):
+            weight = Fraction(1)
+            for j, other in enumerate(eps):
+                if j != k:
+                    weight *= other / (other - e)
+            at_zero += weight * total_mdeg_pfaffian_value(n, 1, [e * c for c in range(n)])
+        assert at_zero == degree_determinant(n)
 
 
 def test_total_mdeg_value_poles():

@@ -107,6 +107,15 @@ def test_validate_catches_tampering(tables):
         MdegTable(3, doubled, t3.edges).validate()
 
 
+def test_degree_rejects_non_integer_value(tables):
+    t3 = tables(3)
+    pi = t3.patterns()[0]
+    bad = dict(t3.entries)
+    bad[pi] = MultiPoly.const(Fraction(1, 2), 3)
+    with pytest.raises(IdentityViolation, match="not an integer"):
+        MdegTable(3, bad, t3.edges).degree(pi)
+
+
 def test_edge_order_does_not_matter(tables):
     for n in (3, 4, 5):
         reversed_table = compute_table(n, reverse_edges=True)
