@@ -27,6 +27,7 @@ import json
 import os
 import random
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +44,9 @@ from .psitable import MdegTable, compute_table
 # the largest N whose symbolic table finishes; above it, z=0 values come
 # from the stationary chain
 SYMBOLIC_LIMIT = 6
+# the sizes each degrees scheme finishes: the chain up to N=8, the D1 closed
+# forms up to N=14 (5 s there, ~13x per +2), commuting pairs up to n=7 (~97 s)
+DEGREE_SIZES = {"E": (1, 8), "D1": (1, 14), "commuting": (1, 7)}
 
 
 def _slug(pi: LinkPattern) -> str:
@@ -104,7 +108,11 @@ def table_payload(table: MdegTable) -> dict:
 
 
 def write_table(table: MdegTable, path: Path, force: bool = False) -> bool:
-    """Persist a table; returns False when an identical file already exists."""
+    """Persist a table; returns False when an identical file already exists.
+
+    A temporary file beside the target replaces it atomically, so a failed
+    write leaves the old file intact.
+    """
     payload = table_payload(table)
     if path.is_file():
         try:
@@ -119,7 +127,14 @@ def write_table(table: MdegTable, path: Path, force: bool = False) -> bool:
                 f"(hash {existing.get('hash') if existing else 'unreadable'}); "
                 "pass --force to overwrite")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return True
 
 
@@ -421,10 +436,14 @@ def commuting_jobs(max_n: int, store: TableStore) -> list[Job]:
 SUITES = ("algebra", "geometry", "exchange", "sumrules", "markov", "d1", "commuting")
 
 
+def _check_size(flag: str, value: int | None, lo: int, hi: int) -> None:
+    if value is not None and not lo <= value <= hi:
+        raise SystemExit(f"error: {flag} must lie in {lo}..{hi}")
+
+
 def _span(args, lo: int, hi: int) -> list[int]:
     if args.n is not None:
-        if not lo <= args.n <= hi:
-            raise SystemExit(f"error: --n must lie in {lo}..{hi} for this suite")
+        _check_size("--n", args.n, lo, hi)
         return [args.n]
     top = min(hi, args.max_n) if args.max_n is not None else hi
     return list(range(lo, top + 1))
@@ -474,8 +493,7 @@ def _store(args) -> TableStore:
 
 
 def cmd_table(args) -> int:
-    if not 2 <= args.n <= SYMBOLIC_LIMIT:
-        raise SystemExit(f"error: --n must lie in 2..{SYMBOLIC_LIMIT}")
+    _check_size("--n", args.n, 2, SYMBOLIC_LIMIT)
     store = _store(args)
     table = store.get(args.n)
     path = Path(args.out) if args.out else store.path(args.n)
@@ -496,6 +514,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_degrees(args) -> int:
+    _check_size("--n", args.n, *DEGREE_SIZES[args.scheme])
+    _check_size("--max-n", args.max_n, *DEGREE_SIZES[args.scheme])
     store = _store(args)
     if args.scheme == "commuting":
         top = args.max_n or args.n

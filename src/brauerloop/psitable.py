@@ -8,7 +8,9 @@ The table of all of them is generated from two ingredients:
     of linear forms (base_mdeg);
   - a divided-difference recursion (recursion_step) that produces the
     multidegree of f_i . rho from that of rho whenever rho has no chord
-    joining i and i+1.
+    joining i and i+1.  It is the operator theta_i = -2A d_i - tau_i of
+    the commuting-variety chain (commvar), conjugated by the weight
+    A + z_i - z_{i+1}; one operator drives both chains.
 
 Since adjacent transposition moves connect all patterns, a breadth-first
 sweep fills the whole table; every pattern reached twice is compared
@@ -69,23 +71,29 @@ def _lin(n: int, a: Rational, plus: int, minus: int) -> MultiPoly:
 
 
 def recursion_step(mdeg_rho: MultiPoly, rho: LinkPattern, i: int) -> MultiPoly:
-    """Multidegree of f_i . rho from that of rho.
+    """Multidegree of f_i . rho from that of rho: theta_i conjugated by a weight.
 
-    Needs no chord between i and i+1: the crossing and non-crossing
-    resolutions then satisfy
+    Needs no chord between i and i+1.  With u = z_i - z_{i+1}, the weights
+    w = A - u and wbar = tau_i w = A + u, and f = mdeg rho, the crossing and
+    non-crossing resolutions give mdeg(f_i.rho) = -(2A-u) d_i(w f)/w - f,
+    which equals wbar * theta_i(f / wbar), theta_i = -2A d_i - tau_i:
 
-        mdeg(f_i.rho) = -(2A+z_{i+1}-z_i) d_i((A+z_{i+1}-z_i) mdeg rho)
-                         / (A+z_{i+1}-z_i)  -  mdeg rho,
+      1. At A = u, d_i(w f) = (w f - wbar tau_i f)/u reduces to -2 tau_i f,
+         so w divides d_i(w f) exactly when w divides tau_i f, that is,
+         when wbar divides f.
+      2. With f = wbar g, w wbar = A^2 - u^2 is tau_i-symmetric, so
+         d_i(w f) = w wbar d_i g.
+      3. As tau_i g = g - u d_i g, -(2A-u) wbar d_i g - wbar g = wbar theta_i(g).
 
-    where the division is exact (checked).
+    The division by wbar is exact (checked: InexactDivision otherwise)
+    in exactly the cases where the division by w is.
     """
     n = rho.n
     ip = _wrap(i + 1, n)
     if rho(i) == ip:
         raise ChordPresent(f"pattern {rho} joins {i} and {ip}")
-    w = _lin(n, 1, ip, i)
-    q = ((w * mdeg_rho).ddiff(i)).exact_divide(w)
-    return _lin(n, 2, ip, i) * q * (-1) - mdeg_rho
+    wbar = _lin(n, 1, i, ip)
+    return wbar * mdeg_rho.exact_divide(wbar).theta(i)
 
 
 @dataclass(frozen=True)
@@ -104,9 +112,6 @@ class MdegTable:
 
     def psi(self, pi: LinkPattern) -> MultiPoly:
         return self.entries[pi].specialize_a(1)
-
-    def psi_table(self) -> dict[LinkPattern, MultiPoly]:
-        return {pi: self.psi(pi) for pi in self.patterns()}
 
     def degree(self, pi: LinkPattern) -> int:
         v = self.entries[pi].evaluate(1, [0] * self.n)
@@ -386,16 +391,21 @@ def smallarch_check(table: MdegTable, i: int) -> dict:
 
 def positivity_spot_check(table: MdegTable, trials: int = 100,
                           seed: int = 97) -> dict:
-    """Every Psi is positive wherever every weight 1 + z_i - z_j is."""
-    n = table.n
+    """Every Psi is positive wherever every weight 1 + z_i - z_j is.
+
+    At z = k/20, |k_i| <= 9, mdeg(20, k) = 20^d Psi(z) for an entry of
+    homogeneous degree d (checked), so the integer value carries the sign.
+    """
     rng = random.Random(seed)
-    psis = table.psi_table()
+    entries = [(pi, table.mdeg(pi), table.mdeg(pi).homogeneous_degree())
+               for pi in table.patterns()]
     for _ in range(trials):
-        z = [Fraction(rng.randint(-9, 9), 20) for _ in range(n)]
-        for pi, psi in psis.items():
-            v = psi.evaluate(1, z)
+        k = [rng.randint(-9, 9) for _ in range(table.n)]
+        for pi, p, d in entries:
+            v = p.evaluate(20, k)
             if v <= 0:
-                raise IdentityViolation(f"{pi} evaluates to {v} at z={z}")
+                raise IdentityViolation(f"{pi} evaluates to {Fraction(v, 20 ** d)} "
+                                        f"at z={[Fraction(x, 20) for x in k]}")
     return {"points": trials}
 
 

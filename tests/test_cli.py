@@ -77,6 +77,46 @@ def test_table_rejects_sizes_it_cannot_finish(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_write_table_is_atomic(tmp_path, monkeypatch, tables):
+    path = tmp_path / "mdeg.json"
+    assert cli.write_table(tables(2), path)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        cli.write_table(tables(3), path, force=True)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["mdeg.json"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--scheme", "E", "--n", "0"], r"--n must lie in 1\.\.8"),
+    (["--scheme", "E", "--n", "9"], r"--n must lie in 1\.\.8"),
+    (["--scheme", "E", "--max-n", "9"], r"--max-n must lie in 1\.\.8"),
+    (["--scheme", "D1", "--n", "0"], r"--n must lie in 1\.\.14"),
+    (["--scheme", "D1", "--n", "15"], r"--n must lie in 1\.\.14"),
+    (["--scheme", "commuting", "--n", "8"], r"--n must lie in 1\.\.7"),
+    (["--scheme", "commuting", "--max-n", "0"], r"--max-n must lie in 1\.\.7"),
+])
+def test_degrees_rejects_sizes_it_cannot_finish(tmp_path, argv, message):
+    with pytest.raises(SystemExit, match=message):
+        cli.main(["degrees", *argv, "--table-dir", str(tmp_path)])
+    assert not list(tmp_path.iterdir())
+
+
+def test_degrees_smallest_sizes(tmp_path, capsys):
+    code, out = run(["degrees", "--scheme", "E", "--n", "1",
+                     "--table-dir", str(tmp_path)], capsys)
+    assert code == 0 and "determinant 1, table sum 1" in out
+    code, out = run(["degrees", "--scheme", "commuting", "--n", "1"], capsys)
+    assert code == 0 and out.strip() == "1"
+    code, _ = run(["degrees", "--scheme", "D1", "--n", "1"], capsys)
+    assert code == 0
+
+
 def test_degrees_commuting(capsys):
     code, out = run(["degrees", "--scheme", "commuting", "--max-n", "4"], capsys)
     assert code == 0

@@ -10,10 +10,11 @@ from brauerloop.errors import (
     ChainInconsistency,
     ChordPresent,
     IdentityViolation,
+    InexactDivision,
     NoSmallChord,
 )
 from brauerloop.exactpoly import MultiPoly
-from brauerloop.linkpat import LinkPattern, apply_f, maximal_pattern
+from brauerloop.linkpat import LinkPattern, _wrap, apply_f, maximal_pattern
 from brauerloop.psitable import (
     MdegTable,
     base_mdeg,
@@ -55,6 +56,38 @@ def test_recursion_step_round_trip(tables):
         assert stepped == t4.mdeg(moved)
         back = recursion_step(stepped, moved, i)
         assert back == t4.mdeg(base)
+
+
+def _division_step(f, n, i):
+    """The recursion in its division form, -(2A+z_{i+1}-z_i) d_i(w f)/w - f
+    with w = A+z_{i+1}-z_i: the oracle for the conjugated theta_i."""
+    ip = _wrap(i + 1, n)
+    w = MultiPoly.linear(n, 1, {ip: 1, i: -1})
+    q = (w * f).ddiff(i).exact_divide(w)
+    return MultiPoly.linear(n, 2, {ip: 1, i: -1}) * q * (-1) - f
+
+
+def test_recursion_step_matches_division_formula(tables):
+    edges = 0
+    for n in range(2, 6):
+        t = tables(n)
+        for rho in t.patterns():
+            for i in range(1, n + 1):
+                if rho(i) == _wrap(i + 1, n):
+                    continue
+                f = t.mdeg(rho)
+                assert recursion_step(f, rho, i) == _division_step(f, n, i)
+                edges += 1
+    assert edges == 74  # every transposition edge at N=3..5 (none at N=2)
+
+
+def test_recursion_step_certifies_exactness():
+    # A + z_1 - z_2 does not divide 1, so both forms must refuse the entry
+    rho = maximal_pattern(4)
+    with pytest.raises(InexactDivision):
+        recursion_step(MultiPoly.one(4), rho, 1)
+    with pytest.raises(InexactDivision):
+        _division_step(MultiPoly.one(4), 4, 1)
 
 
 def test_recursion_step_rejects_little_arc():
@@ -173,6 +206,26 @@ def test_positivity_and_rotation(tables):
     positivity_spot_check(tables(3), trials=50)
     rotation_check(tables(3))
     rotation_check(tables(4))
+
+
+def test_positivity_at_integer_points_matches_psi(tables):
+    # mdeg(20, k) = 20^d Psi(k/20): the integer point carries Psi's sign
+    t4 = tables(4)
+    rng = random.Random(5)
+    for pi in t4.patterns():
+        p = t4.mdeg(pi)
+        k = [rng.randint(-9, 9) for _ in range(4)]
+        z = [Fraction(x, 20) for x in k]
+        assert p.evaluate(20, k) == 20 ** target_degree(4) * t4.psi(pi).evaluate(1, z)
+
+
+def test_positivity_names_its_witness(tables):
+    t4 = tables(4)
+    pi = t4.patterns()[0]
+    bad = dict(t4.entries)
+    bad[pi] = -bad[pi]
+    with pytest.raises(IdentityViolation, match=r"evaluates to -.* at z=\[Fraction"):
+        positivity_spot_check(MdegTable(4, bad, t4.edges), trials=1)
 
 
 def test_random_point_avoids_poles():
