@@ -1,6 +1,6 @@
 """Exact arithmetic for the circular matrix product and its loop scheme.
 
-The package computes, over exact rationals:
+The package computes, in exact integer and rational arithmetic:
 
 * the circular (degenerate) matrix product and its deformation family,
   inverses, the semidirect-product model, and the periodic strip picture
@@ -9,9 +9,9 @@ The package computes, over exact rationals:
   (``linkpat``);
 * sample points of the loop scheme components, membership and rank
   checks, tangent and stabilizer dimensions (``escheme``);
-* the multidegree table of the components via the divided-difference
-  recursion, with the exchange identities and sum rules (``psitable``,
-  ``exactpoly``);
+* the multidegree table of the components, polynomials over Z computed
+  by the divided-difference recursion, with the exchange identities and
+  sum rules (``psitable``, ``exactpoly``);
 * the stationary distribution of the rotate-and-glue Markov chain and
   its match with the degree table (``loopchain``);
 * Pfaffian and determinant closed forms for total degrees (``pfdet``);

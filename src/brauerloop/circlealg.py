@@ -58,11 +58,6 @@ class ExactMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def diagonal(cls, values: Sequence[Rational]) -> "ExactMatrix":
-        n = len(values)
-        return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def build(cls, n: int, entry: Callable[[int, int], Rational]) -> "ExactMatrix":
         return cls([[entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)])
 

@@ -35,9 +35,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import commvar, escheme, loopchain, pfdet, psitable
-from .circlealg import ExactMatrix, cp_inv, cp_mul, cycle, s_mul, s_scale, strip_embed
+from .circlealg import ExactMatrix, Rational, cp_inv, cp_mul, cycle, s_mul, s_scale, strip_embed
 from .errors import BrauerLoopError, IdentityViolation
-from .exactpoly import Rational
 from .linkpat import LinkPattern, enumerate_patterns
 from .psitable import MdegTable, compute_table
 
@@ -516,6 +515,8 @@ def cmd_table(args) -> int:
 def cmd_degrees(args) -> int:
     _check_size("--n", args.n, *DEGREE_SIZES[args.scheme])
     _check_size("--max-n", args.max_n, *DEGREE_SIZES[args.scheme])
+    if args.scheme == "E":  # the listing starts at N=2: a smaller --max-n lists nothing
+        _check_size("--max-n", args.max_n, 2, DEGREE_SIZES["E"][1])
     store = _store(args)
     if args.scheme == "commuting":
         top = args.max_n or args.n

@@ -94,12 +94,11 @@ def half_weight_product(n2: int) -> MultiPoly:
     return out
 
 
-def crosscheck_with_table(table, full_symbolic: bool | None = None) -> dict:
+def crosscheck_with_table(table) -> dict:
     """The chain against the table at the reversal pattern.
 
-    Always compares degrees.  When full_symbolic (default for n <= 3),
-    additionally divides the table entry by the half weight product --
-    the division must be exact -- and matches the z_{n+i} = 0
+    Compares degrees, divides the table entry by the half weight product
+    -- the division must be exact -- and matches the z_{n+i} = 0
     specialization against the chain, plus the z_{n+i} = z_i
     identification at the degree level.
     """
@@ -112,10 +111,6 @@ def crosscheck_with_table(table, full_symbolic: bool | None = None) -> dict:
     if table.degree(reversal_pattern(n2)) != d.degree:
         raise Mismatch(
             f"table degree {table.degree(reversal_pattern(n2))} != chain {d.degree}")
-    if full_symbolic is None:
-        full_symbolic = n <= 3
-    if not full_symbolic:
-        return {"n": n, "degree": d.degree, "symbolic": False}
     q = mdeg.exact_divide(half_weight_product(n2))
     spec = q * MultiPoly.gen_a(n2) ** n
     for i in range(1, n + 1):
@@ -129,4 +124,4 @@ def crosscheck_with_table(table, full_symbolic: bool | None = None) -> dict:
     value = ident.evaluate(1, [0] * n2)
     if value != d.degree:
         raise Mismatch(f"identified quotient value {value} != degree {d.degree}")
-    return {"n": n, "degree": d.degree, "symbolic": True}
+    return {"n": n, "degree": d.degree}

@@ -1,11 +1,13 @@
-"""Exact sparse polynomials in Q[A, z_1, ..., z_m].
+"""Exact sparse polynomials in Z[A, z_1, ..., z_m].
 
 A term is keyed by its exponent vector (a, e_1, ..., e_m); coefficients
-are ints or fractions.Fraction, zero coefficients are never stored, and
-integral fractions are normalized back to int.  The first variable A is
-the scaling parameter; the z_i are attached to the m cyclically ordered
-points, so every operator indexed by i acts on the pair (z_i, z_{i+1})
-with z_{m+1} meaning z_1.
+are ints and zero coefficients are never stored.  Rational numbers enter
+only as evaluation points: the constructors reject a non-integral
+coefficient with ValueError (an integral Fraction is taken as its int),
+scalars in the ring operations are ints, and no operation leaves Z.
+The first variable A is the scaling parameter; the z_i are attached to
+the m cyclically ordered points, so every operator indexed by i acts on
+the pair (z_i, z_{i+1}) with z_{m+1} meaning z_1.
 
 Divided differences use the convention
 
@@ -15,48 +17,62 @@ so ddiff annihilates tau_i-symmetric polynomials and ddiff(z_i, i) = 1.
 theta(i) is the degree-preserving combination -2*A*ddiff_i - tau_i.
 
 exact_divide performs multivariate division in lexicographic order (A
-first) and raises InexactDivision on a nonzero remainder; divided
-differences are computed through it, keeping all arithmetic in Z or Q
-with no floating point anywhere.
+first) and raises InexactDivision unless the quotient lies in Z[A, z]:
+on a nonzero remainder, and on a coefficient that the divisor's lead
+coefficient does not divide.  Divided differences are computed through
+it; their divisor z_i - z_{i+1} has lead coefficient 1 or -1 (the latter
+at i = m, where z_1 leads), so they never leave Z.
 """
 
 from __future__ import annotations
 
 import heapq
+import numbers
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InexactDivision, NotHomogeneous
 
-Rational = int | Fraction
+Key = tuple[int, ...]
 
 
-def _norm_coeff(c: Rational) -> Rational:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+def _nonzero(terms: dict[Key, int]) -> dict[Key, int]:
+    """terms without the entries that cancelled to 0."""
+    return {k: c for k, c in terms.items() if c} if 0 in terms.values() else terms
 
 
 class MultiPoly:
-    """Sparse polynomial in A and z_1 .. z_nz with exact coefficients."""
+    """Sparse polynomial in A and z_1 .. z_nz with integer coefficients."""
 
     __slots__ = ("nz", "terms")
 
-    def __init__(self, nz: int, terms: Mapping[tuple[int, ...], Rational] | None = None):
+    def __init__(self, nz: int, terms: Mapping[Key, numbers.Rational] | None = None):
         if nz < 0:
             raise ValueError("nz must be nonnegative")
         self.nz = nz
-        clean: dict[tuple[int, ...], Rational] = {}
+        clean: dict[Key, int] = {}
         if terms:
             width = nz + 1
             for key, c in terms.items():
                 key = tuple(key)
                 if len(key) != width or any(e < 0 for e in key):
                     raise ValueError(f"bad exponent vector {key} for nz={nz}")
-                c = _norm_coeff(c)
+                if type(c) is not int:
+                    if not isinstance(c, numbers.Rational) or c.denominator != 1:
+                        raise ValueError(f"coefficient {c!r} is not an integer")
+                    c = int(c)
                 if c:
                     clean[key] = c
         self.terms = clean
+
+    @classmethod
+    def _of(cls, nz: int, terms: dict[Key, int]) -> "MultiPoly":
+        """Wrap terms that are already clean: int coefficients, none zero."""
+        res = object.__new__(cls)
+        res.nz = nz
+        res.terms = terms
+        return res
 
     # ---------------------------------------------------------------- constructors
 
@@ -65,7 +81,7 @@ class MultiPoly:
         return cls(nz)
 
     @classmethod
-    def const(cls, c: Rational, nz: int) -> "MultiPoly":
+    def const(cls, c: int, nz: int) -> "MultiPoly":
         return cls(nz, {(0,) * (nz + 1): c})
 
     @classmethod
@@ -85,10 +101,10 @@ class MultiPoly:
         return cls(nz, {key: 1})
 
     @classmethod
-    def linear(cls, nz: int, a_coeff: Rational = 0, z_coeffs: Mapping[int, Rational] | None = None,
-               const: Rational = 0) -> "MultiPoly":
+    def linear(cls, nz: int, a_coeff: int = 0, z_coeffs: Mapping[int, int] | None = None,
+               const: int = 0) -> "MultiPoly":
         """a_coeff*A + sum z_coeffs[i]*z_i + const."""
-        terms: dict[tuple[int, ...], Rational] = {}
+        terms: dict[Key, int] = {}
         if a_coeff:
             terms[(1,) + (0,) * nz] = a_coeff
         if const:
@@ -109,7 +125,7 @@ class MultiPoly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MultiPoly):
             return self.nz == other.nz and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self == MultiPoly.const(other, self.nz)
         return NotImplemented
 
@@ -119,58 +135,52 @@ class MultiPoly:
         if self.nz != other.nz:
             raise ValueError(f"mixed variable counts {self.nz} and {other.nz}")
 
-    def __add__(self, other: "MultiPoly | Rational") -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
+    def __add__(self, other: "MultiPoly | int") -> "MultiPoly":
+        if isinstance(other, int):
             other = MultiPoly.const(other, self.nz)
+        elif not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check_compat(other)
         out = dict(self.terms)
+        get = out.get
         for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        res = MultiPoly(self.nz)
-        res.terms = {k: _norm_coeff(c) for k, c in out.items()}
-        return res
+            out[key] = get(key, 0) + c
+        return MultiPoly._of(self.nz, _nonzero(out))
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        res = MultiPoly(self.nz)
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
+        return MultiPoly._of(self.nz, {k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other: "MultiPoly | Rational") -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
+    def __sub__(self, other: "MultiPoly | int") -> "MultiPoly":
+        if isinstance(other, int):
             other = MultiPoly.const(other, self.nz)
+        elif not isinstance(other, MultiPoly):
+            return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: Rational) -> "MultiPoly":
+    def __rsub__(self, other: int) -> "MultiPoly":
+        if not isinstance(other, int):
+            return NotImplemented
         return MultiPoly.const(other, self.nz) - self
 
-    def __mul__(self, other: "MultiPoly | Rational") -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
+    def __mul__(self, other: "MultiPoly | int") -> "MultiPoly":
+        if isinstance(other, int):
             if not other:
                 return MultiPoly.zero(self.nz)
-            res = MultiPoly(self.nz)
-            res.terms = {k: _norm_coeff(c * other) for k, c in self.terms.items()}
-            return res
+            return MultiPoly._of(self.nz, {k: c * other for k, c in self.terms.items()})
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check_compat(other)
         # iterate over the smaller operand for speed
         a, b = (self.terms, other.terms) if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
-        out: dict[tuple[int, ...], Rational] = {}
+        out: dict[Key, int] = {}
+        get = out.get
         for ka, ca in a.items():
             for kb, cb in b.items():
                 key = tuple(x + y for x, y in zip(ka, kb))
-                s = out.get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        res = MultiPoly(self.nz)
-        res.terms = {k: _norm_coeff(c) for k, c in out.items()}
-        return res
+                out[key] = get(key, 0) + ca * cb
+        return MultiPoly._of(self.nz, _nonzero(out))
 
     __rmul__ = __mul__
 
@@ -239,14 +249,12 @@ class MultiPoly:
     def tau(self, i: int) -> "MultiPoly":
         """Swap z_i and z_{i+1} (cyclically: tau_m swaps z_m and z_1)."""
         i, j = self._pair(i)
-        out: dict[tuple[int, ...], Rational] = {}
+        out: dict[Key, int] = {}
         for key, c in self.terms.items():
             lk = list(key)
             lk[i], lk[j] = lk[j], lk[i]
             out[tuple(lk)] = c
-        res = MultiPoly(self.nz)
-        res.terms = out
-        return res
+        return MultiPoly._of(self.nz, out)
 
     def ddiff(self, i: int) -> "MultiPoly":
         """Divided difference (f - tau_i f) / (z_i - z_{i+1})."""
@@ -267,7 +275,7 @@ class MultiPoly:
             raise ValueError("variable relabeling must be injective")
         if any(not 1 <= p <= new_nz for p in new_pos):
             raise ValueError("target index out of range")
-        out: dict[tuple[int, ...], Rational] = {}
+        out: dict[Key, int] = {}
         for key, c in self.terms.items():
             nk = [0] * (new_nz + 1)
             nk[0] = key[0]
@@ -275,22 +283,18 @@ class MultiPoly:
                 if e:
                     nk[new_pos[old - 1]] = e
             out[tuple(nk)] = c
-        res = MultiPoly(new_nz)
-        res.terms = out
-        return res
+        return MultiPoly._of(new_nz, out)
 
-    def subs_z(self, i: int, repl: "MultiPoly | Rational") -> "MultiPoly":
-        """Substitute z_i := repl (a polynomial in the same variables, or a constant)."""
+    def subs_z(self, i: int, repl: "MultiPoly | int") -> "MultiPoly":
+        """Substitute z_i := repl (a polynomial in the same variables, or an integer)."""
         if not 1 <= i <= self.nz:
             raise ValueError(f"z_{i} out of range")
-        if isinstance(repl, (int, Fraction)) and repl == 0:
-            res = MultiPoly(self.nz)
-            res.terms = {k: c for k, c in self.terms.items() if k[i] == 0}
-            return res
-        if isinstance(repl, (int, Fraction)):
+        if not isinstance(repl, MultiPoly):
+            if repl == 0:
+                return MultiPoly._of(self.nz, {k: c for k, c in self.terms.items() if k[i] == 0})
             repl = MultiPoly.const(repl, self.nz)
         self._check_compat(repl)
-        by_deg: dict[int, dict[tuple[int, ...], Rational]] = {}
+        by_deg: dict[int, dict[Key, int]] = {}
         for key, c in self.terms.items():
             d = key[i]
             stripped = key[:i] + (0,) + key[i + 1:]
@@ -302,29 +306,27 @@ class MultiPoly:
             result = result + (part if d == 0 else part * repl ** d)
         return result
 
-    def specialize_a(self, value: Rational) -> "MultiPoly":
+    def specialize_a(self, value: int) -> "MultiPoly":
         """Substitute A := value (the z variables survive)."""
-        out: dict[tuple[int, ...], Rational] = {}
+        value = operator.index(value)
+        out: dict[Key, int] = {}
+        get = out.get
         for key, c in self.terms.items():
             nk = (0,) + key[1:]
-            s = out.get(nk, 0) + c * value ** key[0]
-            if s:
-                out[nk] = s
-            else:
-                out.pop(nk, None)
-        res = MultiPoly(self.nz)
-        res.terms = {k: _norm_coeff(c) for k, c in out.items()}
-        return res
+            out[nk] = get(nk, 0) + c * value ** key[0]
+        return MultiPoly._of(self.nz, _nonzero(out))
 
     # ---------------------------------------------------------------- division
 
     def exact_divide(self, den: "MultiPoly") -> "MultiPoly":
-        """Exact quotient self / den; raises InexactDivision on any remainder.
+        """Exact quotient self / den in Z[A, z]; raises InexactDivision otherwise.
 
-        Lexicographic order on (a, e_1, ..., e_m).  Because each reduction
-        step only creates keys strictly below the current lead, a max-heap
-        with lazy deletion keeps the whole division near-linear in the
-        number of quotient terms for the short divisors used here.
+        Lexicographic order on (a, e_1, ..., e_m).  Each step divides the
+        current lead coefficient by den's, which must leave no remainder.
+        Because each reduction step only creates keys strictly below the
+        current lead, a max-heap with lazy deletion keeps the whole
+        division near-linear in the number of quotient terms for the short
+        divisors used here.
         """
         self._check_compat(den)
         if not den.terms:
@@ -338,7 +340,7 @@ class MultiPoly:
         # heap of candidate leads; negate components so heapq pops the lex max
         heap = [tuple(-e for e in k) for k in num]
         heapq.heapify(heap)
-        quo: dict[tuple[int, ...], Rational] = {}
+        quo: dict[Key, int] = {}
         while heap:
             lead = tuple(-e for e in heapq.heappop(heap))
             c = num.get(lead)
@@ -347,7 +349,10 @@ class MultiPoly:
             qkey = tuple(a - b for a, b in zip(lead, dlead))
             if any(e < 0 for e in qkey):
                 raise InexactDivision(f"monomial {lead} not reducible by {dlead}")
-            qc = c if dcoeff == 1 else _norm_coeff(Fraction(c) / Fraction(dcoeff))
+            # a lead coefficient 1 keeps c itself, shared with the dividend's terms
+            qc, rem = (c, 0) if dcoeff == 1 else divmod(c, dcoeff)
+            if rem:
+                raise InexactDivision(f"coefficient {c} of {lead} not divisible by {dcoeff}")
             quo[qkey] = qc
             del num[lead]
             for tk, tc in dtail:
@@ -361,25 +366,24 @@ class MultiPoly:
                     num.pop(key, None)
         if num:
             raise InexactDivision("nonzero remainder")
-        res = MultiPoly(self.nz)
-        res.terms = {k: _norm_coeff(c) for k, c in quo.items()}
-        return res
+        return MultiPoly._of(self.nz, quo)
 
     # ---------------------------------------------------------------- evaluation
 
-    def evaluate(self, a_value: Rational, z_values: Sequence[Rational]) -> Rational:
-        """Exact value at A = a_value, z = z_values."""
+    def evaluate(self, a_value: int | Fraction,
+                 z_values: Sequence[int | Fraction]) -> int | Fraction:
+        """Exact value at A = a_value, z = z_values (integer or rational points)."""
         if len(z_values) != self.nz:
             raise ValueError(f"need {self.nz} z values")
         point = (a_value,) + tuple(z_values)
-        total: Rational = 0
+        total = 0
         for key, c in self.terms.items():
             v = c
             for x, e in zip(point, key):
                 if e:
                     v = v * x ** e
             total += v
-        return _norm_coeff(Fraction(total)) if isinstance(total, Fraction) else total
+        return total
 
     # ---------------------------------------------------------------- serialization
 
@@ -392,8 +396,9 @@ class MultiPoly:
 
     @classmethod
     def from_obj(cls, nz: int, obj: Iterable[Sequence]) -> "MultiPoly":
-        terms: dict[tuple[int, ...], Rational] = {}
+        """Inverse of to_obj; a coefficient string that is not an integer raises ValueError."""
+        terms: dict[Key, int] = {}
         for coeff_str, a_exp, z_exps in obj:
             key = (int(a_exp),) + tuple(int(e) for e in z_exps)
-            terms[key] = Fraction(coeff_str)
+            terms[key] = int(coeff_str)
         return cls(nz, terms)

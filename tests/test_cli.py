@@ -1,6 +1,7 @@
 """Command line surface: table persistence, degree reports, verify suites,
 and byte-stable output."""
 
+import hashlib
 import json
 
 import pytest
@@ -55,6 +56,18 @@ def test_table_corrupt_file_is_recomputed(tmp_path, capsys):
     assert table.n == 2
 
 
+def test_table_with_fractional_coefficient_is_recomputed(tmp_path, tables):
+    # a well-formed file whose hash matches, but one coefficient is 1/2
+    obj = cli.table_payload(tables(3))["table"]
+    obj["entries"][0][1][0][0] = "1/2"
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    payload = {"n": 3, "hash": hashlib.sha256(blob.encode()).hexdigest(), "table": obj}
+    store = cli.TableStore(tmp_path)
+    store.path(3).write_text(json.dumps(payload))
+    assert store.load(3) is None
+    assert store.get(3).content_hash() == tables(3).content_hash()
+
+
 def test_table_requires_n():
     with pytest.raises(SystemExit):
         cli.main(["table"])
@@ -100,6 +113,7 @@ def test_write_table_is_atomic(tmp_path, monkeypatch, tables):
     (["--scheme", "D1", "--n", "15"], r"--n must lie in 1\.\.14"),
     (["--scheme", "commuting", "--n", "8"], r"--n must lie in 1\.\.7"),
     (["--scheme", "commuting", "--max-n", "0"], r"--max-n must lie in 1\.\.7"),
+    (["--scheme", "E", "--max-n", "1"], r"--max-n must lie in 2\.\.8"),
 ])
 def test_degrees_rejects_sizes_it_cannot_finish(tmp_path, argv, message):
     with pytest.raises(SystemExit, match=message):

@@ -65,11 +65,7 @@ def test_half_weight_product():
 
 
 def test_crosscheck(tables):
-    assert crosscheck_with_table(tables(2)) == {
-        "n": 1, "degree": 1, "symbolic": True}
-    assert crosscheck_with_table(tables(4)) == {
-        "n": 2, "degree": 3, "symbolic": True}
-    out = crosscheck_with_table(tables(4), full_symbolic=False)
-    assert out == {"n": 2, "degree": 3, "symbolic": False}
+    assert crosscheck_with_table(tables(2)) == {"n": 1, "degree": 1}
+    assert crosscheck_with_table(tables(4)) == {"n": 2, "degree": 3}
     with pytest.raises(ValueError):
         crosscheck_with_table(tables(3))

@@ -19,7 +19,7 @@ def rand_poly(nz: int, rng: random.Random) -> MultiPoly:
             term = term * MultiPoly.linear(
                 nz, rng.randint(-2, 2),
                 {i: rng.randint(-2, 2) for i in range(1, nz + 1)},
-                Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+                rng.randint(-2, 2))
         out = out + term
     return out
 
@@ -75,7 +75,7 @@ def test_ring_ops_match_evaluation():
         assert (p - q).evaluate(a, z) == pv - qv
         assert (p * q).evaluate(a, z) == pv * qv
         assert (-p).evaluate(a, z) == -pv
-        c = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        c = rng.randint(-5, 5)
         assert (c + p).evaluate(a, z) == c + pv
         assert (c - p).evaluate(a, z) == c - pv
         assert (p * c).evaluate(a, z) == pv * c
@@ -174,6 +174,16 @@ def test_exact_divide():
         (a * a + z1).exact_divide(z1)
 
 
+def test_exact_divide_certifies_integer_quotient():
+    # z1 / (2 z1) = 1/2 is not in Z[A, z]
+    z1 = MultiPoly.gen_z(2, 1)
+    with pytest.raises(InexactDivision, match="not divisible by 2"):
+        z1.exact_divide(z1 * 2)
+    # a lead coefficient of -1 divides everything: ddiff_m's divisor z_m - z_1
+    z2 = MultiPoly.gen_z(2, 2)
+    assert (z1 * z2 * 3 - z1 * z1 * 3).exact_divide(z2 - z1) == z1 * 3
+
+
 def test_map_z():
     z1 = MultiPoly.gen_z(2, 1)
     z2 = MultiPoly.gen_z(2, 2)
@@ -196,7 +206,7 @@ def test_subs_z():
         p = rand_poly(nz, rng)
         i = rng.randint(1, nz)
         a, z = rand_point(nz, rng)
-        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        c = rng.randint(-4, 4)
         point = list(z)
         point[i - 1] = c
         assert p.subs_z(i, c).evaluate(a, z) == p.evaluate(a, point)
@@ -212,6 +222,21 @@ def test_specialize_a():
     q = p.specialize_a(2)
     assert q == z1 * 2 + 19
     assert q.evaluate(100, [1, 0]) == 21
+
+
+def test_coefficients_are_integers():
+    assert MultiPoly.const(Fraction(4, 2), 2).terms == {(0, 0, 0): 2}
+    assert type(MultiPoly.from_obj(1, [["-3", 0, [1]]]).terms[(0, 1)]) is int
+    with pytest.raises(ValueError):
+        MultiPoly.const(Fraction(1, 2), 2)
+    with pytest.raises(ValueError):
+        MultiPoly.linear(2, 1, {1: 0.5})
+    with pytest.raises(ValueError):
+        MultiPoly.from_obj(1, [["1/2", 0, [1]]])
+    with pytest.raises(TypeError):
+        MultiPoly.gen_a(2) * Fraction(1, 2)
+    with pytest.raises(TypeError):
+        MultiPoly.gen_a(2).specialize_a(Fraction(1, 2))
 
 
 def test_serialization_roundtrip():

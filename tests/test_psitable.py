@@ -140,13 +140,23 @@ def test_validate_catches_tampering(tables):
         MdegTable(3, doubled, t3.edges).validate()
 
 
-def test_degree_rejects_non_integer_value(tables):
-    t3 = tables(3)
-    pi = t3.patterns()[0]
-    bad = dict(t3.entries)
-    bad[pi] = MultiPoly.const(Fraction(1, 2), 3)
-    with pytest.raises(IdentityViolation, match="not an integer"):
-        MdegTable(3, bad, t3.edges).degree(pi)
+def test_degree_rejects_non_integer_value():
+    # entries live in Z[A, z]: a non-integral coefficient is refused when built
+    with pytest.raises(ValueError, match="not an integer"):
+        MultiPoly.const(Fraction(1, 2), 3)
+
+
+TABLE_HASHES = {
+    2: "9fb8712be34bdf95193cd0d8acf08c9d5a9f6762d7f60819f9ff48677a49b703",
+    3: "f9c66ecec6770672ea047d3782509383a55f8a61b63393879a5974d41f6ae3cc",
+    4: "cd9205eb37d6150e7dec937f580ea820d1cfb59c044e82951af1919ee6fdabc4",
+    5: "f381ca162463d129132f8408373c3d7332091105dc871f871326c4933f47be7c",
+    6: "177afa508de03543058c1c18960ae919db9847a82d6703e1f3c60eeeaf34b211",
+}
+
+
+def test_table_content_hashes_are_pinned(tables):
+    assert {n: tables(n).content_hash() for n in TABLE_HASHES} == TABLE_HASHES
 
 
 def test_edge_order_does_not_matter(tables):
