@@ -513,10 +513,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_degrees(args) -> int:
-    _check_size("--n", args.n, *DEGREE_SIZES[args.scheme])
-    _check_size("--max-n", args.max_n, *DEGREE_SIZES[args.scheme])
-    if args.scheme == "E":  # the listing starts at N=2: a smaller --max-n lists nothing
-        _check_size("--max-n", args.max_n, 2, DEGREE_SIZES["E"][1])
+    lo, hi = DEGREE_SIZES[args.scheme]
+    _check_size("--n", args.n, lo, hi)
+    # the E listing starts at N=2: a smaller --max-n would list nothing
+    _check_size("--max-n", args.max_n, 2 if args.scheme == "E" else lo, hi)
     store = _store(args)
     if args.scheme == "commuting":
         top = args.max_n or args.n

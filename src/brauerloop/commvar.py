@@ -47,8 +47,8 @@ def _result(n: int, poly: MultiPoly) -> DeltaResult:
     """Multiply the chain output by A^n and read the degree at A=1, z=0."""
     poly = poly * MultiPoly.gen_a(n) ** n
     value = poly.evaluate(1, [0] * n)
-    if not (isinstance(value, int) and value > 0):
-        raise IdentityViolation(f"commuting degree at n={n} is {value}, not a positive integer")
+    if value <= 0:
+        raise IdentityViolation(f"commuting degree at n={n} is {value}, not positive")
     return DeltaResult(n, poly, value)
 
 

@@ -40,10 +40,6 @@ class ChordPresent(BrauerLoopError):
     """The transposition recursion was applied across an existing little arc."""
 
 
-class NoSmallChord(BrauerLoopError):
-    """The pattern has no chord joining the two named neighbours."""
-
-
 class ChainInconsistency(BrauerLoopError):
     """Two recursion chains produced different polynomials for one pattern."""
 

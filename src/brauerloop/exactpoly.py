@@ -14,19 +14,17 @@ Divided differences use the convention
     ddiff(f, i) = (f - tau_i f) / (z_i - z_{i+1}),
 
 so ddiff annihilates tau_i-symmetric polynomials and ddiff(z_i, i) = 1.
+It is computed in closed form, monomial by monomial, with no division.
 theta(i) is the degree-preserving combination -2*A*ddiff_i - tau_i.
 
-exact_divide performs multivariate division in lexicographic order (A
-first) and raises InexactDivision unless the quotient lies in Z[A, z]:
-on a nonzero remainder, and on a coefficient that the divisor's lead
-coefficient does not divide.  Divided differences are computed through
-it; their divisor z_i - z_{i+1} has lead coefficient 1 or -1 (the latter
-at i = m, where z_1 leads), so they never leave Z.
+exact_divide divides only by polynomials monic in A, A^m plus terms of
+lower A-degree, such as the weights A + z_i - z_j and their products: it
+reduces the dividend one A-degree slice at a time, never divides a
+coefficient, and raises InexactDivision on a nonzero remainder.
 """
 
 from __future__ import annotations
 
-import heapq
 import numbers
 import operator
 from fractions import Fraction
@@ -257,11 +255,27 @@ class MultiPoly:
         return MultiPoly._of(self.nz, out)
 
     def ddiff(self, i: int) -> "MultiPoly":
-        """Divided difference (f - tau_i f) / (z_i - z_{i+1})."""
+        """Divided difference (f - tau_i f) / (z_i - z_{i+1}), term by term.
+
+        With x = z_i, y = z_{i+1} and p > q, (x^p y^q - x^q y^p) / (x - y)
+        is the sum of x^k y^(p+q-1-k) over q <= k < p; swapping p and q
+        flips the sign, and p = q contributes nothing.
+        """
         i, j = self._pair(i)
-        num = self - self.tau(i)
-        den = MultiPoly.linear(self.nz, z_coeffs={i: 1, j: -1})
-        return num.exact_divide(den)
+        out: dict[Key, int] = {}
+        get = out.get
+        for key, c in self.terms.items():
+            p, q = key[i], key[j]
+            if p == q:
+                continue
+            if p < q:
+                p, q, c = q, p, -c
+            lk = list(key)
+            for k in range(q, p):
+                lk[i], lk[j] = k, p + q - 1 - k
+                nk = tuple(lk)
+                out[nk] = get(nk, 0) + c
+        return MultiPoly._of(self.nz, _nonzero(out))
 
     def theta(self, i: int) -> "MultiPoly":
         """-2*A*ddiff_i - tau_i, the degree-preserving operator of the recursion."""
@@ -319,52 +333,37 @@ class MultiPoly:
     # ---------------------------------------------------------------- division
 
     def exact_divide(self, den: "MultiPoly") -> "MultiPoly":
-        """Exact quotient self / den in Z[A, z]; raises InexactDivision otherwise.
+        """Exact quotient self / den for den monic in A; InexactDivision otherwise.
 
-        Lexicographic order on (a, e_1, ..., e_m).  Each step divides the
-        current lead coefficient by den's, which must leave no remainder.
-        Because each reduction step only creates keys strictly below the
-        current lead, a max-heap with lazy deletion keeps the whole
-        division near-linear in the number of quotient terms for the short
-        divisors used here.
+        den must be A^m plus terms of A-degree below m (ValueError if not).
+        The dividend is grouped by A-degree and reduced from the top slice
+        down: a term of A-degree a >= m enters the quotient as it is, at
+        A-degree a - m, and its product with den's tail lands in strictly
+        lower slices.  The division is exact exactly when nothing is left
+        below A^m.
         """
         self._check_compat(den)
         if not den.terms:
             raise ZeroDivisionError("division by zero polynomial")
-        if not self.terms:
-            return MultiPoly.zero(self.nz)
-        dlead = max(den.terms)
-        dcoeff = den.terms[dlead]
-        dtail = [(k, c) for k, c in den.terms.items() if k != dlead]
-        num = dict(self.terms)
-        # heap of candidate leads; negate components so heapq pops the lex max
-        heap = [tuple(-e for e in k) for k in num]
-        heapq.heapify(heap)
+        m = max(k[0] for k in den.terms)
+        tail = [(k[0] - m, k[1:], c) for k, c in den.terms.items() if k[0] < m]
+        if len(den.terms) - len(tail) != 1 or den.terms.get((m,) + (0,) * self.nz) != 1:
+            raise ValueError("divisor is not monic in A")
+        slices: dict[int, dict[Key, int]] = {}
+        for key, c in self.terms.items():
+            slices.setdefault(key[0], {})[key[1:]] = c
         quo: dict[Key, int] = {}
-        while heap:
-            lead = tuple(-e for e in heapq.heappop(heap))
-            c = num.get(lead)
-            if not c:
-                continue  # stale entry
-            qkey = tuple(a - b for a, b in zip(lead, dlead))
-            if any(e < 0 for e in qkey):
-                raise InexactDivision(f"monomial {lead} not reducible by {dlead}")
-            # a lead coefficient 1 keeps c itself, shared with the dividend's terms
-            qc, rem = (c, 0) if dcoeff == 1 else divmod(c, dcoeff)
-            if rem:
-                raise InexactDivision(f"coefficient {c} of {lead} not divisible by {dcoeff}")
-            quo[qkey] = qc
-            del num[lead]
-            for tk, tc in dtail:
-                key = tuple(a + b for a, b in zip(qkey, tk))
-                s = num.get(key, 0) - qc * tc
-                if s:
-                    if key not in num:
-                        heapq.heappush(heap, tuple(-e for e in key))
-                    num[key] = s
-                else:
-                    num.pop(key, None)
-        if num:
+        for a in range(max(slices, default=-1), m - 1, -1):
+            qa = a - m
+            for zkey, c in slices.pop(a, {}).items():
+                if not c:
+                    continue  # cancelled by a higher slice
+                quo[(qa,) + zkey] = c
+                for da, tz, tc in tail:
+                    target = slices.setdefault(a + da, {})
+                    nk = tuple(x + y for x, y in zip(zkey, tz))
+                    target[nk] = target.get(nk, 0) - c * tc
+        if any(any(s.values()) for s in slices.values()):
             raise InexactDivision("nonzero remainder")
         return MultiPoly._of(self.nz, quo)
 

@@ -2,17 +2,14 @@
 
 Every criterion prints exactly one PASS/FAIL line on the terminal
 (bypassing capture), then fails the usual way if something is off.  The
-two heavyweight computations carry wall-clock budgets; the optional
-large-size runs sit at the end, one cheap enough to always run and one
-gated behind BRAUERLOOP_STRETCH=1.
+two heavyweight computations carry wall-clock budgets; the large-size
+runs sit at the end.
 """
 
 import contextlib
-import os
 import random
 import time
 
-import pytest
 from conftest import store_table
 
 from brauerloop import cli
@@ -174,8 +171,6 @@ def test_criterion_10_regressions(capsys, tables):
                 assert reversed_table.mdeg(pi) == table.mdeg(pi)
 
 
-@pytest.mark.skipif(not os.environ.get("BRAUERLOOP_STRETCH"),
-                    reason="set BRAUERLOOP_STRETCH=1 for the n=7 chain run")
 def test_criterion_02_stretch_seven(capsys):
     start = time.perf_counter()
     d = delta(7)

@@ -108,7 +108,7 @@ def test_write_table_is_atomic(tmp_path, monkeypatch, tables):
 @pytest.mark.parametrize("argv, message", [
     (["--scheme", "E", "--n", "0"], r"--n must lie in 1\.\.8"),
     (["--scheme", "E", "--n", "9"], r"--n must lie in 1\.\.8"),
-    (["--scheme", "E", "--max-n", "9"], r"--max-n must lie in 1\.\.8"),
+    (["--scheme", "E", "--max-n", "9"], r"--max-n must lie in 2\.\.8"),
     (["--scheme", "D1", "--n", "0"], r"--n must lie in 1\.\.14"),
     (["--scheme", "D1", "--n", "15"], r"--n must lie in 1\.\.14"),
     (["--scheme", "commuting", "--n", "8"], r"--n must lie in 1\.\.7"),

@@ -1,6 +1,9 @@
 """The divided-difference chain for pairs of commuting matrices and its
 crosscheck against the reversal pattern of the table."""
 
+import hashlib
+import json
+
 import pytest
 
 from brauerloop.commvar import (
@@ -37,6 +40,23 @@ def test_delta_alt_order_two_literal():
     d = delta_alt_order(2)
     assert d.delta == a ** 2 * (a * a * 4 - (a - z2) * (a + z1))
     assert d.degree == 3
+
+
+# sha256 of the compact sorted JSON of delta(n).delta, n = 1..6
+DELTA_HASHES = {
+    1: "092d3d0a01822e21b709f5500422147a614f4f0ba81ab899030605c8f5288bab",
+    2: "1d47392d0f3baafbe5ba46c59e914617b8cd62a8f4dd185076cedb30a0dc8eda",
+    3: "5c0d94efbe3bd66c4f30abbb27cc1e59d42d06ef00088c64864effdcec6c49cb",
+    4: "9d48cf714c0963cd9c48d0a5f9cd87446e15cead28e67d79f63ad10323e84a85",
+    5: "304d0f52a74e2a4502f20d9d9d08e44bcada4bae87ae565067e26f51c9ca8ed7",
+    6: "cd07af58f60cb9941be0013f1319eeff679167ac8502d8ba66d03b2f745adf69",
+}
+
+
+@pytest.mark.parametrize("n", sorted(DELTA_HASHES))
+def test_delta_polynomials_are_pinned(n):
+    text = json.dumps(delta(n).delta.to_obj(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == DELTA_HASHES[n]
 
 
 def test_degree_sequence():

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import lex_divide
 
 from brauerloop.errors import InexactDivision, NotHomogeneous
 from brauerloop.exactpoly import MultiPoly
@@ -160,28 +161,73 @@ def test_theta_preserves_homogeneous_degree():
         assert p.theta(i).homogeneous_degree() == p.homogeneous_degree()
 
 
+def rand_weights(nz: int, rng: random.Random) -> MultiPoly:
+    """A product of up to three weights A + z_a - z_b."""
+    out = MultiPoly.one(nz)
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.sample(range(1, nz + 1), 2)
+        out = out * MultiPoly.linear(nz, 1, {a: 1, b: -1})
+    return out
+
+
+def rand_monic(nz: int, rng: random.Random) -> MultiPoly:
+    """A^k plus random terms of A-degree below k."""
+    k = rng.randint(0, 3)
+    lower = {(rng.randint(0, k - 1),) + tuple(rng.randint(0, 2) for _ in range(nz)):
+             rng.randint(-3, 3) for _ in range(rng.randint(0, 4) if k else 0)}
+    return MultiPoly.gen_a(nz) ** k + MultiPoly(nz, lower)
+
+
 def test_exact_divide():
     rng = random.Random(43)
-    for _ in range(50):
-        p = rand_poly(2, rng)
-        q = rand_poly(2, rng)
-        if q.is_zero():
-            continue
-        assert (p * q).exact_divide(q) == p
+    for _ in range(100):
+        nz = rng.randint(2, 4)
+        p = rand_poly(nz, rng)
+        for d in (rand_weights(nz, rng), rand_monic(nz, rng)):
+            assert (p * d).exact_divide(d) == p == lex_divide(p * d, d)
     a = MultiPoly.gen_a(2)
     z1 = MultiPoly.gen_z(2, 1)
     with pytest.raises(InexactDivision):
-        (a * a + z1).exact_divide(z1)
+        (a * a + z1).exact_divide(a + z1)
 
 
 def test_exact_divide_certifies_integer_quotient():
-    # z1 / (2 z1) = 1/2 is not in Z[A, z]
-    z1 = MultiPoly.gen_z(2, 1)
-    with pytest.raises(InexactDivision, match="not divisible by 2"):
+    # a divisor monic in A never divides a coefficient, so the quotient is in Z
+    a = MultiPoly.gen_a(2)
+    z1, z2 = MultiPoly.gen_z(2, 1), MultiPoly.gen_z(2, 2)
+    w = a + z1 - z2
+    assert (w * (a - z1) * 3).exact_divide(w) == (a - z1) * 3
+    # z1 / (2 z1) = 1/2 is not in Z[A, z]: such a divisor is refused outright
+    with pytest.raises(ValueError, match="not monic"):
         z1.exact_divide(z1 * 2)
-    # a lead coefficient of -1 divides everything: ddiff_m's divisor z_m - z_1
-    z2 = MultiPoly.gen_z(2, 2)
-    assert (z1 * z2 * 3 - z1 * z1 * 3).exact_divide(z2 - z1) == z1 * 3
+    with pytest.raises(InexactDivision):
+        (a * a * 2 + 1).exact_divide(a + 1)
+
+
+def test_exact_divide_rejects_remainders():
+    rng = random.Random(47)
+    for _ in range(100):
+        nz = rng.randint(2, 4)
+        d = rand_weights(nz, rng) * MultiPoly.linear(nz, 1, {1: 1, 2: -1})
+        m = max(k[0] for k in d.terms)
+        # a nonzero remainder: A-degree below m
+        rem = MultiPoly(nz, {(rng.randint(0, m - 1),) + tuple(rng.randint(0, 2) for _ in range(nz)):
+                             rng.choice([-2, -1, 1, 2])})
+        num = rand_poly(nz, rng) * d + rem
+        with pytest.raises(InexactDivision):
+            num.exact_divide(d)
+        with pytest.raises(InexactDivision):
+            lex_divide(num, d)
+
+
+@pytest.mark.parametrize("den", ["z1", "2A", "z2 - z1", "A(1 + z1)", "0"])
+def test_exact_divide_rejects_divisors_not_monic_in_a(den):
+    a = MultiPoly.gen_a(2)
+    z1, z2 = MultiPoly.gen_z(2, 1), MultiPoly.gen_z(2, 2)
+    divisor = {"z1": z1, "2A": a * 2, "z2 - z1": z2 - z1, "A(1 + z1)": a * (1 + z1),
+               "0": MultiPoly.zero(2)}[den]
+    with pytest.raises(ZeroDivisionError if den == "0" else ValueError):
+        (a * z1 * z2).exact_divide(divisor)
 
 
 def test_map_z():
