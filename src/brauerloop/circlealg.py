@@ -21,7 +21,8 @@ the product is (R, L)(V, W) = (R V, R W + L V) and the inverse of (R, L)
 is (R^-1, -R^-1 L R^-1), which is how cp_inv is computed.  The periodic
 strip embeds M as the infinite banded matrix strip(i, j) = M_{i mod N,
 j mod N} for 0 <= j - i < N, turning the circular product into ordinary
-(banded) matrix multiplication.
+(banded) matrix multiplication.  The strip is never materialized: its
+entries are read off M, in every row.
 
 Matrices are exact: entries are ints or fractions.Fraction, 1-based
 indexing in the public interface.
@@ -29,11 +30,11 @@ indexing in the public interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import NotInvertible, WindowTooSmall
+from .errors import NotInvertible
 
 Rational = int | Fraction
 
@@ -89,9 +90,6 @@ class ExactMatrix:
         cols = list(zip(*other.rows))
         return ExactMatrix([[sum(a * b for a, b in zip(row, col) if a and b)
                              for col in cols] for row in self.rows])
-
-    def scale(self, c: Rational) -> "ExactMatrix":
-        return ExactMatrix([[c * a for a in r] for r in self.rows])
 
     def diagonal_entries(self) -> list[Rational]:
         return [self.rows[i][i] for i in range(self.n)]
@@ -238,25 +236,18 @@ def cp_inv(p: ExactMatrix) -> ExactMatrix:
 
 @dataclass(frozen=True)
 class StripWindow:
-    """A finite window onto the periodic strip of a matrix.
+    """The periodic strip of a matrix, read off the matrix itself.
 
-    Rows run 1..row_count; entry(i, j) is defined for rows in the window
-    and 0 <= j - i < N, and equals M_{i mod N, j mod N}.
+    entry(i, j) is defined in every row i, for 0 <= j - i < N (ValueError
+    off the band), and equals M_{i mod N, j mod N}.
     """
 
     matrix: ExactMatrix
-    row_count: int = field(default=0)
-
-    def __post_init__(self) -> None:
-        if self.row_count <= 0:
-            object.__setattr__(self, "row_count", 3 * self.matrix.n)
 
     def entry(self, i: int, j: int) -> Rational:
         n = self.matrix.n
-        if not 1 <= i <= self.row_count:
-            raise WindowTooSmall(f"row {i} outside 1..{self.row_count}")
         if not 0 <= j - i < n:
-            raise WindowTooSmall(f"column {j} outside the band of row {i}")
+            raise ValueError(f"column {j} outside the band of row {i}")
         return self.matrix[(i - 1) % n + 1, (j - 1) % n + 1]
 
     def band_product_entry(self, other: "StripWindow", i: int, k: int) -> Rational:
@@ -271,5 +262,5 @@ class StripWindow:
         return acc
 
 
-def strip_embed(m: ExactMatrix, row_count: int = 0) -> StripWindow:
-    return StripWindow(m, row_count)
+def strip_embed(m: ExactMatrix) -> StripWindow:
+    return StripWindow(m)

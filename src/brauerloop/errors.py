@@ -24,10 +24,6 @@ class NotInvertible(BrauerLoopError):
     """A matrix has a zero diagonal entry, so no circle-product inverse."""
 
 
-class WindowTooSmall(BrauerLoopError):
-    """A periodic strip entry was requested outside the materialized window."""
-
-
 class AmbiguousPairing(BrauerLoopError):
     """The diagonal of M^2 does not determine a unique link pattern."""
 

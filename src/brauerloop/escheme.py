@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .circlealg import ExactMatrix, Rational, cp_inv, cp_mul
 from .errors import AmbiguousPairing, DegenerateParameters
@@ -98,10 +99,9 @@ def sample_point(pi: LinkPattern, t: tuple[Rational, ...],
     return SamplePoint(m, pi, tuple(t), p)
 
 
-def random_t(pi: LinkPattern, rng: random.Random,
-             bound: int = 40) -> tuple[int, ...]:
+def random_t(pi: LinkPattern, rng: random.Random) -> tuple[int, ...]:
     while True:
-        t = tuple(rng.randint(1, bound) for _ in range(pi.n))
+        t = tuple(rng.randint(1, 40) for _ in range(pi.n))
         try:
             check_generic(pi, t)
         except DegenerateParameters:
@@ -197,14 +197,20 @@ def check_rank_bounds(m: ExactMatrix, pi: LinkPattern) -> bool:
 # --------------------------------------------------------------------- dimensions
 
 
-def _offdiag_basis(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+def _map_rank(n: int, image: Callable[[ExactMatrix], ExactMatrix]) -> int:
+    """Rank of the linear map image on the zero-diagonal N x N matrices.
 
-
-def _basis_matrix(n: int, i: int, j: int) -> ExactMatrix:
-    m = ExactMatrix.zeros(n)
-    m.rows[i - 1][j - 1] = 1
-    return m
+    Each basis matrix E_ij, i != j, contributes the flattened image(E_ij)
+    as one row; the rank of those rows is the rank of the map.
+    """
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                e = ExactMatrix.zeros(n)
+                e.rows[i][j] = 1
+                rows.append([x for row in image(e).rows for x in row])
+    return rank(rows)
 
 
 def tangent_dimension(m: ExactMatrix) -> int:
@@ -214,23 +220,11 @@ def tangent_dimension(m: ExactMatrix) -> int:
     the zero-diagonal space, so it bounds the local dimension of the
     scheme from above.
     """
-    n = m.n
-    cols = []
-    for i, j in _offdiag_basis(n):
-        e = _basis_matrix(n, i, j)
-        img = cp_mul(e, m) + cp_mul(m, e)
-        cols.append([img.rows[a][b] for a in range(n) for b in range(n)])
-    return n * n - n - rank([list(row) for row in zip(*cols)])
+    return m.n * m.n - m.n - _map_rank(m.n, lambda e: cp_mul(e, m) + cp_mul(m, e))
 
 
 def stabilizer_codim(pi: LinkPattern, t: tuple[Rational, ...]) -> int:
     """Codimension in the zero-diagonal space of {P : (pi t) o P = P o (pi t)}."""
     check_generic(pi, tuple(t))
-    n = pi.n
     mt = pattern_matrix(pi, tuple(t))
-    cols = []
-    for i, j in _offdiag_basis(n):
-        e = _basis_matrix(n, i, j)
-        img = cp_mul(mt, e) - cp_mul(e, mt)
-        cols.append([img.rows[a][b] for a in range(n) for b in range(n)])
-    return rank([list(row) for row in zip(*cols)])
+    return _map_rank(pi.n, lambda e: cp_mul(mt, e) - cp_mul(e, mt))

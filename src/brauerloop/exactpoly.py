@@ -26,8 +26,8 @@ coefficient, and raises InexactDivision on a nonzero remainder.
 from __future__ import annotations
 
 import numbers
-import operator
 from fractions import Fraction
+from operator import add, index
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InexactDivision, NotHomogeneous
@@ -99,23 +99,18 @@ class MultiPoly:
         return cls(nz, {key: 1})
 
     @classmethod
-    def linear(cls, nz: int, a_coeff: int = 0, z_coeffs: Mapping[int, int] | None = None,
-               const: int = 0) -> "MultiPoly":
-        """a_coeff*A + sum z_coeffs[i]*z_i + const."""
+    def linear(cls, nz: int, a_coeff: int = 0,
+               z_coeffs: Mapping[int, int] | None = None) -> "MultiPoly":
+        """a_coeff*A + sum z_coeffs[i]*z_i."""
         terms: dict[Key, int] = {}
         if a_coeff:
             terms[(1,) + (0,) * nz] = a_coeff
-        if const:
-            terms[(0,) * (nz + 1)] = const
         for i, c in (z_coeffs or {}).items():
             key = tuple(1 if k == i else 0 for k in range(nz + 1))
             terms[key] = terms.get(key, 0) + c
         return cls(nz, terms)
 
     # ---------------------------------------------------------------- basics
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -176,7 +171,7 @@ class MultiPoly:
         get = out.get
         for ka, ca in a.items():
             for kb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ka, kb))
+                key = tuple(map(add, ka, kb))
                 out[key] = get(key, 0) + ca * cb
         return MultiPoly._of(self.nz, _nonzero(out))
 
@@ -221,12 +216,6 @@ class MultiPoly:
         return out
 
     # ---------------------------------------------------------------- degrees
-
-    def total_degree(self) -> int:
-        """Maximal total degree; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(sum(k) for k in self.terms)
 
     def homogeneous_degree(self) -> int:
         """Common total degree of all terms (A counts once); NotHomogeneous otherwise."""
@@ -322,7 +311,7 @@ class MultiPoly:
 
     def specialize_a(self, value: int) -> "MultiPoly":
         """Substitute A := value (the z variables survive)."""
-        value = operator.index(value)
+        value = index(value)
         out: dict[Key, int] = {}
         get = out.get
         for key, c in self.terms.items():
@@ -361,7 +350,7 @@ class MultiPoly:
                 quo[(qa,) + zkey] = c
                 for da, tz, tc in tail:
                     target = slices.setdefault(a + da, {})
-                    nk = tuple(x + y for x, y in zip(zkey, tz))
+                    nk = tuple(map(add, zkey, tz))
                     target[nk] = target.get(nk, 0) - c * tc
         if any(any(s.values()) for s in slices.values()):
             raise InexactDivision("nonzero remainder")

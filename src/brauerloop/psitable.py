@@ -13,8 +13,10 @@ The table of all of them is generated from two ingredients:
     A + z_i - z_{i+1}; one operator drives both chains.
 
 Since adjacent transposition moves connect all patterns, a breadth-first
-sweep fills the whole table; every pattern reached twice is compared
-exactly, so an inconsistent recursion cannot go unnoticed.
+sweep fills the whole table.  It takes every move out of every pattern:
+the first move into a pattern fills its entry, and every later one is
+compared with it exactly, so an inconsistent recursion cannot go
+unnoticed.
 
 The remaining functions verify, symbolically or at exact rational
 points, the identities these polynomials satisfy: the exchange
@@ -171,24 +173,22 @@ class MdegTable:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def compute_table(n: int, reverse_edges: bool = False) -> MdegTable:
+def compute_table(n: int) -> MdegTable:
     """Fill the table by breadth-first transposition moves from the base.
 
-    reverse_edges explores the moves in the opposite order; the result
-    must be identical, and any disagreement between two derivation
-    chains raises ChainInconsistency.
+    Every move f_i out of every pattern rho is taken, i = 1..n in order.
+    The first move into a pattern fills its entry and is recorded in
+    edges; every later move into it must give the same polynomial, or
+    ChainInconsistency names the pattern, the move and its source.
     """
     pi0 = maximal_pattern(n)
     entries: dict[LinkPattern, MultiPoly] = {pi0: base_mdeg(n)}
     edges: dict[LinkPattern, tuple[int, LinkPattern] | None] = {pi0: None}
     work = deque([pi0])
-    indices = list(range(1, n + 1))
-    if reverse_edges:
-        indices.reverse()
     while work:
-        rho = work.pop() if reverse_edges else work.popleft()
+        rho = work.popleft()
         known = entries[rho]
-        for i in indices:
+        for i in range(1, n + 1):
             if rho(i) == _wrap(i + 1, n):
                 continue
             sigma = apply_f(rho, i)

@@ -8,7 +8,6 @@ import pytest
 
 from brauerloop.circlealg import (
     ExactMatrix,
-    StripWindow,
     cp_inv,
     cp_mul,
     cyc_ordered,
@@ -21,7 +20,7 @@ from brauerloop.circlealg import (
     to_semidirect,
     upper_inverse,
 )
-from brauerloop.errors import NotInvertible, WindowTooSmall
+from brauerloop.errors import NotInvertible
 
 
 def arc_points(i: int, k: int, n: int) -> list[int]:
@@ -154,17 +153,18 @@ def test_semidirect_components():
 def test_strip_window_entries():
     m = ExactMatrix([[1, 2], [3, 4]])
     w = strip_embed(m)
-    assert w.row_count == 6
     assert w.entry(1, 1) == 1 and w.entry(1, 2) == 2
     assert w.entry(3, 3) == 1 and w.entry(3, 4) == 2  # period two
     assert w.entry(4, 5) == 3
-    with pytest.raises(WindowTooSmall):
-        w.entry(7, 7)
-    with pytest.raises(WindowTooSmall):
-        w.entry(1, 3)  # outside the band
-    with pytest.raises(WindowTooSmall):
+    # periodic in every row, however far, and in rows below the first
+    assert w.entry(7, 7) == 1 and w.entry(1000, 1001) == 3
+    assert w.entry(0, 1) == 3 and w.entry(-1, -1) == 1
+    with pytest.raises(ValueError, match="outside the band"):
+        w.entry(1, 3)
+    with pytest.raises(ValueError, match="outside the band"):
         w.entry(2, 1)
-    assert StripWindow(m, 2).row_count == 2
+    with pytest.raises(ValueError, match="outside the band"):
+        w.entry(1001, 1003)
 
 
 def test_strip_band_product_matches_circular_product():

@@ -146,6 +146,20 @@ def test_degrees_loop_scheme(tmp_path, capsys):
     assert "determinant 3, table sum 3" in lines[1]
 
 
+DEGREES_E_MAX_8 = "ef1c1b59091982d06cca000bc5c1e8bd0afb0fbc8326a6b8a80e4359276c31db"
+
+
+def test_degrees_report_is_pinned(tmp_path, capsys, tables):
+    # N=2..6 read the persisted tables, N=7 and 8 solve the chain
+    store = cli.TableStore(tmp_path)
+    for n in range(2, 7):
+        cli.write_table(tables(n), store.path(n))
+    code, out = run(["degrees", "--scheme", "E", "--max-n", "8",
+                     "--table-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DEGREES_E_MAX_8
+
+
 def test_degrees_square_zero_cone(capsys):
     code, out = run(["degrees", "--scheme", "D1", "--n", "3",
                      "--format", "json"], capsys)

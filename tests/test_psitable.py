@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import lex_divide
+from conftest import assert_edge_equations, lex_divide
 
 from brauerloop.errors import (
     ChainInconsistency,
@@ -14,6 +14,7 @@ from brauerloop.errors import (
     InexactDivision,
 )
 from brauerloop.exactpoly import MultiPoly
+from brauerloop import psitable
 from brauerloop.linkpat import LinkPattern, _wrap, apply_f, maximal_pattern
 from brauerloop.psitable import (
     MdegTable,
@@ -164,10 +165,26 @@ def test_table_content_hashes_are_pinned(tables):
 
 
 def test_edge_order_does_not_matter(tables):
-    for n in (3, 4, 5):
-        reversed_table = compute_table(n, reverse_edges=True)
-        for pi in tables(n).patterns():
-            assert reversed_table.mdeg(pi) == tables(n).mdeg(pi)
+    # every move, tree edge or not, reproduces the stored entry
+    assert sum(assert_edge_equations(tables(n)) for n in (3, 4, 5)) == 74
+
+
+def test_build_compares_non_tree_edges(tables, monkeypatch):
+    table = tables(4)
+    rho, i = next((rho, i) for rho in table.patterns() for i in range(1, 5)
+                  if rho(i) != _wrap(i + 1, 4)
+                  and table.edges[apply_f(rho, i)] not in (None, (i, rho)))
+    sigma = apply_f(rho, i)
+    exact = recursion_step
+
+    def perturbed(mdeg, at, j):
+        value = exact(mdeg, at, j)
+        return value + 1 if (at, j) == (rho, i) else value
+
+    monkeypatch.setattr(psitable, "recursion_step", perturbed)
+    with pytest.raises(ChainInconsistency) as err:
+        compute_table(4)
+    assert str(err.value) == f"chains disagree at {sigma} via f_{i} from {rho}"
 
 
 def test_exchange_identity(tables):
