@@ -54,6 +54,7 @@ from .linkpat import (
     enumerate_patterns,
     maximal_pattern,
     rank_table,
+    reflect,
     restrict_pattern,
     rotate,
 )
@@ -93,6 +94,7 @@ __all__ = [
     "pfaffian",
     "random_sample",
     "rank_table",
+    "reflect",
     "restrict_pattern",
     "rotate",
     "s_mul",

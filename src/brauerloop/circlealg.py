@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm, prod
 from typing import Callable, Sequence
 
 from .errors import NotInvertible
@@ -111,6 +113,16 @@ class ExactMatrix:
         return f"ExactMatrix[{body}]"
 
 
+def clear_denominators(m: ExactMatrix) -> tuple[ExactMatrix, int]:
+    """(c M, c) for the least c > 0 that makes c M an integer matrix (M itself if c = 1)."""
+    c = 1
+    for row in m.rows:
+        for x in row:
+            if type(x) is not int:
+                c = lcm(c, x.denominator)
+    return (m if c == 1 else ExactMatrix([[int(x * c) for x in row] for row in m.rows])), c
+
+
 # --------------------------------------------------------------------- cyclic order
 
 
@@ -119,9 +131,11 @@ def cyc_ordered(i: int, j: int, k: int, n: int) -> bool:
     return (j - i) % n + (k - j) % n == (k - i) % n
 
 
-def _arc(i: int, k: int, n: int) -> list[int]:
-    """The labels on the cyclic arc from i to k, in arc order."""
-    return [(i - 1 + t) % n + 1 for t in range((k - i) % n + 1)]
+@lru_cache(maxsize=None)
+def _arcs(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """_arcs(n)[i][k]: the 0-based indices on the cyclic arc from i to k, in arc order."""
+    return tuple(tuple(tuple((i + t) % n for t in range((k - i) % n + 1))
+                       for k in range(n)) for i in range(n))
 
 
 # --------------------------------------------------------------------- products
@@ -131,19 +145,20 @@ def cp_mul(p: ExactMatrix, q: ExactMatrix) -> ExactMatrix:
     """Circular product: sum over the cyclic arc from row to column index."""
     if p.n != q.n:
         raise ValueError("size mismatch")
-    n = p.n
-    out = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        prow = p.rows[i - 1]
-        for k in range(1, n + 1):
+    qrows = q.rows
+    out = []
+    for prow, arcs in zip(p.rows, _arcs(p.n)):
+        orow = []
+        for k, arc in enumerate(arcs):
             acc: Rational = 0
-            for j in _arc(i, k, n):
-                a = prow[j - 1]
+            for j in arc:
+                a = prow[j]
                 if a:
-                    b = q.rows[j - 1][k - 1]
+                    b = qrows[j][k]
                     if b:
                         acc += a * b
-            out[i - 1][k - 1] = acc
+            orow.append(acc)
+        out.append(orow)
     return ExactMatrix(out)
 
 
@@ -204,24 +219,27 @@ def semidirect_mul(a: tuple[ExactMatrix, ExactMatrix],
 
 
 def upper_inverse(r: ExactMatrix) -> ExactMatrix:
-    """Ordinary inverse of a weakly upper triangular matrix, by back substitution."""
+    """Ordinary inverse of a weakly upper triangular matrix, by back substitution.
+
+    R is first cleared of denominators, R = S / c with S integral.  The
+    adjugate A = det(S) S^-1 is integral and upper triangular, so back
+    substitution of S A = det(S) I divides exactly; then R^-1 = c A / det(S),
+    an int wherever it is integral.
+    """
     n = r.n
-    diag = r.diagonal_entries()
-    if any(not d for d in diag):
+    if any(not d for d in r.diagonal_entries()):
         raise NotInvertible("zero diagonal entry")
-    inv = [[Fraction(0)] * n for _ in range(n)]
+    cleared, c = clear_denominators(r)
+    s = cleared.rows
+    d = prod(s[i][i] for i in range(n))
+    adj = [[0] * n for _ in range(n)]
     for j in range(n - 1, -1, -1):
-        inv[j][j] = Fraction(1, 1) / diag[j]
+        adj[j][j] = d // s[j][j]
         for i in range(j - 1, -1, -1):
-            acc = Fraction(0)
-            for k in range(i + 1, j + 1):
-                if r.rows[i][k]:
-                    acc += r.rows[i][k] * inv[k][j]
-            inv[i][j] = -acc / diag[i]
-    out = ExactMatrix(inv)
-    out.rows = [[int(x) if isinstance(x, Fraction) and x.denominator == 1 else x
-                 for x in row] for row in out.rows]
-    return out
+            acc = sum(s[i][k] * adj[k][j] for k in range(i + 1, j + 1) if s[i][k])
+            adj[i][j] = -acc // s[i][i]
+    return ExactMatrix([[v // d if v % d == 0 else Fraction(v, d)
+                         for v in (c * a for a in row)] for row in adj])
 
 
 def cp_inv(p: ExactMatrix) -> ExactMatrix:

@@ -33,6 +33,7 @@ __all__ = [
     "apply_e",
     "apply_f",
     "rotate",
+    "reflect",
     "crossings",
     "chords_cross",
     "strands_cross_at",
@@ -173,6 +174,16 @@ def rotate(pi: LinkPattern, k: int = 1) -> LinkPattern:
     n = pi.n
     image = tuple(_wrap(pi(i - k) + k, n) for i in range(1, n + 1))
     return LinkPattern(image)
+
+
+def reflect(pi: LinkPattern) -> LinkPattern:
+    """Reverse the labels: refl(pi)(i) = N + 1 - pi(N + 1 - i).
+
+    The neighbouring pair (i, i+1) goes to (N-i, N+1-i), so the operators
+    at position i become those at position N - i (read mod N).
+    """
+    n = pi.n
+    return LinkPattern(tuple(n + 1 - pi(n + 1 - i) for i in range(1, n + 1)))
 
 
 def chords_cross(c1: tuple[int, int], c2: tuple[int, int]) -> bool:

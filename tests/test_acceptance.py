@@ -67,11 +67,13 @@ def test_criterion_01_degree_sums(capsys):
 
 def test_criterion_01_stretch_seven(capsys):
     start = time.perf_counter()
-    totals = {n: sum(stationary(n).normalized.values()) for n in (7, 8)}
+    sizes = range(7, 11)
+    totals = {n: sum(stationary(n).normalized.values()) for n in sizes}
     elapsed = time.perf_counter() - start
-    with criterion(capsys, "criterion 01 stretch: N=7, 8 degree sums by chain "
+    with criterion(capsys, "criterion 01 stretch: N=7..10 degree sums by chain "
                            f"evaluation ({elapsed:.1f}s)"):
-        assert totals == {n: degree_determinant(n) for n in (7, 8)} == {7: 6153, 8: 82977}
+        assert totals == {n: degree_determinant(n) for n in sizes} == {
+            7: 6153, 8: 82977, 9: 4196961, 10: 137460201}
         assert elapsed < 600
 
 

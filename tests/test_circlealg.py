@@ -8,6 +8,7 @@ import pytest
 
 from brauerloop.circlealg import (
     ExactMatrix,
+    clear_denominators,
     cp_inv,
     cp_mul,
     cyc_ordered,
@@ -110,6 +111,43 @@ def test_upper_inverse():
     assert half[1, 1] == Fraction(1, 2)
     with pytest.raises(NotInvertible):
         upper_inverse(ExactMatrix([[0, 1], [0, 1]]))
+
+
+def test_clear_denominators():
+    cleared, c = clear_denominators(ExactMatrix([[Fraction(1, 2), 0], [Fraction(-2, 3), 5]]))
+    assert c == 6 and cleared == ExactMatrix([[3, 0], [-4, 30]])
+    assert all(type(x) is int for row in cleared.rows for x in row)
+    ints = ExactMatrix([[1, 2], [3, 4]])
+    assert clear_denominators(ints) == (ints, 1)
+
+
+def fraction_upper_inverse(r: ExactMatrix) -> ExactMatrix:
+    """Reference: back substitution over Fraction, integral entries as ints."""
+    n = r.n
+    inv = [[Fraction(0)] * n for _ in range(n)]
+    for j in range(n - 1, -1, -1):
+        inv[j][j] = 1 / Fraction(r.rows[j][j])
+        for i in range(j - 1, -1, -1):
+            acc = sum((r.rows[i][k] * inv[k][j] for k in range(i + 1, j + 1)), Fraction(0))
+            inv[i][j] = -acc / r.rows[i][i]
+    return ExactMatrix([[int(x) if x.denominator == 1 else x for x in row] for row in inv])
+
+
+def test_upper_inverse_matches_fraction_back_substitution():
+    rng = random.Random(23)
+
+    def entry():
+        kind = rng.randrange(3)
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5)) if kind == 0 else rng.randint(-5, 5)
+
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        diag = [rng.choice([-3, -2, -1, 1, 2, 3, Fraction(3, 2), Fraction(-2, 5)]) for _ in range(n)]
+        r = ExactMatrix.build(n, lambda i, j: diag[i - 1] if i == j else entry() if i < j else 0)
+        got, want = upper_inverse(r), fraction_upper_inverse(r)
+        assert repr(got) == repr(want)
+        assert [[type(x) for x in row] for row in got.rows] == \
+            [[type(x) for x in row] for row in want.rows]
 
 
 def test_cp_inv_two_sided():

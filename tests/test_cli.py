@@ -3,10 +3,12 @@ and byte-stable output."""
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from brauerloop import cli
+from brauerloop.errors import IdentityViolation
 
 
 def run(argv, capsys):
@@ -106,14 +108,14 @@ def test_write_table_is_atomic(tmp_path, monkeypatch, tables):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--scheme", "E", "--n", "0"], r"--n must lie in 1\.\.8"),
-    (["--scheme", "E", "--n", "9"], r"--n must lie in 1\.\.8"),
-    (["--scheme", "E", "--max-n", "9"], r"--max-n must lie in 2\.\.8"),
+    (["--scheme", "E", "--n", "0"], r"--n must lie in 1\.\.10"),
+    (["--scheme", "E", "--n", "11"], r"--n must lie in 1\.\.10"),
+    (["--scheme", "E", "--max-n", "11"], r"--max-n must lie in 2\.\.10"),
     (["--scheme", "D1", "--n", "0"], r"--n must lie in 1\.\.14"),
     (["--scheme", "D1", "--n", "15"], r"--n must lie in 1\.\.14"),
     (["--scheme", "commuting", "--n", "8"], r"--n must lie in 1\.\.7"),
     (["--scheme", "commuting", "--max-n", "0"], r"--max-n must lie in 1\.\.7"),
-    (["--scheme", "E", "--max-n", "1"], r"--max-n must lie in 2\.\.8"),
+    (["--scheme", "E", "--max-n", "1"], r"--max-n must lie in 2\.\.10"),
 ])
 def test_degrees_rejects_sizes_it_cannot_finish(tmp_path, argv, message):
     with pytest.raises(SystemExit, match=message):
@@ -160,6 +162,17 @@ def test_degrees_report_is_pinned(tmp_path, capsys, tables):
     assert hashlib.sha256(out.encode()).hexdigest() == DEGREES_E_MAX_8
 
 
+@pytest.mark.parametrize("n, line", [
+    (9, "E N=9: determinant 4196961, chain sum 4196961"),
+    (10, "E N=10: determinant 137460201, chain sum 137460201"),
+])
+def test_degrees_chain_sizes(tmp_path, capsys, n, line):
+    code, out = run(["degrees", "--scheme", "E", "--n", str(n),
+                     "--table-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert out == line + "\n"
+
+
 def test_degrees_square_zero_cone(capsys):
     code, out = run(["degrees", "--scheme", "D1", "--n", "3",
                      "--format", "json"], capsys)
@@ -191,6 +204,19 @@ def test_verify_algebra_small(capsys):
                      "--seed", "7"], capsys)
     assert code == 0
     assert "6/6 checks passed" in out
+
+
+def test_algebra_witness_names_the_drawn_matrices(monkeypatch):
+    # the checks multiply denominator-cleared copies; a failure still
+    # reports the matrices as drawn, Fraction entries included
+    rng = cli._rng(0, "assoc/3")
+    drawn = [cli._random_matrix(3, rng) for _ in range(3)]
+    assert all(any(isinstance(x, Fraction) for row in m.rows for x in row) for m in drawn)
+    monkeypatch.setattr(cli, "cp_mul", lambda p, q: p - q)  # not associative
+    with pytest.raises(IdentityViolation) as err:
+        cli._check_assoc(3, cli._rng(0, "assoc/3"), 1)
+    p, q, r = drawn
+    assert str(err.value) == f"instance 0: P={p!r}, Q={q!r}, R={r!r}"
 
 
 def test_verify_json_format(tmp_path, capsys):

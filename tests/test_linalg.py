@@ -59,6 +59,14 @@ def test_rank_edge_shapes():
     assert rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
 
 
+def test_inputs_are_left_unchanged():
+    # all-int rows enter the elimination without the scaling copy
+    rows = [[0, 2, 4], [1, 1, 1], [2, 6, 10]]
+    before = [list(r) for r in rows]
+    assert rank(rows) == 2 and det(rows) == 0 and solve(rows[:2], [1, 1]) is None
+    assert rows == before
+
+
 def test_det_matches_sympy():
     for rows in shapes():
         if len(rows) == len(rows[0]):

@@ -18,6 +18,7 @@ from brauerloop.linkpat import (
     in_permutation_sector,
     maximal_pattern,
     rank_table,
+    reflect,
     restrict_pattern,
     rotate,
     strands_cross_at,
@@ -145,6 +146,27 @@ def test_rotate():
             assert rotate(q, n) == q
             assert rotate(rotate(q, 1), 1) == rotate(q, 2)
             assert rotate(rotate(q, 1), -1) == q
+
+
+def test_reflect():
+    assert reflect(LinkPattern((2, 1, 3))).pairing == (1, 3, 2)
+    assert reflect(LinkPattern((2, 1, 4, 3))) == LinkPattern((2, 1, 4, 3))
+    assert reflect(LinkPattern((1,))) == LinkPattern((1,))
+    for n in (3, 4, 5):
+        for q in enumerate_patterns(n):
+            assert reflect(reflect(q)) == q
+            assert crossings(reflect(q)) == crossings(q)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_moves_are_dihedrally_equivariant(n):
+    # rotation carries position i to i+1, reflection carries i to N-i (mod N)
+    for pi in enumerate_patterns(n):
+        turned, mirrored = rotate(pi), reflect(pi)
+        for i in range(1, n + 1):
+            for move in (apply_e, apply_f):
+                assert rotate(move(pi, i)) == move(turned, i + 1)
+                assert reflect(move(pi, i)) == move(mirrored, n - i)
 
 
 def test_chords_and_crossings():

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from brauerloop import loopchain
-from brauerloop.errors import Mismatch, NonUniqueStationary
-from brauerloop.linkpat import LinkPattern, enumerate_patterns
+from brauerloop.errors import IdentityViolation, Mismatch, NonUniqueStationary
+from brauerloop.linalg import solve
+from brauerloop.linkpat import LinkPattern, enumerate_patterns, reflect, rotate
 from brauerloop.loopchain import (
     StationarySolution,
     match_psi,
@@ -16,14 +17,44 @@ from brauerloop.loopchain import (
 )
 
 
+def dense_stationary(n: int) -> dict[LinkPattern, Fraction]:
+    """Reference: x (P - I) = 0 over all states with sum(x) = 1 appended."""
+    pats, rows = transition_matrix(n)
+    m = len(pats)
+    system = [[int(3 * n * rows[i].get(j, 0)) - (3 * n if i == j else 0) for i in range(m)]
+              for j in range(m)]
+    return dict(zip(pats, solve(system + [[1] * m], [0] * m + [1])))
+
+
+def orbit(pi: LinkPattern) -> set[LinkPattern]:
+    return {img for r in range(pi.n) for img in (rotate(pi, r), reflect(rotate(pi, r)))}
+
+
 def test_transition_matrix_structure():
     for n in (2, 3, 4):
         pats, rows = transition_matrix(n)
         assert pats == enumerate_patterns(n)
         for row in rows:
-            assert sum(row) == 1
+            assert sum(row.values()) == 1
             # every entry is a multiple of the elementary step weight
-            assert all((v * 3 * n).denominator == 1 for v in row)
+            assert all((v * 3 * n).denominator == 1 for v in row.values())
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stationary_matches_dense_solve(n):
+    sol = stationary(n)
+    want = dense_stationary(n)
+    assert sol.probabilities == want
+    low = min(want.values())
+    assert sol.normalized == {pi: int(v / low) for pi, v in want.items()}
+    assert all((v / low).denominator == 1 for v in want.values())
+
+
+def test_stationary_is_constant_on_dihedral_orbits():
+    for n in range(1, 9):
+        sol = stationary(n)
+        for pi, w in sol.normalized.items():
+            assert {sol.normalized[img] for img in orbit(pi)} == {w}
 
 
 def test_stationary_two():
@@ -54,10 +85,43 @@ def test_stationary_four():
 def test_stationary_rejects_reducible_chain(monkeypatch):
     # every pattern absorbing: the stationary space is the whole space
     pats = enumerate_patterns(4)
-    identity = [[Fraction(int(i == j)) for j in range(len(pats))] for i in range(len(pats))]
+    identity = [{i: Fraction(1)} for i in range(len(pats))]
     monkeypatch.setattr(loopchain, "transition_matrix", lambda n: (pats, identity))
     with pytest.raises(NonUniqueStationary, match="dimension 3"):
         stationary(4)
+
+
+def test_certificate_rejects_chain_without_dihedral_symmetry(monkeypatch):
+    # N=4: patterns (12)(34) and (14)(23) form one orbit, (13)(24) the other.
+    # The cycle A -> B -> C -> A with a half-probability loop at A is
+    # irreducible, and its stationary vector (2, 1, 1) is not constant on
+    # {A, C}: the orbit equations have no solution.
+    pats = enumerate_patterns(4)
+    half = Fraction(1, 2)
+    cycle = [{0: half, 1: half}, {2: Fraction(1)}, {0: Fraction(1)}]
+    monkeypatch.setattr(loopchain, "transition_matrix", lambda n: (pats, cycle))
+    with pytest.raises(IdentityViolation, match="no unique solution"):
+        stationary(4)
+
+
+def test_certificate_rejects_orbit_solution_that_is_not_stationary(monkeypatch):
+    # N=6: redirect one move between two patterns that head no orbit.  The
+    # orbit equations, written at the representatives only, are unchanged,
+    # so only the full-chain identity can see the change.
+    n = 6
+    pats, rows = transition_matrix(n)
+    index = {pi: k for k, pi in enumerate(pats)}
+    heads = {min(index[img] for img in orbit(pi)) for pi in pats}
+    step = Fraction(1, 3 * n)
+    src, t1 = next((s, t) for s, row in enumerate(rows) for t, p in row.items()
+                   if t not in heads and p > step)
+    t2 = next(t for t in range(len(pats)) if t not in heads and t != t1)
+    rows[src] = dict(rows[src])
+    rows[src][t1] -= step
+    rows[src][t2] = rows[src].get(t2, 0) + step
+    monkeypatch.setattr(loopchain, "transition_matrix", lambda n: (pats, rows))
+    with pytest.raises(IdentityViolation, match="not stationary at"):
+        stationary(n)
 
 
 def test_match_with_table(tables):
