@@ -60,7 +60,7 @@ from .linkpat import (
 )
 from .loopchain import StationarySolution, match_psi, stationary, transition_matrix
 from .pfdet import degree_determinant, pfaffian, skew_sum, total_mdeg_pfaffian_value
-from .psitable import MdegTable, compute_table, verify_exchange
+from .psitable import MdegTable, compute_table, verify_edges, verify_exchange
 
 __version__ = "0.1.0"
 
@@ -107,5 +107,6 @@ __all__ = [
     "tangent_dimension",
     "total_mdeg_pfaffian_value",
     "transition_matrix",
+    "verify_edges",
     "verify_exchange",
 ]

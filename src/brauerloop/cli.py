@@ -458,7 +458,8 @@ def commuting_jobs(max_n: int, store: TableStore) -> list[Job]:
 # ------------------------------------------------------------------ orchestration
 
 
-SUITES = ("algebra", "geometry", "exchange", "sumrules", "markov", "d1", "commuting")
+SUITES = ("algebra", "geometry", "edges", "exchange", "sumrules", "markov", "d1",
+          "commuting")
 
 
 def _check_size(flag: str, value: int | None, lo: int, hi: int) -> None:
@@ -470,7 +471,9 @@ def _span(args, lo: int, hi: int) -> list[int]:
     if args.n is not None:
         _check_size("--n", args.n, lo, hi)
         return [args.n]
+    # a larger --max-n stands for hi, so that one bound can serve `verify all`
     top = min(hi, args.max_n) if args.max_n is not None else hi
+    _check_size("--max-n", top, lo, hi)
     return list(range(lo, top + 1))
 
 
@@ -480,6 +483,10 @@ def suite_jobs(suite: str, args, store: TableStore) -> list[Job]:
         return algebra_jobs(_span(args, 2, 8), seed, args.points or 1000)
     if suite == "geometry":
         return geometry_jobs(_span(args, 3, 6), seed, args.points or 200)
+    if suite == "edges":
+        return [(f"edges/N{n}",
+                 lambda n=n: f"{psitable.verify_edges(store.get(n))['edges']} edge equations")
+                for n in _span(args, 2, 6)]
     if suite == "exchange":
         return exchange_jobs(_span(args, 2, 6), store)
     if suite == "sumrules":
@@ -489,6 +496,8 @@ def suite_jobs(suite: str, args, store: TableStore) -> list[Job]:
     if suite == "d1":
         return d1_jobs(_span(args, 2, 6), seed, args.points or 20, store)
     if suite == "commuting":
+        for flag, value in (("--n", args.n), ("--max-n", args.max_n)):
+            _check_size(flag, value, *DEGREE_SIZES["commuting"])
         max_n = args.n if args.n is not None else (args.max_n or 6)
         return commuting_jobs(max_n, store)
     raise SystemExit(f"error: unknown suite {suite!r}")
@@ -595,9 +604,11 @@ def cmd_degrees(args) -> int:
 def cmd_verify(args) -> int:
     store = _store(args)
     suites = list(SUITES) if args.suite == "all" else [args.suite]
+    # every size is checked before any suite runs
+    jobs = {suite: suite_jobs(suite, args, store) for suite in suites}
     ok = True
     for suite in suites:
-        report = run_suite(suite, suite_jobs(suite, args, store))
+        report = run_suite(suite, jobs[suite])
         print_report(report, args.format)
         ok = ok and report.passed
     return 0 if ok else 1

@@ -13,17 +13,18 @@ The table of all of them is generated from two ingredients:
     A + z_i - z_{i+1}; one operator drives both chains.
 
 Since adjacent transposition moves connect all patterns, a breadth-first
-sweep fills the whole table.  It takes every move out of every pattern:
-the first move into a pattern fills its entry, and every later one is
-compared with it exactly, so an inconsistent recursion cannot go
-unnoticed.
+sweep fills the whole table, one move per pattern: the first move into a
+pattern fills its entry, and these moves form a spanning tree rooted at
+the base.  Every other move is a consistency relation between two
+entries already filled; verify_edges checks all of them exactly, apart
+from the build.
 
 The remaining functions verify, symbolically or at exact rational
 points, the identities these polynomials satisfy: the exchange
 relations tying the family to the transfer matrix, sector and total sum
 rules, the specialization that removes a small chord, the small-arch
-identity, rotation covariance, and positivity on the region where every
-weight 1 + z_i - z_j is positive.
+identity, rotation and reflection covariance, and positivity on the
+region where every weight 1 + z_i - z_j is positive.
 """
 
 from __future__ import annotations
@@ -35,11 +36,12 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import ChainInconsistency, ChordPresent, IdentityViolation
 from .exactpoly import MultiPoly
 from .linkpat import (LinkPattern, apply_e, apply_f, enumerate_patterns,
-                      in_permutation_sector, maximal_pattern,
+                      in_permutation_sector, maximal_pattern, reflect,
                       restrict_pattern, rotate, strands_cross_at, _wrap)
 
 
@@ -173,13 +175,21 @@ class MdegTable:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _moves(rho: LinkPattern) -> Iterator[tuple[int, LinkPattern]]:
+    """(i, f_i . rho) for i = 1..n in order, wherever rho has no chord (i, i+1)."""
+    n = rho.n
+    for i in range(1, n + 1):
+        if rho(i) != _wrap(i + 1, n):
+            yield i, apply_f(rho, i)
+
+
 def compute_table(n: int) -> MdegTable:
     """Fill the table by breadth-first transposition moves from the base.
 
-    Every move f_i out of every pattern rho is taken, i = 1..n in order.
-    The first move into a pattern fills its entry and is recorded in
-    edges; every later move into it must give the same polynomial, or
-    ChainInconsistency names the pattern, the move and its source.
+    The moves out of each pattern are taken in the order of _moves, and
+    only the first move into a pattern is computed: it fills the entry
+    and is recorded in edges, so the build makes one recursion step per
+    pattern besides the base.  verify_edges compares the other moves.
     """
     pi0 = maximal_pattern(n)
     entries: dict[LinkPattern, MultiPoly] = {pi0: base_mdeg(n)}
@@ -187,24 +197,32 @@ def compute_table(n: int) -> MdegTable:
     work = deque([pi0])
     while work:
         rho = work.popleft()
-        known = entries[rho]
-        for i in range(1, n + 1):
-            if rho(i) == _wrap(i + 1, n):
-                continue
-            sigma = apply_f(rho, i)
-            value = recursion_step(known, rho, i)
-            seen = entries.get(sigma)
-            if seen is None:
-                entries[sigma] = value
+        for i, sigma in _moves(rho):
+            if sigma not in entries:
+                entries[sigma] = recursion_step(entries[rho], rho, i)
                 edges[sigma] = (i, rho)
                 work.append(sigma)
-            elif seen != value:
-                raise ChainInconsistency(
-                    f"chains disagree at {sigma} via f_{i} from {rho}")
     missing = [pi for pi in enumerate_patterns(n) if pi not in entries]
     if missing:
         raise ChainInconsistency(f"unreached patterns: {missing}")
     return MdegTable(n, entries, edges)
+
+
+def verify_edges(table: MdegTable) -> dict:
+    """Every edge equation: recursion_step(T[rho], rho, i) == T[f_i . rho].
+
+    Checks each move out of each pattern, tree edge or not, so the result
+    does not depend on the order that built the table.  A mismatch raises
+    ChainInconsistency naming the target, the move and its source.
+    """
+    checked = 0
+    for rho in table.patterns():
+        for i, sigma in _moves(rho):
+            if recursion_step(table.mdeg(rho), rho, i) != table.mdeg(sigma):
+                raise ChainInconsistency(
+                    f"chains disagree at {sigma} via f_{i} from {rho}")
+            checked += 1
+    return {"edges": checked}
 
 
 # ----------------------------------------------------------------- exchange
@@ -403,4 +421,22 @@ def rotation_check(table: MdegTable) -> dict:
     for pi in table.patterns():
         if table.mdeg(rotate(pi, 1)) != table.mdeg(pi).map_z(n, shift):
             raise IdentityViolation(f"rotation covariance fails at {pi}")
+    return {"patterns": len(table.patterns())}
+
+
+def reflection_check(table: MdegTable) -> dict:
+    """Reflecting the pattern matches reversing and negating the variables.
+
+    mdeg(refl pi)(A, z) = mdeg(pi)(A, -z_{N+1-i}): the variables are
+    relabelled k -> N+1-k, and z -> -z flips the sign of every term of odd
+    total z-degree.
+    """
+    n = table.n
+    reverse = list(range(n, 0, -1))
+    for pi in table.patterns():
+        moved = table.mdeg(pi).map_z(n, reverse)
+        want = MultiPoly(n, {key: -c if sum(key[1:]) % 2 else c
+                             for key, c in moved.terms.items()})
+        if table.mdeg(reflect(pi)) != want:
+            raise IdentityViolation(f"reflection covariance fails at {pi}")
     return {"patterns": len(table.patterns())}

@@ -4,9 +4,9 @@ The multidegree tables are the expensive objects here (size 6 takes a few
 seconds), so they are computed once per session and shared by every test
 module through the `tables` fixture.  `lex_divide`, a general
 lexicographic division, is the oracle for the library's closed-form
-divided difference and its division by divisors monic in A.
-`assert_edge_equations` checks a stored table against the recursion on
-every move, whatever order built it.
+divided difference and its division by divisors monic in A.  The edge
+equations of a stored table are checked by the library's own
+`psitable.verify_edges`, so no copy of them lives here.
 """
 
 import heapq
@@ -15,8 +15,7 @@ import pytest
 
 from brauerloop.errors import InexactDivision
 from brauerloop.exactpoly import Key, MultiPoly
-from brauerloop.linkpat import _wrap, apply_f
-from brauerloop.psitable import MdegTable, compute_table, recursion_step
+from brauerloop.psitable import MdegTable, compute_table
 
 _TABLES: dict[int, MdegTable] = {}
 
@@ -35,22 +34,6 @@ def store_table(table: MdegTable) -> None:
 @pytest.fixture(scope="session")
 def tables():
     return cached_table
-
-
-def assert_edge_equations(table: MdegTable) -> int:
-    """recursion_step(T[rho], rho, i) == T[f_i . rho] for every pattern rho
-    and every i with no chord (i, i+1); returns the number of equations."""
-    n = table.n
-    count = 0
-    for rho in table.patterns():
-        for i in range(1, n + 1):
-            if rho(i) == _wrap(i + 1, n):
-                continue
-            sigma = apply_f(rho, i)
-            assert recursion_step(table.mdeg(rho), rho, i) == table.mdeg(sigma), (
-                f"edge equation fails at {sigma} via f_{i} from {rho}")
-            count += 1
-    return count
 
 
 def lex_divide(num: MultiPoly, den: MultiPoly) -> MultiPoly:

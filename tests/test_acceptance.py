@@ -10,7 +10,7 @@ import contextlib
 import random
 import time
 
-from conftest import assert_edge_equations, store_table
+from conftest import store_table
 
 from brauerloop import cli
 from brauerloop.commvar import degree_sequence, delta
@@ -28,11 +28,13 @@ from brauerloop.pfdet import d0_multiplicity_check, degree_determinant
 from brauerloop.psitable import (
     compute_table,
     positivity_spot_check,
+    reflection_check,
     rotation_check,
     smallarch_check,
     specialize_check,
     sum_rule_sector,
     sum_rule_total,
+    verify_edges,
     verify_exchange,
 )
 
@@ -161,14 +163,15 @@ def test_criterion_09_algebra(capsys):
 
 
 def test_criterion_10_regressions(capsys, tables):
-    with criterion(capsys, "criterion 10: every edge equation, "
-                           "homogeneity, rotation covariance, positivity"):
+    with criterion(capsys, "criterion 10: every edge equation, homogeneity, "
+                           "rotation and reflection covariance, positivity"):
         for n in range(2, 7):
             table = tables(n)
             table.validate()
             rotation_check(table)
+            reflection_check(table)
             positivity_spot_check(table, trials=100)
-            assert_edge_equations(table)
+            verify_edges(table)
 
 
 def test_criterion_02_stretch_seven(capsys):

@@ -234,6 +234,37 @@ def test_verify_rejects_out_of_range_size(tmp_path):
         cli.main(["verify", "exchange", "--n", "9", "--table-dir", str(tmp_path)])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["exchange", "--max-n", "1"], r"--max-n must lie in 2\.\.6"),
+    (["algebra", "--max-n", "1"], r"--max-n must lie in 2\.\.8"),
+    (["geometry", "--max-n", "2"], r"--max-n must lie in 3\.\.6"),
+    (["d1", "--max-n", "1"], r"--max-n must lie in 2\.\.6"),
+    (["commuting", "--max-n", "0"], r"--max-n must lie in 1\.\.7"),
+    (["commuting", "--n", "0"], r"--n must lie in 1\.\.7"),
+    (["commuting", "--n", "9"], r"--n must lie in 1\.\.7"),
+])
+def test_verify_rejects_sizes_it_cannot_finish(tmp_path, capsys, argv, message):
+    # a size that would run nothing, or never finish, is refused up front
+    with pytest.raises(SystemExit, match=message):
+        cli.main(["verify", *argv, "--table-dir", str(tmp_path)])
+    assert capsys.readouterr().out == ""
+    assert not list(tmp_path.iterdir())
+
+
+VERIFY_EDGES = "9551ce0a4004ca30c154db069d60c5e8459b2a274c7ddb41df39d5fede63d660"
+
+
+def test_verify_edges_report_is_pinned(tmp_path, capsys, tables):
+    # the edge equations are checked on persisted tables, not only in a build
+    store = cli.TableStore(tmp_path)
+    for n in range(2, 7):
+        cli.write_table(tables(n), store.path(n))
+    code, out = run(["verify", "edges", "--table-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "suite edges: 5/5 checks passed"
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_EDGES
+
+
 def test_seed_derivation_is_stable():
     assert cli._int_seed(0, "x") == cli._int_seed(0, "x")
     assert cli._int_seed(0, "x") != cli._int_seed(1, "x")

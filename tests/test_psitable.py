@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import assert_edge_equations, lex_divide
+from conftest import lex_divide, store_table
 
 from brauerloop.errors import (
     ChainInconsistency,
@@ -15,7 +15,7 @@ from brauerloop.errors import (
 )
 from brauerloop.exactpoly import MultiPoly
 from brauerloop import psitable
-from brauerloop.linkpat import LinkPattern, _wrap, apply_f, maximal_pattern
+from brauerloop.linkpat import LinkPattern, _wrap, apply_f, maximal_pattern, reflect
 from brauerloop.psitable import (
     MdegTable,
     base_mdeg,
@@ -23,12 +23,14 @@ from brauerloop.psitable import (
     positivity_spot_check,
     random_point,
     recursion_step,
+    reflection_check,
     rotation_check,
     smallarch_check,
     specialize_check,
     sum_rule_sector,
     sum_rule_total,
     target_degree,
+    verify_edges,
     verify_exchange,
 )
 
@@ -166,10 +168,27 @@ def test_table_content_hashes_are_pinned(tables):
 
 def test_edge_order_does_not_matter(tables):
     # every move, tree edge or not, reproduces the stored entry
-    assert sum(assert_edge_equations(tables(n)) for n in (3, 4, 5)) == 74
+    assert sum(verify_edges(tables(n))["edges"] for n in (3, 4, 5)) == 74
 
 
-def test_build_compares_non_tree_edges(tables, monkeypatch):
+def test_build_takes_one_step_per_pattern(monkeypatch):
+    calls = []
+    exact = recursion_step
+
+    def counted(mdeg, rho, i):
+        calls.append((rho, i))
+        return exact(mdeg, rho, i)
+
+    monkeypatch.setattr(psitable, "recursion_step", counted)
+    for n in (5, 6):
+        calls.clear()
+        table = compute_table(n)
+        assert len(calls) == len(table.patterns()) - 1 == 14
+        assert table.content_hash() == TABLE_HASHES[n]
+        store_table(table)
+
+
+def test_verify_edges_compares_non_tree_edges(tables, monkeypatch):
     table = tables(4)
     rho, i = next((rho, i) for rho in table.patterns() for i in range(1, 5)
                   if rho(i) != _wrap(i + 1, 4)
@@ -182,8 +201,10 @@ def test_build_compares_non_tree_edges(tables, monkeypatch):
         return value + 1 if (at, j) == (rho, i) else value
 
     monkeypatch.setattr(psitable, "recursion_step", perturbed)
+    # the build never takes the non-tree edge, so it cannot see the change
+    assert compute_table(4).content_hash() == TABLE_HASHES[4]
     with pytest.raises(ChainInconsistency) as err:
-        compute_table(4)
+        verify_edges(table)
     assert str(err.value) == f"chains disagree at {sigma} via f_{i} from {rho}"
 
 
@@ -235,6 +256,19 @@ def test_positivity_and_rotation(tables):
     positivity_spot_check(tables(3), trials=50)
     rotation_check(tables(3))
     rotation_check(tables(4))
+
+
+def test_reflection_catches_tampering(tables):
+    t5 = tables(5)
+    assert reflection_check(t5) == {"patterns": 15}
+    pi = next(pi for pi in t5.patterns() if reflect(pi) != pi)
+    for bad_entry in (-t5.mdeg(pi), t5.mdeg(pi) * 2):
+        bad = dict(t5.entries)
+        bad[pi] = bad_entry
+        with pytest.raises(IdentityViolation) as err:
+            reflection_check(MdegTable(5, bad, t5.edges))
+        assert str(err.value) in {f"reflection covariance fails at {p}"
+                                  for p in (pi, reflect(pi))}
 
 
 def test_positivity_at_integer_points_matches_psi(tables):
