@@ -2,10 +2,12 @@
 
 One move: pick a position i uniformly from 1..N, then apply the glue
 move e_i with probability 2/3 or the transposition move f_i with
-probability 1/3.  The chain is irreducible, and its exact stationary
+probability 1/3.  Every transition probability is therefore an integer
+count of moves divided by 3N, and the chain is handled through those
+counts 3N P.  The chain is irreducible, and its exact stationary
 distribution, rescaled so the least likely pattern has weight 1, is a
 vector of positive integers.  Those integers are computed here by exact
-rational linear algebra and serve as an independent cross-check of the
+linear algebra and serve as an independent cross-check of the
 multidegree table at z = 0.
 
 Rotating or reflecting the N points carries the move at position i to
@@ -27,25 +29,27 @@ from .linalg import rank, solve
 from .linkpat import LinkPattern, apply_e, apply_f, enumerate_patterns, reflect, rotate
 
 
-def transition_matrix(n: int) -> tuple[tuple[LinkPattern, ...], list[dict[int, Fraction]]]:
-    """Row-stochastic transition matrix in enumerate_patterns order, as sparse rows.
+def transition_matrix(n: int) -> tuple[tuple[LinkPattern, ...], list[dict[int, int]]]:
+    """Move counts 3n P in enumerate_patterns order, as sparse integer rows.
 
     Row k maps the index of every pattern one move reaches from pattern k
-    to the probability of reaching it; entries not listed are zero.
+    to the number of the 3n equally likely choices that reach it (e_i
+    counts twice, f_i once, for each i); entries not listed are zero.
+    Every row sums to 3n, so P is the matrix divided by 3n.
     """
     pats = enumerate_patterns(n)
     index = {pi: k for k, pi in enumerate(pats)}
     rows = []
     for pi in pats:
-        moves: dict[int, int] = {}  # target -> probability in units of 1/(3n)
+        row: dict[int, int] = {}
         for i in range(1, n + 1):
             for target, weight in ((apply_e(pi, i), 2), (apply_f(pi, i), 1)):
                 k = index[target]
-                moves[k] = moves.get(k, 0) + weight
-        if sum(moves.values()) != 3 * n:
+                row[k] = row.get(k, 0) + weight
+        if sum(row.values()) != 3 * n:
             raise IdentityViolation(f"row {pi} of the transition matrix sums to "
-                                    f"{Fraction(sum(moves.values()), 3 * n)}")
-        rows.append({k: Fraction(c, 3 * n) for k, c in moves.items()})
+                                    f"{Fraction(sum(row.values()), 3 * n)}")
+        rows.append(row)
     return pats, rows
 
 
@@ -54,18 +58,6 @@ class StationarySolution:
     n: int
     probabilities: dict[LinkPattern, Fraction]
     normalized: dict[LinkPattern, int]
-
-    @property
-    def minimum(self) -> Fraction:
-        return min(self.probabilities.values())
-
-    def to_obj(self) -> dict:
-        pats = sorted(self.normalized, key=lambda p: p.pairing)
-        return {
-            "n": self.n,
-            "minimum": str(self.minimum),
-            "normalized": [[list(pi.pairing), self.normalized[pi]] for pi in pats],
-        }
 
 
 def _dihedral_orbits(pats: tuple[LinkPattern, ...]) -> tuple[list[int], list[int]]:
@@ -119,22 +111,20 @@ def _check_irreducible(n: int, counts: list[dict[int, int]]) -> None:
 def stationary(n: int) -> StationarySolution:
     """Exact stationary distribution, with integer rescaled weights.
 
-    The balance equations x (3n P) = 3n x are solved for a vector constant
-    on dihedral orbits: one unknown per orbit, one equation per orbit
-    representative (the integer move counts 3n P into it, summed over each
-    source orbit), and the normalization sum(|orbit| y) = 1 appended, so
-    no state is singled out.  The result is then certified on the full
-    chain: the move graph is strongly connected, so by Perron-Frobenius
-    the stationary space is a line; the integer identity w (3n P) = 3n w
-    holds at every state; the weights are positive and their rescaling
-    by the least one is integral.
+    The balance equations x (3n P) = 3n x are solved, on the move counts
+    of transition_matrix, for a vector constant on dihedral orbits: one
+    unknown per orbit, one equation per orbit representative (the counts
+    into it, summed over each source orbit), and the normalization
+    sum(|orbit| y) = 1 appended, so no state is singled out.  Clearing
+    the denominators of y gives integer weights w with gcd 1 and
+    sum(w) equal to the common denominator, so the probabilities are
+    w / sum(w).  The result is then certified on the full chain in
+    integers: the move graph is strongly connected, so by
+    Perron-Frobenius the stationary space is a line; the identity
+    w (3n P) = 3n w holds at every state; the weights are positive and
+    their rescaling by the least one is integral.
     """
-    pats, rows = transition_matrix(n)
-    counts = []
-    for pi, row in zip(pats, rows):
-        if any(3 * n % p.denominator for p in row.values()):
-            raise IdentityViolation(f"row {pi} is not a multiple of 1/{3 * n}")
-        counts.append({t: p.numerator * (3 * n // p.denominator) for t, p in row.items()})
+    pats, counts = transition_matrix(n)
     _check_irreducible(n, counts)
 
     orbit, reps = _dihedral_orbits(pats)
@@ -163,16 +153,16 @@ def stationary(n: int) -> StationarySolution:
             raise IdentityViolation(
                 f"orbit-constant weights are not stationary at {pi}: "
                 f"inflow {inflow[t]}, want {3 * n * w[t]}")
-    if any(v <= 0 for v in y):
+    if any(v <= 0 for v in w):
         raise NonUniqueStationary("stationary vector is not positive")
-    low = min(y)
-    normalized = {}
-    for pi, o in zip(pats, orbit):
-        v = y[o] / low
-        if v.denominator != 1:
-            raise IdentityViolation(f"rescaled weight of {pi} is {v}, not an integer")
-        normalized[pi] = v.numerator
-    return StationarySolution(n, {pi: y[o] for pi, o in zip(pats, orbit)}, normalized)
+    low = min(w)
+    for pi, v in zip(pats, w):
+        if v % low:
+            raise IdentityViolation(
+                f"rescaled weight of {pi} is {Fraction(v, low)}, not an integer")
+    total = sum(w)
+    return StationarySolution(n, {pi: Fraction(v, total) for pi, v in zip(pats, w)},
+                              {pi: v // low for pi, v in zip(pats, w)})
 
 
 def match_psi(table, sol: StationarySolution) -> dict:

@@ -5,7 +5,8 @@ over any commutative coefficient domain (exact rationals or
 polynomials).  For odd size the relevant extension borders the matrix
 with one extra point joined to all others, which sums over the point
 left out as well, with the sign of the permutation (a1 b1 ... an bn k);
-that is what the total-multidegree formula uses when N is odd.
+that is what the total-multidegree formula uses when N is odd, with its
+inner entries oriented z_j - z_i instead of z_i - z_j.
 
 The cone D1 of square-zero N x N matrices has a multidegree with two
 closed forms: a localization sum over n-element subsets, and a Pfaffian
@@ -140,19 +141,25 @@ def _require_admissible(n: int, a: Rational, z: Sequence[Rational]) -> None:
 def total_mdeg_pfaffian_value(n: int, a: Rational, z: Sequence[Rational]) -> Fraction:
     """The Pfaffian product formula for the total multidegree, at a point.
 
-    Entries (z_i - z_j)/((A+z_i-z_j)(A+z_j-z_i)); the prefactor clears
+    Entries u/((A+u)(A-u)), i < j, with u = z_i - z_j at even N and the
+    opposite orientation u = z_j - z_i at odd N; the prefactor clears
     every denominator, so the value is polynomial in (a, z).
+
+    At odd N the matrix is bordered (skew_sum), and every matching of the
+    bordered matrix has one border pair and (N-1)/2 inner pairs.  Turning
+    one orientation into the other negates the inner block and so
+    multiplies the Pfaffian by (-1)^((N-1)/2): the value with entries
+    oriented z_j - z_i is (-1)^((N-1)/2) times the value oriented
+    z_i - z_j.  It is this sign that makes the limit at A = 1, z -> 0
+    the degree determinant (tested at N = 1..9).
     """
     _require_admissible(n, a, z)
-    m = SkewMatrix.build(
-        n, lambda i, j: Fraction(z[i - 1] - z[j - 1])
-        / ((a + z[i - 1] - z[j - 1]) * (a + z[j - 1] - z[i - 1])))
-    value = Fraction(skew_sum(m))
-    if n % 2 and (n // 2) % 2:
-        # odd sizes take the opposite matching orientation; checked
-        # against degree_determinant at sizes 1..9 by
-        # tests/test_pfdet.py::test_odd_sign_flip_limits_to_degree_determinant
-        value = -value
+
+    def entry(i: int, j: int) -> Fraction:
+        u = z[j - 1] - z[i - 1] if n % 2 else z[i - 1] - z[j - 1]
+        return Fraction(u) / ((a + u) * (a - u))
+
+    value = Fraction(skew_sum(SkewMatrix.build(n, entry)))
     for i in range(n):
         for j in range(i + 1, n):
             value = value * ((a + z[i] - z[j]) * (a + z[j] - z[i])) / (z[i] - z[j])
@@ -200,11 +207,13 @@ def d0_multiplicity_check(table, points: int = 20, seed: int = 4093) -> dict:
 
     The flat degeneration carries every component with multiplicity
     2^(n+r); the A^N accounts for the full matrix space against the
-    zero-diagonal subspace.
+    zero-diagonal subspace.  Every side is homogeneous of degree
+    ceil(N^2/2), so each seeded rational point is evaluated at its integer
+    image (psitable.integer_image).
     """
     import random
 
-    from .psitable import random_point
+    from .psitable import integer_image, random_point
 
     n = table.n
     half, r = n // 2, n % 2
@@ -213,11 +222,12 @@ def d0_multiplicity_check(table, points: int = 20, seed: int = 4093) -> dict:
     rng = random.Random(seed)
     for _ in range(points):
         a, z = random_point(n, rng)
-        expected = factor * Fraction(a) ** n * total.evaluate(a, z)
-        loc = d1_mdeg_localization(n, a, z)
-        pf = d1_mdeg_pfaffian_form(n, a, z)
+        ai, zi = integer_image(a, z)
+        expected = factor * ai ** n * total.evaluate(ai, zi)
+        loc = d1_mdeg_localization(n, ai, zi)
+        pf = d1_mdeg_pfaffian_form(n, ai, zi)
         if loc != expected or pf != expected:
             raise IdentityViolation(
-                f"square-zero cone forms disagree at a={a}, z={z}: "
-                f"{loc}, {pf}, expected {expected}")
+                f"square-zero cone forms disagree at a={a}, z={z} (values at its "
+                f"integer image): {loc}, {pf}, expected {expected}")
     return {"points": points}

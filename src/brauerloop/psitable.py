@@ -299,12 +299,25 @@ def random_point(n: int, rng: random.Random) -> tuple[Fraction, list[Fraction]]:
         return a, z
 
 
+def integer_image(a: Fraction, z: list[Fraction]) -> tuple[int, list[int]]:
+    """The point D (a, z) for the least D > 0 that makes it integral.
+
+    Both sides of an identity between forms homogeneous of one degree d
+    are D^d times their values at (a, z) there, so the identity holds at
+    the image exactly when it holds at (a, z), and a polynomial over Z
+    evaluates over Z.
+    """
+    d = math.lcm(a.denominator, *(x.denominator for x in z))
+    return (a * d).numerator, [(x * d).numerator for x in z]
+
+
 def sum_rule_total(table: MdegTable, points: int = 20, seed: int = 2011) -> dict:
     """Degree sum against the determinant, full sum against the Pfaffian.
 
-    The Pfaffian form is checked by exact evaluation at seeded rational
-    points; the inhomogeneous printed factor A - (z_i-z_j)^2 is read as
-    (A + z_i - z_j)(A + z_j - z_i).
+    The Pfaffian form is checked by exact evaluation at the integer images
+    of seeded rational points (both sides are homogeneous of degree
+    ceil(N^2/2) - N); the inhomogeneous printed factor A - (z_i-z_j)^2 is
+    read as (A + z_i - z_j)(A + z_j - z_i).
     """
     from .pfdet import degree_determinant, total_mdeg_pfaffian_value
 
@@ -317,8 +330,9 @@ def sum_rule_total(table: MdegTable, points: int = 20, seed: int = 2011) -> dict
     rng = random.Random(seed)
     for _ in range(points):
         a, z = random_point(n, rng)
-        lhs = total.evaluate(a, z)
-        rhs = total_mdeg_pfaffian_value(n, a, z)
+        ai, zi = integer_image(a, z)
+        lhs = total.evaluate(ai, zi)
+        rhs = total_mdeg_pfaffian_value(n, ai, zi)
         if lhs != rhs:
             raise IdentityViolation(
                 f"Pfaffian total multidegree fails at a={a}, z={z}")

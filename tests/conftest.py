@@ -7,6 +7,8 @@ lexicographic division, is the oracle for the library's closed-form
 divided difference and its division by divisors monic in A.  The edge
 equations of a stored table are checked by the library's own
 `psitable.verify_edges`, so no copy of them lives here.
+`with_vanishing_term` tampers a table so that only the pointwise checks
+can see it.
 """
 
 import heapq
@@ -15,7 +17,7 @@ import pytest
 
 from brauerloop.errors import InexactDivision
 from brauerloop.exactpoly import Key, MultiPoly
-from brauerloop.psitable import MdegTable, compute_table
+from brauerloop.psitable import MdegTable, compute_table, target_degree
 
 _TABLES: dict[int, MdegTable] = {}
 
@@ -24,6 +26,18 @@ def cached_table(n: int) -> MdegTable:
     if n not in _TABLES:
         _TABLES[n] = compute_table(n)
     return _TABLES[n]
+
+
+def with_vanishing_term(table: MdegTable) -> MdegTable:
+    """The table with A^(d-1) (z_1 - z_2) added to its first entry.
+
+    The entry stays homogeneous of degree d and keeps its value at z = 0,
+    so the degrees and their sum are unchanged.
+    """
+    n, d = table.n, target_degree(table.n)
+    term = MultiPoly(n, {(d - 1, 1) + (0,) * (n - 1): 1, (d - 1, 0, 1) + (0,) * (n - 2): -1})
+    pi = table.patterns()[0]
+    return MdegTable(n, {**table.entries, pi: table.mdeg(pi) + term}, table.edges)
 
 
 def store_table(table: MdegTable) -> None:

@@ -18,10 +18,10 @@ from brauerloop.loopchain import (
 
 
 def dense_stationary(n: int) -> dict[LinkPattern, Fraction]:
-    """Reference: x (P - I) = 0 over all states with sum(x) = 1 appended."""
+    """Reference: x (3n P - 3n I) = 0 over all states with sum(x) = 1 appended."""
     pats, rows = transition_matrix(n)
     m = len(pats)
-    system = [[int(3 * n * rows[i].get(j, 0)) - (3 * n if i == j else 0) for i in range(m)]
+    system = [[rows[i].get(j, 0) - (3 * n if i == j else 0) for i in range(m)]
               for j in range(m)]
     return dict(zip(pats, solve(system + [[1] * m], [0] * m + [1])))
 
@@ -35,9 +35,9 @@ def test_transition_matrix_structure():
         pats, rows = transition_matrix(n)
         assert pats == enumerate_patterns(n)
         for row in rows:
-            assert sum(row.values()) == 1
-            # every entry is a multiple of the elementary step weight
-            assert all((v * 3 * n).denominator == 1 for v in row.values())
+            # every entry counts moves of probability 1/(3n) each
+            assert sum(row.values()) == 3 * n
+            assert all(type(v) is int and v > 0 for v in row.values())
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -62,7 +62,7 @@ def test_stationary_two():
     pi = LinkPattern((2, 1))
     assert sol.probabilities == {pi: Fraction(1)}
     assert sol.normalized == {pi: 1}
-    assert sol.minimum == 1
+    assert min(sol.probabilities.values()) == 1
 
 
 def test_stationary_three_is_uniform():
@@ -79,13 +79,13 @@ def test_stationary_four():
         LinkPattern((4, 3, 2, 1)): 3,
     }
     assert sum(sol.probabilities.values()) == 1
-    assert sol.minimum == Fraction(1, 7)
+    assert min(sol.probabilities.values()) == Fraction(1, 7)
 
 
 def test_stationary_rejects_reducible_chain(monkeypatch):
     # every pattern absorbing: the stationary space is the whole space
     pats = enumerate_patterns(4)
-    identity = [{i: Fraction(1)} for i in range(len(pats))]
+    identity = [{i: 12} for i in range(len(pats))]
     monkeypatch.setattr(loopchain, "transition_matrix", lambda n: (pats, identity))
     with pytest.raises(NonUniqueStationary, match="dimension 3"):
         stationary(4)
@@ -97,8 +97,7 @@ def test_certificate_rejects_chain_without_dihedral_symmetry(monkeypatch):
     # irreducible, and its stationary vector (2, 1, 1) is not constant on
     # {A, C}: the orbit equations have no solution.
     pats = enumerate_patterns(4)
-    half = Fraction(1, 2)
-    cycle = [{0: half, 1: half}, {2: Fraction(1)}, {0: Fraction(1)}]
+    cycle = [{0: 6, 1: 6}, {2: 12}, {0: 12}]
     monkeypatch.setattr(loopchain, "transition_matrix", lambda n: (pats, cycle))
     with pytest.raises(IdentityViolation, match="no unique solution"):
         stationary(4)
@@ -112,9 +111,9 @@ def test_certificate_rejects_orbit_solution_that_is_not_stationary(monkeypatch):
     pats, rows = transition_matrix(n)
     index = {pi: k for k, pi in enumerate(pats)}
     heads = {min(index[img] for img in orbit(pi)) for pi in pats}
-    step = Fraction(1, 3 * n)
-    src, t1 = next((s, t) for s, row in enumerate(rows) for t, p in row.items()
-                   if t not in heads and p > step)
+    step = 1
+    src, t1 = next((s, t) for s, row in enumerate(rows) for t, c in row.items()
+                   if t not in heads and c > step)
     t2 = next(t for t in range(len(pats)) if t not in heads and t != t1)
     rows[src] = dict(rows[src])
     rows[src][t1] -= step
@@ -122,6 +121,17 @@ def test_certificate_rejects_orbit_solution_that_is_not_stationary(monkeypatch):
     monkeypatch.setattr(loopchain, "transition_matrix", lambda n: (pats, rows))
     with pytest.raises(IdentityViolation, match="not stationary at"):
         stationary(n)
+
+
+def test_certificate_rejects_weights_not_divisible_by_the_least(monkeypatch):
+    # N=4: an irreducible chain symmetric under swapping patterns 0 and 2
+    # (one orbit), with stationary weights (2, 3, 2).  It passes every other
+    # check, but rescaling by the least weight leaves pattern 1 at 3/2.
+    pats = enumerate_patterns(4)
+    counts = [{0: 9, 1: 3}, {0: 2, 1: 8, 2: 2}, {1: 3, 2: 9}]
+    monkeypatch.setattr(loopchain, "transition_matrix", lambda n: (pats, counts))
+    with pytest.raises(IdentityViolation, match=r"rescaled weight of .* is 3/2, not an integer"):
+        stationary(4)
 
 
 def test_match_with_table(tables):
@@ -140,9 +150,3 @@ def test_match_rejects_wrong_weights(tables):
     with pytest.raises(ValueError):
         match_psi(tables(4), sol)
 
-
-def test_solution_serialization():
-    obj = stationary(4).to_obj()
-    assert obj["n"] == 4
-    assert obj["minimum"] == "1/7"
-    assert sorted(w for _, w in obj["normalized"]) == [1, 3, 3]

@@ -3,11 +3,13 @@ naive expansions and the recursion tables."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from conftest import with_vanishing_term
 
-from brauerloop.errors import PoleHit
+from brauerloop.errors import IdentityViolation, PoleHit
 from brauerloop.linalg import det
 from brauerloop.pfdet import (
     SkewMatrix,
@@ -167,11 +169,21 @@ def test_total_mdeg_value_matches_tables(tables):
             assert total_mdeg_pfaffian_value(n, a, z) == total.evaluate(a, z)
 
 
+def test_d0_multiplicity_names_the_failing_point(tables):
+    bad = with_vanishing_term(tables(4))
+    assert bad.degree_sum() == 7
+    a, z = random_point(4, random.Random(4093))
+    with pytest.raises(IdentityViolation,
+                       match=re.escape(f"square-zero cone forms disagree at a={a}, z={z} ")):
+        d0_multiplicity_check(bad)
+
+
 def test_odd_sign_flip_limits_to_degree_determinant():
     # At A=1, z=eps*(0..n-1) the formula is a polynomial in eps of degree
     # target_degree(n) whose value at eps=0 (a pole of the formula itself)
     # is the degree sum; Lagrange interpolation reaches it from eps != 0.
-    # The sign flip at odd n is empirical, so sizes 7 and 9 test it anew.
+    # The odd-n orientation z_j - z_i is fixed by this limit, so sizes 7
+    # and 9 test it beyond the tables.
     for n in range(1, 10):
         eps = [Fraction(1, 10 * n + k) for k in range(target_degree(n) + 1)]
         at_zero = Fraction(0)

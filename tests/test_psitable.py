@@ -2,10 +2,11 @@
 tables with their invariants, and the identities they satisfy."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from conftest import lex_divide, store_table
+from conftest import lex_divide, store_table, with_vanishing_term
 
 from brauerloop.errors import (
     ChainInconsistency,
@@ -20,6 +21,7 @@ from brauerloop.psitable import (
     MdegTable,
     base_mdeg,
     compute_table,
+    integer_image,
     positivity_spot_check,
     random_point,
     recursion_step,
@@ -236,6 +238,15 @@ def test_sum_rule_total(tables):
     assert sum_rule_total(tables(4), points=6)["degree_sum"] == 7
 
 
+def test_sum_rule_total_names_the_failing_point(tables):
+    bad = with_vanishing_term(tables(4))
+    assert bad.degree_sum() == 7
+    a, z = random_point(4, random.Random(2011))
+    with pytest.raises(IdentityViolation,
+                       match=re.escape(f"Pfaffian total multidegree fails at a={a}, z={z}")):
+        sum_rule_total(bad)
+
+
 def test_specialization(tables):
     t4, t2 = tables(4), tables(2)
     counts = [specialize_check(t4, t2, i)["patterns"] for i in (1, 2, 3)]
@@ -289,6 +300,34 @@ def test_positivity_names_its_witness(tables):
     bad[pi] = -bad[pi]
     with pytest.raises(IdentityViolation, match=r"evaluates to -.* at z=\[Fraction"):
         positivity_spot_check(MdegTable(4, bad, t4.edges), trials=1)
+
+
+def prime_factors(m: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out + [m] if m > 1 else out
+
+
+def test_integer_image_is_the_least_integral_multiple(tables):
+    rng = random.Random(31)
+    for n in (3, 4):
+        total, d = tables(n).mdeg_sum(), target_degree(n)
+        for _ in range(10):
+            a, z = random_point(n, rng)
+            ai, zi = integer_image(a, z)
+            assert all(type(v) is int for v in [ai, *zi])
+            scale = ai / a
+            assert scale.denominator == 1 and [scale * x for x in z] == zi
+            scale = scale.numerator
+            for p in prime_factors(scale):
+                # the least integral multiple divides every other one
+                assert any((scale // p * x).denominator != 1 for x in [a, *z])
+            assert total.evaluate(ai, zi) == scale ** d * total.evaluate(a, z)
 
 
 def test_random_point_avoids_poles():
