@@ -32,7 +32,6 @@ from .circlealg import (
     cycle,
     s_mul,
     s_scale,
-    strip_embed,
 )
 from .commvar import DeltaResult, delta, delta_alt_order, degree_sequence
 from .errors import BrauerLoopError
@@ -103,7 +102,6 @@ __all__ = [
     "skew_sum",
     "stabilizer_codim",
     "stationary",
-    "strip_embed",
     "tangent_dimension",
     "total_mdeg_pfaffian_value",
     "transition_matrix",

@@ -278,7 +278,3 @@ class StripWindow:
                 if b:
                     acc += a * b
         return acc
-
-
-def strip_embed(m: ExactMatrix) -> StripWindow:
-    return StripWindow(m)

@@ -32,19 +32,19 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import commvar, escheme, loopchain, pfdet, psitable
 from .circlealg import (
     ExactMatrix,
     Rational,
+    StripWindow,
     clear_denominators,
     cp_inv,
     cp_mul,
     cycle,
     s_mul,
     s_scale,
-    strip_embed,
 )
 from .errors import BrauerLoopError, IdentityViolation
 from .linkpat import LinkPattern, enumerate_patterns
@@ -55,7 +55,7 @@ from .psitable import MdegTable, compute_table
 SYMBOLIC_LIMIT = 6
 # the sizes each degrees scheme finishes: the chain up to N=10 (under 1 s
 # there; N=11 has 10395 states), the D1 closed forms up to N=14 (5 s there,
-# ~13x per +2), commuting pairs up to n=7 (~97 s)
+# ~13x per +2), commuting pairs up to n=7 (27 s there)
 DEGREE_SIZES = {"E": (1, 10), "D1": (1, 14), "commuting": (1, 7)}
 
 
@@ -255,8 +255,8 @@ def _check_strip(n: int, rng: random.Random, count: int) -> str:
     for k in range(count):
         p, q = _random_matrix(n, rng), _random_matrix(n, rng)
         pc, qc = _cleared(p), _cleared(q)
-        sp, sq = strip_embed(pc), strip_embed(qc)
-        product = strip_embed(cp_mul(pc, qc))
+        sp, sq = StripWindow(pc), StripWindow(qc)
+        product = StripWindow(cp_mul(pc, qc))
         for i in range(1, 2 * n + 1):
             for d in range(n):
                 if sp.band_product_entry(sq, i, i + d) != product.entry(i, i + d):
@@ -386,50 +386,34 @@ def geometry_jobs(ns: Sequence[int], seed: int, samples: int) -> list[Job]:
 # ------------------------------------------------------------------ table suites
 
 
-def exchange_jobs(ns: Sequence[int], store: TableStore) -> list[Job]:
-    return [(f"exchange/N{n}",
-             lambda n=n: f"{psitable.verify_exchange(store.get(n))['identities']}"
-                         " identities")
-            for n in ns]
+def _per_table(prefix: str, ns: Iterable[int], store: TableStore,
+               note: Callable[[MdegTable], str]) -> list[Job]:
+    """One job per size n, id prefix/N<n>, that notes note(table n)."""
+    return [(f"{prefix}/N{n}", lambda n=n: note(store.get(n))) for n in ns]
 
 
-def sumrule_jobs(ns: Sequence[int], seed: int, points: int,
+def sumrule_jobs(ns: Sequence[int], seed: int, points: int | None,
                  store: TableStore) -> list[Job]:
-    jobs: list[Job] = []
-    for n in ns:
-        if n % 2 == 0:
-            jobs.append((f"sumrules/sector/N{n}",
-                         lambda n=n: f"{psitable.sum_rule_sector(store.get(n))['patterns']}"
-                                     " sector patterns"))
-        jobs.append((f"sumrules/total/N{n}",
-                     lambda n=n: _note_total(store.get(n), points,
-                                             _int_seed(seed, f"total/{n}"))))
-    return jobs
+    def total(table: MdegTable) -> str:
+        result = psitable.sum_rule_total(table, points=points or 20,
+                                         seed=_int_seed(seed, f"total/{table.n}"))
+        return f"degree sum {result['degree_sum']}, {result['points']} points"
+
+    return (_per_table("sumrules/sector", [n for n in ns if n % 2 == 0], store,
+                       lambda t: f"{psitable.sum_rule_sector(t)['patterns']} sector patterns")
+            + _per_table("sumrules/total", ns, store, total))
 
 
-def _note_total(table: MdegTable, points: int, seed: int) -> str:
-    result = psitable.sum_rule_total(table, points=points, seed=seed)
-    return f"degree sum {result['degree_sum']}, {result['points']} points"
+def _markov(table: MdegTable) -> str:
+    sol = loopchain.stationary(table.n)
+    loopchain.match_psi(table, sol)
+    return f"{len(sol.normalized)} patterns"
 
 
-def markov_jobs(ns: Sequence[int], store: TableStore) -> list[Job]:
-    def check(n: int) -> str:
-        sol = loopchain.stationary(n)
-        loopchain.match_psi(store.get(n), sol)
-        return f"{len(sol.normalized)} patterns"
-
-    return [(f"markov/N{n}", lambda n=n: check(n)) for n in ns]
-
-
-def d1_jobs(ns: Sequence[int], seed: int, points: int,
-            store: TableStore) -> list[Job]:
-    return [(f"d1/N{n}",
-             lambda n=n: f"{pfdet.d0_multiplicity_check(store.get(n), points=points, seed=_int_seed(seed, f'd1/{n}'))['points']}"
-                         " points")
-            for n in ns]
-
-
-def commuting_jobs(max_n: int, store: TableStore) -> list[Job]:
+def commuting_jobs(ns: Sequence[int], seed: int, points: int | None,
+                   store: TableStore) -> list[Job]:
+    """The degree sequence up to the largest size, with its cross-checks."""
+    max_n = ns[-1]
     jobs: list[Job] = [
         ("commuting/sequence",
          lambda: " ".join(str(d) for d in commvar.degree_sequence(max_n))),
@@ -447,19 +431,45 @@ def commuting_jobs(max_n: int, store: TableStore) -> list[Job]:
 
     for k in range(1, min(max_n, 4) + 1):
         jobs.append((f"commuting/alt/n{k}", lambda k=k: check_alt(k)))
-    for k in range(1, min(max_n, 3) + 1):
-        jobs.append((
-            f"commuting/table/N{2 * k}",
-            lambda k=k: f"degree {commvar.crosscheck_with_table(store.get(2 * k))['degree']}",
-        ))
-    return jobs
+    return jobs + _per_table(
+        "commuting/table", [2 * k for k in range(1, min(max_n, 3) + 1)], store,
+        lambda t: f"degree {commvar.crosscheck_with_table(t)['degree']}")
 
 
 # ------------------------------------------------------------------ orchestration
 
 
-SUITES = ("algebra", "geometry", "edges", "exchange", "sumrules", "markov", "d1",
-          "commuting")
+Builder = Callable[[Sequence[int], int, int | None, TableStore], list[Job]]
+
+
+class Suite(NamedTuple):
+    lo: int
+    hi: int
+    top: int  # the largest size run without --n or --max-n
+    jobs: Builder  # (sizes, seed, --points, store) -> jobs
+
+
+# every verify suite, in report order
+SUITES: dict[str, Suite] = {
+    "algebra": Suite(2, 8, 8, lambda ns, seed, points, store: algebra_jobs(
+        ns, seed, points or 1000)),
+    "geometry": Suite(3, 6, 6, lambda ns, seed, points, store: geometry_jobs(
+        ns, seed, points or 200)),
+    "edges": Suite(2, SYMBOLIC_LIMIT, SYMBOLIC_LIMIT, lambda ns, seed, points, store: _per_table(
+        "edges", ns, store,
+        lambda t: f"{psitable.verify_edges(t)['edges']} edge equations")),
+    "exchange": Suite(2, SYMBOLIC_LIMIT, SYMBOLIC_LIMIT, lambda ns, seed, points, store: _per_table(
+        "exchange", ns, store,
+        lambda t: f"{psitable.verify_exchange(t)['identities']} identities")),
+    "sumrules": Suite(2, SYMBOLIC_LIMIT, SYMBOLIC_LIMIT, sumrule_jobs),
+    "markov": Suite(2, SYMBOLIC_LIMIT, SYMBOLIC_LIMIT, lambda ns, seed, points, store: _per_table(
+        "markov", ns, store, _markov)),
+    "d1": Suite(2, SYMBOLIC_LIMIT, SYMBOLIC_LIMIT, lambda ns, seed, points, store: _per_table(
+        "d1", ns, store,
+        lambda t: "{} points".format(pfdet.d0_multiplicity_check(
+            t, points=points or 20, seed=_int_seed(seed, f"d1/{t.n}"))["points"]))),
+    "commuting": Suite(*DEGREE_SIZES["commuting"], 6, commuting_jobs),
+}
 
 
 def _check_size(flag: str, value: int | None, lo: int, hi: int) -> None:
@@ -467,40 +477,17 @@ def _check_size(flag: str, value: int | None, lo: int, hi: int) -> None:
         raise SystemExit(f"error: {flag} must lie in {lo}..{hi}")
 
 
-def _span(args, lo: int, hi: int) -> list[int]:
-    if args.n is not None:
-        _check_size("--n", args.n, lo, hi)
-        return [args.n]
-    # a larger --max-n stands for hi, so that one bound can serve `verify all`
-    top = min(hi, args.max_n) if args.max_n is not None else hi
-    _check_size("--max-n", top, lo, hi)
-    return list(range(lo, top + 1))
-
-
 def suite_jobs(suite: str, args, store: TableStore) -> list[Job]:
-    seed = args.seed
-    if suite == "algebra":
-        return algebra_jobs(_span(args, 2, 8), seed, args.points or 1000)
-    if suite == "geometry":
-        return geometry_jobs(_span(args, 3, 6), seed, args.points or 200)
-    if suite == "edges":
-        return [(f"edges/N{n}",
-                 lambda n=n: f"{psitable.verify_edges(store.get(n))['edges']} edge equations")
-                for n in _span(args, 2, 6)]
-    if suite == "exchange":
-        return exchange_jobs(_span(args, 2, 6), store)
-    if suite == "sumrules":
-        return sumrule_jobs(_span(args, 2, 6), seed, args.points or 20, store)
-    if suite == "markov":
-        return markov_jobs(_span(args, 2, 6), store)
-    if suite == "d1":
-        return d1_jobs(_span(args, 2, 6), seed, args.points or 20, store)
-    if suite == "commuting":
-        for flag, value in (("--n", args.n), ("--max-n", args.max_n)):
-            _check_size(flag, value, *DEGREE_SIZES["commuting"])
-        max_n = args.n if args.n is not None else (args.max_n or 6)
-        return commuting_jobs(max_n, store)
-    raise SystemExit(f"error: unknown suite {suite!r}")
+    spec = SUITES[suite]
+    if args.n is not None:
+        _check_size("--n", args.n, spec.lo, spec.hi)
+        ns = [args.n]
+    else:
+        # a larger --max-n stands for hi, so that one bound can serve `verify all`
+        top = spec.top if args.max_n is None else min(spec.hi, args.max_n)
+        _check_size("--max-n", top, spec.lo, spec.hi)
+        ns = list(range(spec.lo, top + 1))
+    return spec.jobs(ns, args.seed, args.points, store)
 
 
 def print_report(report: SuiteReport, fmt: str) -> None:
@@ -649,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", parents=[common],
                            help="run a verification suite")
-    p_ver.add_argument("suite", choices=SUITES + ("all",))
+    p_ver.add_argument("suite", choices=(*SUITES, "all"))
     p_ver.set_defaults(fn=cmd_verify)
     return parser
 

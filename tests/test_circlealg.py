@@ -8,6 +8,7 @@ import pytest
 
 from brauerloop.circlealg import (
     ExactMatrix,
+    StripWindow,
     clear_denominators,
     cp_inv,
     cp_mul,
@@ -17,7 +18,6 @@ from brauerloop.circlealg import (
     s_mul,
     s_scale,
     semidirect_mul,
-    strip_embed,
     to_semidirect,
     upper_inverse,
 )
@@ -190,7 +190,7 @@ def test_semidirect_components():
 
 def test_strip_window_entries():
     m = ExactMatrix([[1, 2], [3, 4]])
-    w = strip_embed(m)
+    w = StripWindow(m)
     assert w.entry(1, 1) == 1 and w.entry(1, 2) == 2
     assert w.entry(3, 3) == 1 and w.entry(3, 4) == 2  # period two
     assert w.entry(4, 5) == 3
@@ -210,7 +210,7 @@ def test_strip_band_product_matches_circular_product():
     for _ in range(60):
         n = rng.randint(2, 6)
         p, q = rand_matrix(n, rng), rand_matrix(n, rng)
-        wp, wq = strip_embed(p), strip_embed(q)
+        wp, wq = StripWindow(p), StripWindow(q)
         prod = cp_mul(p, q)
         for i in range(1, 2 * n + 1):
             for d in range(n):

@@ -3,6 +3,7 @@ and byte-stable output."""
 
 import hashlib
 import json
+from argparse import Namespace
 from fractions import Fraction
 
 import pytest
@@ -249,6 +250,40 @@ def test_verify_rejects_sizes_it_cannot_finish(tmp_path, capsys, argv, message):
         cli.main(["verify", *argv, "--table-dir", str(tmp_path)])
     assert capsys.readouterr().out == ""
     assert not list(tmp_path.iterdir())
+
+
+# every verify suite in report order, with the top of its size range
+SUITE_TOPS = {"algebra": 8, "geometry": 6, "edges": 6, "exchange": 6, "sumrules": 6,
+              "markov": 6, "d1": 6, "commuting": 7}
+VERIFY_ALL_IDS = "641cf28d9bd8ba07904c258c0ebff8eb620f3be1616edc5c0aa6cfdfd732ee8f"
+
+
+def suite_ids(suite, max_n=None):
+    # building jobs runs no check and computes no table
+    args = Namespace(n=None, max_n=max_n, seed=0, points=None)
+    return sorted(cid for cid, _ in cli.suite_jobs(suite, args, cli.TableStore(None)))
+
+
+def test_verify_larger_max_n_stands_for_each_top():
+    for suite, top in SUITE_TOPS.items():
+        assert suite_ids(suite, max_n=8) == suite_ids(suite, max_n=top), suite
+
+
+def test_verify_all_accepts_a_larger_max_n(tmp_path, monkeypatch):
+    reached = []
+
+    def run_nothing(suite, jobs):
+        reached.append(suite)
+        return cli.SuiteReport(suite, (), 0.0)
+
+    monkeypatch.setattr(cli, "run_suite", run_nothing)
+    assert cli.main(["verify", "all", "--max-n", "8", "--table-dir", str(tmp_path)]) == 0
+    assert reached == list(SUITE_TOPS)
+
+
+def test_verify_all_check_ids_are_pinned():
+    listing = [(suite, suite_ids(suite)) for suite in SUITE_TOPS]
+    assert hashlib.sha256(json.dumps(listing).encode()).hexdigest() == VERIFY_ALL_IDS
 
 
 VERIFY_EDGES = "9551ce0a4004ca30c154db069d60c5e8459b2a274c7ddb41df39d5fede63d660"
