@@ -54,3 +54,7 @@ class NonUniqueStationary(BrauerLoopError):
 
 class PoleHit(BrauerLoopError):
     """An evaluation point lies on a pole of a closed formula."""
+
+
+class ExponentOverflow(BrauerLoopError):
+    """An exponent does not fit the bit field its packed monomial key gives it."""

@@ -1,13 +1,32 @@
 """Exact sparse polynomials in Z[A, z_1, ..., z_m].
 
-A term is keyed by its exponent vector (a, e_1, ..., e_m); coefficients
-are ints and zero coefficients are never stored.  Rational numbers enter
-only as evaluation points: the constructors reject a non-integral
-coefficient with ValueError (an integral Fraction is taken as its int),
-scalars in the ring operations are ints, and no operation leaves Z.
-The first variable A is the scaling parameter; the z_i are attached to
+Coefficients are ints and zero coefficients are never stored.  Rational
+numbers enter only as evaluation points: the constructors reject a
+non-integral coefficient with ValueError (an integral Fraction is taken as
+its int), scalars in the ring operations are ints, and no operation leaves
+Z.  The first variable A is the scaling parameter; the z_i are attached to
 the m cyclically ordered points, so every operator indexed by i acts on
 the pair (z_i, z_{i+1}) with z_{m+1} meaning z_1.
+
+Monomial keys.  A term is keyed by one int that packs its exponent vector
+(a, e_1, ..., e_m) into FIELD_BITS = 8 bits per variable, A in the most
+significant field and z_m in the least:
+
+    key = a * 256^m + e_1 * 256^(m-1) + ... + e_m.
+
+The top bit of every field is a guard bit and is clear in every stored
+key, so an exponent is at most MAX_EXPONENT = 127.  Three things follow.
+The key of a product monomial is the sum of the two keys, with no carry
+between fields, because each field of the sum is at most 254.  An operation
+that adds exponents (products, powers, exact_divide) finds an exponent
+above 127 by its guard bit and raises ExponentOverflow, so a field never
+carries into its neighbour; the constructor and from_obj raise it too,
+and ValueError for an exponent that is negative or not an int (a bool is
+not an int here).  And as every field is below 256, the packed ints sort
+exactly as their exponent vectors sort lexicographically, so to_obj, the
+printed form and every table hash are those of tuple keys.  Exponent
+tuples appear only at the edges: the constructor, from_obj, to_obj,
+__str__ and monomials().
 
 Divided differences use the convention
 
@@ -27,15 +46,47 @@ from __future__ import annotations
 
 import numbers
 from fractions import Fraction
-from operator import add, index
+from functools import reduce
+from math import prod
+from operator import index, or_
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InexactDivision, NotHomogeneous
+from .errors import ExponentOverflow, InexactDivision, NotHomogeneous
 
-Key = tuple[int, ...]
+FIELD_BITS = 8
+MAX_EXPONENT = (1 << FIELD_BITS - 1) - 1
+_FIELD = (1 << FIELD_BITS) - 1
 
 
-def _nonzero(terms: dict[Key, int]) -> dict[Key, int]:
+def _pack(exponents: Iterable[int], nz: int) -> int:
+    """The key of the exponent vector (a, e_1, ..., e_nz)."""
+    exps = tuple(exponents)
+    if len(exps) != nz + 1 or any(type(e) is not int or e < 0 for e in exps):
+        raise ValueError(f"bad exponent vector {exps} for nz={nz}")
+    if max(exps) > MAX_EXPONENT:
+        raise ExponentOverflow(f"exponent vector {exps} exceeds {MAX_EXPONENT}")
+    return int.from_bytes(bytes(exps), "big")
+
+
+def _guards(nz: int) -> int:
+    """The guard bits of the nz + 1 fields."""
+    return int.from_bytes(b"\x80" * (nz + 1), "big")
+
+
+def _span(keys: Iterable[int]) -> int:
+    """OR of the keys: per field, a bound of its exponents below twice their maximum."""
+    return reduce(or_, keys, 0)
+
+
+def _integer(c: numbers.Rational) -> int:
+    if type(c) is int:
+        return c
+    if not isinstance(c, numbers.Rational) or c.denominator != 1:
+        raise ValueError(f"coefficient {c!r} is not an integer")
+    return int(c)
+
+
+def _nonzero(terms: dict[int, int]) -> dict[int, int]:
     """terms without the entries that cancelled to 0."""
     return {k: c for k, c in terms.items() if c} if 0 in terms.values() else terms
 
@@ -45,32 +96,29 @@ class MultiPoly:
 
     __slots__ = ("nz", "terms")
 
-    def __init__(self, nz: int, terms: Mapping[Key, numbers.Rational] | None = None):
+    def __init__(self, nz: int, terms: Mapping[Sequence[int], numbers.Rational] | None = None):
+        """terms maps exponent vectors (a, e_1, ..., e_nz) to coefficients."""
         if nz < 0:
             raise ValueError("nz must be nonnegative")
         self.nz = nz
-        clean: dict[Key, int] = {}
-        if terms:
-            width = nz + 1
-            for key, c in terms.items():
-                key = tuple(key)
-                if len(key) != width or any(e < 0 for e in key):
-                    raise ValueError(f"bad exponent vector {key} for nz={nz}")
-                if type(c) is not int:
-                    if not isinstance(c, numbers.Rational) or c.denominator != 1:
-                        raise ValueError(f"coefficient {c!r} is not an integer")
-                    c = int(c)
-                if c:
-                    clean[key] = c
+        clean: dict[int, int] = {}
+        for exps, c in (terms or {}).items():
+            key, c = _pack(exps, nz), _integer(c)
+            if c:
+                clean[key] = c
         self.terms = clean
 
     @classmethod
-    def _of(cls, nz: int, terms: dict[Key, int]) -> "MultiPoly":
-        """Wrap terms that are already clean: int coefficients, none zero."""
+    def _of(cls, nz: int, terms: dict[int, int]) -> "MultiPoly":
+        """Wrap packed terms that are already clean: int coefficients, none zero."""
         res = object.__new__(cls)
         res.nz = nz
         res.terms = terms
         return res
+
+    def _shift(self, k: int) -> int:
+        """Bit offset of variable k's field (k = 0 is A)."""
+        return FIELD_BITS * (self.nz - k)
 
     # ---------------------------------------------------------------- constructors
 
@@ -88,29 +136,30 @@ class MultiPoly:
 
     @classmethod
     def gen_a(cls, nz: int) -> "MultiPoly":
-        key = (1,) + (0,) * nz
-        return cls(nz, {key: 1})
+        return cls.linear(nz, 1)
 
     @classmethod
     def gen_z(cls, nz: int, i: int) -> "MultiPoly":
-        if not 1 <= i <= nz:
-            raise ValueError(f"z_{i} out of range for nz={nz}")
-        key = tuple(1 if k == i else 0 for k in range(nz + 1))
-        return cls(nz, {key: 1})
+        return cls.linear(nz, 0, {i: 1})
 
     @classmethod
     def linear(cls, nz: int, a_coeff: int = 0,
                z_coeffs: Mapping[int, int] | None = None) -> "MultiPoly":
         """a_coeff*A + sum z_coeffs[i]*z_i."""
-        terms: dict[Key, int] = {}
-        if a_coeff:
-            terms[(1,) + (0,) * nz] = a_coeff
-        for i, c in (z_coeffs or {}).items():
-            key = tuple(1 if k == i else 0 for k in range(nz + 1))
-            terms[key] = terms.get(key, 0) + c
-        return cls(nz, terms)
+        terms = {1 << FIELD_BITS * nz: _integer(a_coeff)}
+        for k, c in (z_coeffs or {}).items():
+            if not 1 <= k <= nz:
+                raise ValueError(f"z_{k} out of range for nz={nz}")
+            key = 1 << FIELD_BITS * (nz - k)
+            terms[key] = terms.get(key, 0) + _integer(c)
+        return cls._of(nz, _nonzero(terms))
 
     # ---------------------------------------------------------------- basics
+
+    def monomials(self) -> dict[tuple[int, ...], int]:
+        """The terms keyed by exponent vectors (a, e_1, ..., e_nz), in lex order."""
+        width, terms = self.nz + 1, self.terms
+        return {tuple(k.to_bytes(width, "big")): terms[k] for k in sorted(terms)}
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -167,13 +216,19 @@ class MultiPoly:
         self._check_compat(other)
         # iterate over the smaller operand for speed
         a, b = (self.terms, other.terms) if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
-        out: dict[Key, int] = {}
+        out: dict[int, int] = {}
         get = out.get
         for ka, ca in a.items():
             for kb, cb in b.items():
-                key = tuple(map(add, ka, kb))
+                key = ka + kb
                 out[key] = get(key, 0) + ca * cb
-        return MultiPoly._of(self.nz, _nonzero(out))
+        out = _nonzero(out)
+        guards = _guards(self.nz)
+        # the spans' fields are below 128, so their sum carries nowhere and bounds
+        # every product exponent; only a bound past MAX_EXPONENT reads the product
+        if (_span(a) + _span(b)) & guards and _span(out) & guards:
+            raise ExponentOverflow(f"a product exponent exceeds {MAX_EXPONENT}")
+        return MultiPoly._of(self.nz, out)
 
     __rmul__ = __mul__
 
@@ -197,8 +252,7 @@ class MultiPoly:
             return "0"
         names = ["A"] + [f"z{i}" for i in range(1, self.nz + 1)]
         parts = []
-        for key in sorted(self.terms, reverse=True):
-            c = self.terms[key]
+        for key, c in reversed(self.monomials().items()):
             factors = [names[k] if e == 1 else f"{names[k]}^{e}"
                        for k, e in enumerate(key) if e]
             mono = "*".join(factors) if factors else "1"
@@ -221,7 +275,8 @@ class MultiPoly:
         """Common total degree of all terms (A counts once); NotHomogeneous otherwise."""
         if not self.terms:
             return 0
-        degs = {sum(k) for k in self.terms}
+        width = self.nz + 1
+        degs = {sum(k.to_bytes(width, "big")) for k in self.terms}
         if len(degs) != 1:
             raise NotHomogeneous(f"degrees {sorted(degs)} present")
         return degs.pop()
@@ -229,19 +284,18 @@ class MultiPoly:
     # ---------------------------------------------------------------- variable maps
 
     def _pair(self, i: int) -> tuple[int, int]:
+        """Bit offsets of the fields of z_i and z_{i+1} (cyclically)."""
         if not 1 <= i <= self.nz:
             raise ValueError(f"index {i} out of range for nz={self.nz}")
-        return i, i % self.nz + 1
+        return self._shift(i), self._shift(i % self.nz + 1)
 
     def tau(self, i: int) -> "MultiPoly":
         """Swap z_i and z_{i+1} (cyclically: tau_m swaps z_m and z_1)."""
-        i, j = self._pair(i)
-        out: dict[Key, int] = {}
-        for key, c in self.terms.items():
-            lk = list(key)
-            lk[i], lk[j] = lk[j], lk[i]
-            out[tuple(lk)] = c
-        return MultiPoly._of(self.nz, out)
+        si, sj = self._pair(i)
+        step = (1 << si) - (1 << sj)
+        # moving d = e_i - e_j from field i to field j swaps the two exponents
+        return MultiPoly._of(self.nz, {k - ((k >> si & _FIELD) - (k >> sj & _FIELD)) * step: c
+                                       for k, c in self.terms.items()})
 
     def ddiff(self, i: int) -> "MultiPoly":
         """Divided difference (f - tau_i f) / (z_i - z_{i+1}), term by term.
@@ -250,19 +304,20 @@ class MultiPoly:
         is the sum of x^k y^(p+q-1-k) over q <= k < p; swapping p and q
         flips the sign, and p = q contributes nothing.
         """
-        i, j = self._pair(i)
-        out: dict[Key, int] = {}
+        si, sj = self._pair(i)
+        wi, wj = 1 << si, 1 << sj
+        step = wi - wj
+        out: dict[int, int] = {}
         get = out.get
         for key, c in self.terms.items():
-            p, q = key[i], key[j]
+            p, q = key >> si & _FIELD, key >> sj & _FIELD
             if p == q:
                 continue
+            base = key - p * wi - q * wj
             if p < q:
                 p, q, c = q, p, -c
-            lk = list(key)
-            for k in range(q, p):
-                lk[i], lk[j] = k, p + q - 1 - k
-                nk = tuple(lk)
+            start = base + q * wi + (p - 1) * wj  # k = q; each step moves one from y to x
+            for nk in range(start, start + (p - q) * step, step):
                 out[nk] = get(nk, 0) + c
         return MultiPoly._of(self.nz, _nonzero(out))
 
@@ -278,45 +333,59 @@ class MultiPoly:
             raise ValueError("variable relabeling must be injective")
         if any(not 1 <= p <= new_nz for p in new_pos):
             raise ValueError("target index out of range")
-        out: dict[Key, int] = {}
+        width = self.nz + 1
+        # the field of each new variable: A, an old z, or the zero byte after them
+        source = [width] * (new_nz + 1)
+        source[0] = 0
+        for old, new in enumerate(new_pos, start=1):
+            source[new] = old
+        out: dict[int, int] = {}
         for key, c in self.terms.items():
-            nk = [0] * (new_nz + 1)
-            nk[0] = key[0]
-            for old, e in enumerate(key[1:], start=1):
-                if e:
-                    nk[new_pos[old - 1]] = e
-            out[tuple(nk)] = c
+            fields = key.to_bytes(width, "big") + b"\0"
+            out[int.from_bytes(bytes(map(fields.__getitem__, source)), "big")] = c
         return MultiPoly._of(new_nz, out)
+
+    def negate_z(self) -> "MultiPoly":
+        """f(A, -z_1, ..., -z_m): every term of odd total z-degree changes sign."""
+        width, sa = self.nz + 1, self._shift(0)
+        return MultiPoly._of(self.nz, {
+            k: -c if (sum(k.to_bytes(width, "big")) - (k >> sa)) & 1 else c
+            for k, c in self.terms.items()})
 
     def subs_z(self, i: int, repl: "MultiPoly | int") -> "MultiPoly":
         """Substitute z_i := repl (a polynomial in the same variables, or an integer)."""
         if not 1 <= i <= self.nz:
             raise ValueError(f"z_{i} out of range")
+        si = self._shift(i)
         if not isinstance(repl, MultiPoly):
             if repl == 0:
-                return MultiPoly._of(self.nz, {k: c for k, c in self.terms.items() if k[i] == 0})
+                return MultiPoly._of(self.nz, {k: c for k, c in self.terms.items()
+                                               if not k >> si & _FIELD})
             repl = MultiPoly.const(repl, self.nz)
         self._check_compat(repl)
-        by_deg: dict[int, dict[Key, int]] = {}
+        by_deg: dict[int, dict[int, int]] = {}
         for key, c in self.terms.items():
-            d = key[i]
-            stripped = key[:i] + (0,) + key[i + 1:]
-            bucket = by_deg.setdefault(d, {})
-            bucket[stripped] = bucket.get(stripped, 0) + c
+            d = key >> si & _FIELD
+            by_deg.setdefault(d, {})[key - (d << si)] = c
         result = MultiPoly.zero(self.nz)
         for d, bucket in sorted(by_deg.items()):
-            part = MultiPoly(self.nz, bucket)
+            part = MultiPoly._of(self.nz, bucket)
             result = result + (part if d == 0 else part * repl ** d)
         return result
 
     def specialize_a(self, value: int) -> "MultiPoly":
         """Substitute A := value (the z variables survive)."""
         value = index(value)
-        out: dict[Key, int] = {}
+        if not self.terms:
+            return MultiPoly.zero(self.nz)
+        sa = self._shift(0)
+        zmask = (1 << sa) - 1
+        powers = [value ** e for e in range((max(self.terms) >> sa) + 1)]
+        out: dict[int, int] = {}
         get = out.get
         for key, c in self.terms.items():
-            nk = (0,) + key[1:]
-            out[nk] = get(nk, 0) + c * value ** key[0]
+            nk = key & zmask
+            out[nk] = get(nk, 0) + c * powers[key >> sa]
         return MultiPoly._of(self.nz, _nonzero(out))
 
     # ---------------------------------------------------------------- division
@@ -329,28 +398,37 @@ class MultiPoly:
         down: a term of A-degree a >= m enters the quotient as it is, at
         A-degree a - m, and its product with den's tail lands in strictly
         lower slices.  The division is exact exactly when nothing is left
-        below A^m.
+        below A^m.  A slice is keyed by the z fields of its keys, key & zmask,
+        and its A-degree is key >> sa.
         """
         self._check_compat(den)
         if not den.terms:
             raise ZeroDivisionError("division by zero polynomial")
-        m = max(k[0] for k in den.terms)
-        tail = [(k[0] - m, k[1:], c) for k, c in den.terms.items() if k[0] < m]
-        if len(den.terms) - len(tail) != 1 or den.terms.get((m,) + (0,) * self.nz) != 1:
+        sa = self._shift(0)
+        zmask = (1 << sa) - 1
+        m = max(den.terms) >> sa
+        tail = [((k >> sa) - m, k & zmask, c) for k, c in den.terms.items() if k >> sa < m]
+        if len(den.terms) - len(tail) != 1 or den.terms.get(m << sa) != 1:
             raise ValueError("divisor is not monic in A")
-        slices: dict[int, dict[Key, int]] = {}
+        slices: dict[int, dict[int, int]] = {}
         for key, c in self.terms.items():
-            slices.setdefault(key[0], {})[key[1:]] = c
-        quo: dict[Key, int] = {}
+            slices.setdefault(key >> sa, {})[key & zmask] = c
+        guards = _guards(self.nz) & zmask
+        quo: dict[int, int] = {}
         for a in range(max(slices, default=-1), m - 1, -1):
-            qa = a - m
-            for zkey, c in slices.pop(a, {}).items():
+            reduced = slices.pop(a, None)
+            if not reduced:
+                continue
+            qa = (a - m) << sa
+            pushes = [(slices.setdefault(a + da, {}), tz, tc) for da, tz, tc in tail]
+            for zkey, c in reduced.items():
                 if not c:
                     continue  # cancelled by a higher slice
-                quo[(qa,) + zkey] = c
-                for da, tz, tc in tail:
-                    target = slices.setdefault(a + da, {})
-                    nk = tuple(map(add, zkey, tz))
+                if zkey & guards:  # checked before it is pushed on: no field carries
+                    raise ExponentOverflow(f"a quotient exponent exceeds {MAX_EXPONENT}")
+                quo[qa + zkey] = c
+                for target, tz, tc in pushes:
+                    nk = zkey + tz
                     target[nk] = target.get(nk, 0) - c * tc
         if any(any(s.values()) for s in slices.values()):
             raise InexactDivision("nonzero remainder")
@@ -360,33 +438,33 @@ class MultiPoly:
 
     def evaluate(self, a_value: int | Fraction,
                  z_values: Sequence[int | Fraction]) -> int | Fraction:
-        """Exact value at A = a_value, z = z_values (integer or rational points)."""
+        """Exact value at A = a_value, z = z_values (integer or rational points).
+
+        Each variable gets a table of its powers up to a bound of its exponents.
+        """
         if len(z_values) != self.nz:
             raise ValueError(f"need {self.nz} z values")
-        point = (a_value,) + tuple(z_values)
-        total = 0
-        for key, c in self.terms.items():
-            v = c
-            for x, e in zip(point, key):
-                if e:
-                    v = v * x ** e
-            total += v
-        return total
+        width = self.nz + 1
+        bounds = _span(self.terms).to_bytes(width, "big")
+        tables = [[x ** e for e in range(b + 1)] for x, b in zip((a_value, *z_values), bounds)]
+        return sum(c * prod(map(list.__getitem__, tables, k.to_bytes(width, "big")))
+                   for k, c in self.terms.items())
 
     # ---------------------------------------------------------------- serialization
 
     def to_obj(self) -> list[list]:
         """Sorted [coefficient-string, A-exponent, [z-exponents]] triples."""
+        width, terms = self.nz + 1, self.terms
         out = []
-        for key in sorted(self.terms):
-            out.append([str(self.terms[key]), key[0], list(key[1:])])
+        for key in sorted(terms):
+            fields = key.to_bytes(width, "big")
+            out.append([str(terms[key]), fields[0], list(fields[1:])])
         return out
 
     @classmethod
     def from_obj(cls, nz: int, obj: Iterable[Sequence]) -> "MultiPoly":
         """Inverse of to_obj; a coefficient string that is not an integer raises ValueError."""
-        terms: dict[Key, int] = {}
+        terms: dict[int, int] = {}
         for coeff_str, a_exp, z_exps in obj:
-            key = (int(a_exp),) + tuple(int(e) for e in z_exps)
-            terms[key] = int(coeff_str)
-        return cls(nz, terms)
+            terms[_pack((a_exp, *z_exps), nz)] = int(coeff_str)
+        return cls._of(nz, _nonzero(terms))

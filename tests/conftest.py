@@ -7,17 +7,30 @@ lexicographic division, is the oracle for the library's closed-form
 divided difference and its division by divisors monic in A.  The edge
 equations of a stored table are checked by the library's own
 `psitable.verify_edges`, so no copy of them lives here.
-`with_vanishing_term` tampers a table so that only the pointwise checks
-can see it.
+`TuplePoly`, a tuple-keyed sparse polynomial, is the oracle for the
+packed monomial keys of `MultiPoly`.  `with_vanishing_term` tampers a
+table so that only the pointwise checks can see it.  The `ci` hypothesis
+profile draws the same examples on every run.
 """
 
 import heapq
+from fractions import Fraction
+from operator import add, index
 
 import pytest
 
 from brauerloop.errors import InexactDivision
-from brauerloop.exactpoly import Key, MultiPoly
+from brauerloop.exactpoly import MultiPoly
 from brauerloop.psitable import MdegTable, compute_table, target_degree
+
+try:
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    settings.register_profile("ci", derandomize=True)
+
+Key = tuple[int, ...]
 
 _TABLES: dict[int, MdegTable] = {}
 
@@ -60,14 +73,15 @@ def lex_divide(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     near-linear in the number of quotient terms for short divisors.
     """
     num._check_compat(den)
-    if not den.terms:
+    dterms = den.monomials()
+    if not dterms:
         raise ZeroDivisionError("division by zero polynomial")
-    if not num.terms:
+    if not num:
         return MultiPoly.zero(num.nz)
-    dlead = max(den.terms)
-    dcoeff = den.terms[dlead]
-    dtail = [(k, c) for k, c in den.terms.items() if k != dlead]
-    rest = dict(num.terms)
+    dlead = max(dterms)
+    dcoeff = dterms[dlead]
+    dtail = [(k, c) for k, c in dterms.items() if k != dlead]
+    rest = num.monomials()
     # heap of candidate leads; negate components so heapq pops the lex max
     heap = [tuple(-e for e in k) for k in rest]
     heapq.heapify(heap)
@@ -96,4 +110,116 @@ def lex_divide(num: MultiPoly, den: MultiPoly) -> MultiPoly:
                 rest.pop(key, None)
     if rest:
         raise InexactDivision("nonzero remainder")
-    return MultiPoly._of(num.nz, quo)
+    return MultiPoly(num.nz, quo)
+
+
+class TuplePoly:
+    """Sparse polynomial over Z keyed by exponent tuples (a, e_1, ..., e_nz).
+
+    The reference for MultiPoly's packed keys: the same operators, computed
+    on tuples with no field width.  TuplePoly.of(p) reads p through
+    p.monomials(), and ref.matches(p) compares the terms.
+    """
+
+    def __init__(self, nz: int, terms: dict[Key, int]):
+        self.nz = nz
+        self.terms = {k: c for k, c in terms.items() if c}
+
+    @classmethod
+    def of(cls, p: MultiPoly) -> "TuplePoly":
+        return cls(p.nz, p.monomials())
+
+    def matches(self, p: MultiPoly) -> bool:
+        return self.nz == p.nz and self.terms == p.monomials()
+
+    def _collect(self, pairs, nz=None) -> "TuplePoly":
+        out: dict[Key, int] = {}
+        for k, c in pairs:
+            out[k] = out.get(k, 0) + c
+        return TuplePoly(self.nz if nz is None else nz, out)
+
+    def __add__(self, other: "TuplePoly") -> "TuplePoly":
+        return self._collect([*self.terms.items(), *other.terms.items()])
+
+    def __neg__(self) -> "TuplePoly":
+        return TuplePoly(self.nz, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other: "TuplePoly") -> "TuplePoly":
+        return self + (-other)
+
+    def __mul__(self, other: "TuplePoly | int") -> "TuplePoly":
+        if isinstance(other, int):
+            return TuplePoly(self.nz, {k: c * other for k, c in self.terms.items()})
+        return self._collect((tuple(map(add, ka, kb)), ca * cb)
+                             for ka, ca in self.terms.items() for kb, cb in other.terms.items())
+
+    def __pow__(self, e: int) -> "TuplePoly":
+        out = TuplePoly(self.nz, {(0,) * (self.nz + 1): 1})
+        for _ in range(e):
+            out = out * self
+        return out
+
+    def _swap(self, key: Key, i: int, j: int, ei: int, ej: int) -> Key:
+        lk = list(key)
+        lk[i], lk[j] = ei, ej
+        return tuple(lk)
+
+    def tau(self, i: int) -> "TuplePoly":
+        j = i % self.nz + 1
+        return TuplePoly(self.nz, {self._swap(k, i, j, k[j], k[i]): c
+                                   for k, c in self.terms.items()})
+
+    def ddiff(self, i: int) -> "TuplePoly":
+        j = i % self.nz + 1
+        pairs = []
+        for key, c in self.terms.items():
+            p, q = key[i], key[j]
+            if p < q:
+                p, q, c = q, p, -c
+            pairs += [(self._swap(key, i, j, k, p + q - 1 - k), c) for k in range(q, p)]
+        return self._collect(pairs)
+
+    def theta(self, i: int) -> "TuplePoly":
+        a = TuplePoly(self.nz, {(1,) + (0,) * self.nz: 1})
+        return a * self.ddiff(i) * (-2) - self.tau(i)
+
+    def map_z(self, new_nz: int, new_pos) -> "TuplePoly":
+        out = {}
+        for key, c in self.terms.items():
+            nk = [key[0]] + [0] * new_nz
+            for old, e in enumerate(key[1:]):
+                nk[new_pos[old]] = e
+            out[tuple(nk)] = c
+        return TuplePoly(new_nz, out)
+
+    def subs_z(self, i: int, repl: "TuplePoly") -> "TuplePoly":
+        out = TuplePoly(self.nz, {})
+        for key, c in self.terms.items():
+            mono = TuplePoly(self.nz, {key[:i] + (0,) + key[i + 1:]: c})
+            out = out + mono * repl ** key[i]
+        return out
+
+    def specialize_a(self, value: int) -> "TuplePoly":
+        value = index(value)
+        return self._collect(((0,) + k[1:], c * value ** k[0]) for k, c in self.terms.items())
+
+    def exact_divide(self, den: "TuplePoly") -> "TuplePoly":
+        """The quotient by lex_divide; den may be any divisor."""
+        quo = lex_divide(MultiPoly(self.nz, self.terms), MultiPoly(den.nz, den.terms))
+        return TuplePoly.of(quo)
+
+    def evaluate(self, a_value, z_values):
+        point = (a_value, *z_values)
+        total = 0
+        for key, c in self.terms.items():
+            for x, e in zip(point, key):
+                c = c * Fraction(x) ** e
+            total += c
+        return total
+
+    def to_obj(self) -> list[list]:
+        return [[str(self.terms[k]), k[0], list(k[1:])] for k in sorted(self.terms)]
+
+    @classmethod
+    def from_obj(cls, nz: int, obj) -> "TuplePoly":
+        return cls(nz, {(a, *z): int(c) for c, a, z in obj})

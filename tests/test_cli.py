@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 
 from brauerloop import cli
-from brauerloop.errors import IdentityViolation
+from brauerloop.errors import ExponentOverflow, IdentityViolation
+from brauerloop.exactpoly import MAX_EXPONENT
+from brauerloop.psitable import MdegTable
 
 
 def run(argv, capsys):
@@ -63,6 +65,20 @@ def test_table_with_fractional_coefficient_is_recomputed(tmp_path, tables):
     # a well-formed file whose hash matches, but one coefficient is 1/2
     obj = cli.table_payload(tables(3))["table"]
     obj["entries"][0][1][0][0] = "1/2"
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    payload = {"n": 3, "hash": hashlib.sha256(blob.encode()).hexdigest(), "table": obj}
+    store = cli.TableStore(tmp_path)
+    store.path(3).write_text(json.dumps(payload))
+    assert store.load(3) is None
+    assert store.get(3).content_hash() == tables(3).content_hash()
+
+
+def test_table_with_overflowing_exponent_is_recomputed(tmp_path, tables):
+    # a well-formed file whose hash matches, but one A-exponent needs a wider field
+    obj = cli.table_payload(tables(3))["table"]
+    obj["entries"][0][1][0][1] = MAX_EXPONENT + 1
+    with pytest.raises(ExponentOverflow):
+        MdegTable.from_obj(obj)
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     payload = {"n": 3, "hash": hashlib.sha256(blob.encode()).hexdigest(), "table": obj}
     store = cli.TableStore(tmp_path)

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 from conftest import lex_divide
 
-from brauerloop.errors import InexactDivision, NotHomogeneous
-from brauerloop.exactpoly import MultiPoly
+from brauerloop.errors import ExponentOverflow, InexactDivision, NotHomogeneous
+from brauerloop.exactpoly import MAX_EXPONENT, MultiPoly
 
 
 def rand_poly(nz: int, rng: random.Random) -> MultiPoly:
@@ -38,8 +38,9 @@ def test_generators():
     p = (a + z1) * (a - z2)
     assert p.evaluate(3, [1, 2]) == 4
     assert p == a * a + z1 * a - a * z2 - z1 * z2
-    with pytest.raises(ValueError):
-        MultiPoly.gen_z(2, 3)
+    for i in (0, 3):
+        with pytest.raises(ValueError):
+            MultiPoly.gen_z(2, i)
 
 
 def test_linear_combines_coefficients():
@@ -47,6 +48,10 @@ def test_linear_combines_coefficients():
     assert p.evaluate(1, [10, 0, 4]) == 2 + 10 - 4
     # z_coeffs may repeat an index through the dict, absent ones are zero
     assert MultiPoly.linear(3) == 0
+    # a z index outside 1..nz is refused, never taken as A or the constant term
+    for i in (0, 4):
+        with pytest.raises(ValueError):
+            MultiPoly.linear(3, 0, {i: 1})
 
 
 def test_equality_against_scalars():
@@ -207,7 +212,7 @@ def test_exact_divide_rejects_remainders():
     for _ in range(100):
         nz = rng.randint(2, 4)
         d = rand_weights(nz, rng) * MultiPoly.linear(nz, 1, {1: 1, 2: -1})
-        m = max(k[0] for k in d.terms)
+        m = max(k[0] for k in d.monomials())
         # a nonzero remainder: A-degree below m
         rem = MultiPoly(nz, {(rng.randint(0, m - 1),) + tuple(rng.randint(0, 2) for _ in range(nz)):
                              rng.choice([-2, -1, 1, 2])})
@@ -269,8 +274,8 @@ def test_specialize_a():
 
 
 def test_coefficients_are_integers():
-    assert MultiPoly.const(Fraction(4, 2), 2).terms == {(0, 0, 0): 2}
-    assert type(MultiPoly.from_obj(1, [["-3", 0, [1]]]).terms[(0, 1)]) is int
+    assert MultiPoly.const(Fraction(4, 2), 2).monomials() == {(0, 0, 0): 2}
+    assert type(MultiPoly.from_obj(1, [["-3", 0, [1]]]).monomials()[(0, 1)]) is int
     with pytest.raises(ValueError):
         MultiPoly.const(Fraction(1, 2), 2)
     with pytest.raises(ValueError):
@@ -281,6 +286,48 @@ def test_coefficients_are_integers():
         MultiPoly.gen_a(2) * Fraction(1, 2)
     with pytest.raises(TypeError):
         MultiPoly.gen_a(2).specialize_a(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("key", [(0, 1.5), (True, 1), (0, -1), (1,), (0, 1, 2), (0, "1")])
+def test_exponents_are_nonnegative_ints(key):
+    with pytest.raises(ValueError):
+        MultiPoly(1, {key: 1})
+    with pytest.raises(ValueError):
+        MultiPoly.from_obj(1, [["1", key[0], list(key[1:])]])
+
+
+def test_exponent_field_boundary():
+    top = MAX_EXPONENT
+    for key in [(top, 0, 0), (0, top, 0), (0, 0, top)]:
+        p = MultiPoly(2, {key: 3})
+        assert p.monomials() == {key: 3}
+        assert MultiPoly.from_obj(2, p.to_obj()) == p
+        over = tuple(e + (e == top) for e in key)
+        with pytest.raises(ExponentOverflow):
+            MultiPoly(2, {over: 1})
+        with pytest.raises(ExponentOverflow):
+            MultiPoly.from_obj(2, [["1", over[0], list(over[1:])]])
+
+
+def test_operations_raise_on_field_overflow():
+    a, z1, z2 = MultiPoly.gen_a(2), MultiPoly.gen_z(2, 1), MultiPoly.gen_z(2, 2)
+    half = MAX_EXPONENT // 2
+    # at the boundary every operation that adds exponents succeeds
+    assert (z2 ** half * z2 ** (half + 1)).monomials() == {(0, 0, MAX_EXPONENT): 1}
+    assert (a ** MAX_EXPONENT).monomials() == {(MAX_EXPONENT, 0, 0): 1}
+    assert ((a + z1) * z1 ** (MAX_EXPONENT - 1)).exact_divide(a + z1) == z1 ** (MAX_EXPONENT - 1)
+    # one past it each raises rather than carry into the next field (z2^128 is not z1)
+    with pytest.raises(ExponentOverflow):
+        z2 ** (half + 1) * z2 ** (half + 1)
+    with pytest.raises(ExponentOverflow):
+        z2 ** MAX_EXPONENT * z2
+    with pytest.raises(ExponentOverflow):
+        a ** (MAX_EXPONENT + 1)
+    with pytest.raises(ExponentOverflow):  # the quotient would hold A z1^128
+        (a * a * z1 ** MAX_EXPONENT).exact_divide(a + z1)
+    assert (a ** (MAX_EXPONENT - 1) * z1).theta(1) == a ** MAX_EXPONENT * -2 - a ** (MAX_EXPONENT - 1) * z2
+    with pytest.raises(ExponentOverflow):  # -2 A ddiff_1 would hold A^128
+        (a ** MAX_EXPONENT * z1).theta(1)
 
 
 def test_serialization_roundtrip():

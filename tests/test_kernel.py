@@ -1,23 +1,136 @@
-"""The closed-form divided difference against two oracles: the general
-lexicographic division of f - tau_i f by z_i - z_{i+1}, on random
-polynomials, and sympy's cancel on a few fixed ones."""
+"""The polynomial kernel against oracles: the closed-form divided
+difference against the general lexicographic division of f - tau_i f by
+z_i - z_{i+1} and against sympy's cancel, and every operator on packed
+monomial keys against the tuple-keyed reference TuplePoly."""
 
 import random
 
 import pytest
-from conftest import lex_divide
+from conftest import TuplePoly, lex_divide
 
-from brauerloop.exactpoly import MultiPoly
+from brauerloop.errors import ExponentOverflow, InexactDivision
+from brauerloop.exactpoly import MAX_EXPONENT, MultiPoly
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
+checked = hypothesis.settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def polys(draw):
-    nz = draw(st.integers(2, 4))
-    key = st.tuples(*[st.integers(0, 4)] * (nz + 1))
-    return MultiPoly(nz, draw(st.dictionaries(key, st.integers(-5, 5), max_size=8)))
+def polys(draw, nz=None, top=4, max_size=8):
+    if nz is None:
+        nz = draw(st.integers(2, 4))
+    key = st.tuples(*[st.integers(0, top)] * (nz + 1))
+    return MultiPoly(nz, draw(st.dictionaries(key, st.integers(-5, 5), max_size=max_size)))
+
+
+@st.composite
+def poly_pairs(draw, top=4, max_size=8):
+    nz = draw(st.integers(1, 4))
+    return draw(polys(nz, top, max_size)), draw(polys(nz, top, max_size))
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+
+
+@checked
+@hypothesis.given(st.integers(0, 4).flatmap(
+    lambda nz: st.tuples(*[st.integers(0, MAX_EXPONENT)] * (nz + 1))), st.integers(-9, 9))
+def test_pack_unpack_roundtrip(exps, c):
+    hypothesis.assume(c)
+    nz = len(exps) - 1
+    p = MultiPoly(nz, {exps: c})
+    assert p.monomials() == {exps: c}
+    assert p.to_obj() == [[str(c), exps[0], list(exps[1:])]]
+    assert MultiPoly.from_obj(nz, p.to_obj()) == p
+
+
+@checked
+@hypothesis.given(polys(top=MAX_EXPONENT, max_size=20))
+def test_packed_order_is_lex_order(p):
+    # monomials() unpacks the sorted packed keys; to_obj and __str__ read that order
+    keys = list(p.monomials())
+    assert keys == sorted(keys)
+    assert [(a, *z) for _, a, z in p.to_obj()] == keys
+    assert p.to_obj() == TuplePoly.of(p).to_obj()
+
+
+@checked
+@hypothesis.given(poly_pairs(), st.integers(0, 3))
+def test_ring_operations_match_reference(pq, e):
+    p, q = pq
+    rp, rq = TuplePoly.of(p), TuplePoly.of(q)
+    assert (rp + rq).matches(p + q)
+    assert (rp - rq).matches(p - q)
+    assert (rp * rq).matches(p * q)
+    assert (rp * -3).matches(p * -3)
+    assert (rp ** e).matches(p ** e)
+
+
+@checked
+@hypothesis.given(poly_pairs(top=MAX_EXPONENT // 2 + 8, max_size=4))
+def test_products_overflow_exactly_past_the_field(pq):
+    p, q = pq
+    want = TuplePoly.of(p) * TuplePoly.of(q)
+    if any(e > MAX_EXPONENT for key in want.terms for e in key):
+        with pytest.raises(ExponentOverflow):
+            p * q
+    else:
+        assert want.matches(p * q)
+
+
+@checked
+@hypothesis.given(polys(nz=None), st.data())
+def test_variable_operators_match_reference(p, data):
+    ref = TuplePoly.of(p)
+    for i in range(1, p.nz + 1):
+        assert ref.tau(i).matches(p.tau(i))
+        assert ref.ddiff(i).matches(p.ddiff(i))
+        assert ref.theta(i).matches(p.theta(i))
+    new_nz = data.draw(st.integers(p.nz, p.nz + 2))
+    new_pos = data.draw(st.permutations(range(1, new_nz + 1)))[:p.nz]
+    assert ref.map_z(new_nz, new_pos).matches(p.map_z(new_nz, new_pos))
+    v = data.draw(st.integers(-4, 4))
+    assert ref.specialize_a(v).matches(p.specialize_a(v))
+    i = data.draw(st.integers(1, p.nz))
+    q = data.draw(polys(p.nz, 2, 3))
+    assert ref.subs_z(i, TuplePoly.of(q)).matches(p.subs_z(i, q))
+    assert ref.subs_z(i, TuplePoly.of(MultiPoly.const(v, p.nz))).matches(p.subs_z(i, v))
+
+
+@checked
+@hypothesis.given(polys(max_size=6), st.data())
+def test_exact_divide_matches_reference(p, data):
+    nz = p.nz
+    den = MultiPoly.one(nz)
+    for _ in range(data.draw(st.integers(1, 3))):
+        a, b = data.draw(st.lists(st.integers(1, nz), min_size=2, max_size=2, unique=True))
+        den = den * MultiPoly.linear(nz, 1, {a: 1, b: -1})
+    num = p * den
+    assert TuplePoly.of(num).exact_divide(TuplePoly.of(den)).matches(num.exact_divide(den))
+    rem = data.draw(polys(nz, 0, 1))  # A-degree 0 and nonzero: below den's lead A^k
+    if rem:
+        with pytest.raises(InexactDivision):
+            (num + rem).exact_divide(den)
+
+
+@checked
+@hypothesis.given(polys(), st.data())
+def test_evaluate_matches_reference(p, data):
+    ref = TuplePoly.of(p)
+    ints = data.draw(st.lists(st.integers(-9, 9), min_size=p.nz + 1, max_size=p.nz + 1))
+    assert p.evaluate(ints[0], ints[1:]) == ref.evaluate(ints[0], ints[1:])
+    point = data.draw(st.lists(rationals, min_size=p.nz + 1, max_size=p.nz + 1))
+    assert p.evaluate(point[0], point[1:]) == ref.evaluate(point[0], point[1:])
+
+
+@checked
+@hypothesis.given(polys(top=MAX_EXPONENT))
+def test_serialization_matches_reference(p):
+    obj = p.to_obj()
+    assert obj == TuplePoly.of(p).to_obj()
+    assert TuplePoly.from_obj(p.nz, obj).matches(MultiPoly.from_obj(p.nz, obj))
+    assert MultiPoly.from_obj(p.nz, obj) == p
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
@@ -37,7 +150,7 @@ def test_ddiff_matches_sympy_cancel():
 
     def to_sympy(p):
         return sum((c * sympy.prod([s ** e for s, e in zip(syms, k)])
-                    for k, c in p.terms.items()), sympy.Integer(0))
+                    for k, c in p.monomials().items()), sympy.Integer(0))
 
     for _ in range(6):
         f = MultiPoly(nz, {tuple(rng.randint(0, 3) for _ in range(nz + 1)): rng.randint(-4, 4)
