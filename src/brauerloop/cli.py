@@ -54,9 +54,10 @@ from .psitable import MdegTable, compute_table
 # from the stationary chain
 SYMBOLIC_LIMIT = 6
 # the sizes each degrees scheme finishes: the chain up to N=10 (under 1 s
-# there; N=11 has 10395 states), the D1 closed forms up to N=14 (5 s there,
-# ~13x per +2), commuting pairs up to n=7 (27 s there)
-DEGREE_SIZES = {"E": (1, 10), "D1": (1, 14), "commuting": (1, 7)}
+# there; N=11 has 10395 states), the D1 closed forms up to N=18 (27 s there,
+# nearly all in the localization form's C(18, 9) subsets), commuting pairs up
+# to n=7 (27 s there)
+DEGREE_SIZES = {"E": (1, 10), "D1": (1, 18), "commuting": (1, 7)}
 
 
 def _slug(pi: LinkPattern) -> str:
@@ -490,20 +491,16 @@ def suite_jobs(suite: str, args, store: TableStore) -> list[Job]:
     return spec.jobs(ns, args.seed, args.points, store)
 
 
-def print_report(report: SuiteReport, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report.to_obj(), indent=2, sort_keys=True))
-    else:
-        for c in report.checks:
-            line = f"{'PASS' if c.passed else 'FAIL'} {c.check_id}"
-            if c.note:
-                line += f" [{c.note}]"
-            if c.witness:
-                line += f" :: {c.witness}"
-            print(line)
-        good = sum(1 for c in report.checks if c.passed)
-        print(f"suite {report.suite}: {good}/{len(report.checks)} checks passed")
-    print(f"suite {report.suite} took {report.wall_time:.1f}s", file=sys.stderr)
+def print_report(report: SuiteReport) -> None:
+    for c in report.checks:
+        line = f"{'PASS' if c.passed else 'FAIL'} {c.check_id}"
+        if c.note:
+            line += f" [{c.note}]"
+        if c.witness:
+            line += f" :: {c.witness}"
+        print(line)
+    good = sum(1 for c in report.checks if c.passed)
+    print(f"suite {report.suite}: {good}/{len(report.checks)} checks passed")
 
 
 # ------------------------------------------------------------------ subcommands
@@ -593,25 +590,39 @@ def cmd_verify(args) -> int:
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     # every size is checked before any suite runs
     jobs = {suite: suite_jobs(suite, args, store) for suite in suites}
-    ok = True
+    reports = []
     for suite in suites:
         report = run_suite(suite, jobs[suite])
-        print_report(report, args.format)
-        ok = ok and report.passed
-    return 0 if ok else 1
+        print(f"suite {suite} took {report.wall_time:.1f}s", file=sys.stderr)
+        if args.format == "text":
+            print_report(report)
+        reports.append(report)
+    if args.format == "json":
+        # one document: the suite objects in report order
+        print(json.dumps([r.to_obj() for r in reports], indent=2, sort_keys=True))
+    return 0 if all(r.passed for r in reports) else 1
 
 
 # ------------------------------------------------------------------ entry point
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=None, help="single size")
-    common.add_argument("--max-n", type=int, default=None, dest="max_n",
-                        help="size range upper bound")
+    sizes = common.add_mutually_exclusive_group()
+    sizes.add_argument("--n", type=int, default=None, help="single size")
+    sizes.add_argument("--max-n", type=int, default=None, dest="max_n",
+                       help="size range upper bound")
     common.add_argument("--seed", type=int, default=0, help="master random seed")
-    common.add_argument("--points", type=int, default=None,
-                        help="instances / sample points per check")
+    common.add_argument("--points", type=positive_int, default=None,
+                        help="instances / sample points per check (at least 1)")
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--table-dir", dest="table_dir",
                         default=os.environ.get("BRAUERLOOP_TABLE_DIR", "tables"),

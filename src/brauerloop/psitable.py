@@ -321,6 +321,8 @@ def sum_rule_total(table: MdegTable, points: int = 20, seed: int = 2011) -> dict
     """
     from .pfdet import degree_determinant, total_mdeg_pfaffian_value
 
+    if points < 1:
+        raise ValueError(f"points must be at least 1, not {points}")
     n = table.n
     want = degree_determinant(n)
     got = table.degree_sum()
@@ -415,6 +417,8 @@ def positivity_spot_check(table: MdegTable, trials: int = 100,
     At z = k/20, |k_i| <= 9, mdeg(20, k) = 20^d Psi(z) for an entry of
     homogeneous degree d (checked), so the integer value carries the sign.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, not {trials}")
     rng = random.Random(seed)
     entries = [(pi, table.mdeg(pi), table.mdeg(pi).homogeneous_degree())
                for pi in table.patterns()]

@@ -128,8 +128,8 @@ def test_write_table_is_atomic(tmp_path, monkeypatch, tables):
     (["--scheme", "E", "--n", "0"], r"--n must lie in 1\.\.10"),
     (["--scheme", "E", "--n", "11"], r"--n must lie in 1\.\.10"),
     (["--scheme", "E", "--max-n", "11"], r"--max-n must lie in 2\.\.10"),
-    (["--scheme", "D1", "--n", "0"], r"--n must lie in 1\.\.14"),
-    (["--scheme", "D1", "--n", "15"], r"--n must lie in 1\.\.14"),
+    (["--scheme", "D1", "--n", "0"], r"--n must lie in 1\.\.18"),
+    (["--scheme", "D1", "--n", "19"], r"--n must lie in 1\.\.18"),
     (["--scheme", "commuting", "--n", "8"], r"--n must lie in 1\.\.7"),
     (["--scheme", "commuting", "--max-n", "0"], r"--max-n must lie in 1\.\.7"),
     (["--scheme", "E", "--max-n", "1"], r"--max-n must lie in 2\.\.10"),
@@ -240,10 +240,47 @@ def test_verify_json_format(tmp_path, capsys):
     code, out = run(["verify", "markov", "--n", "2", "--table-dir",
                      str(tmp_path), "--format", "json"], capsys)
     assert code == 0
-    obj = json.loads(out)
+    [obj] = json.loads(out)
     assert obj["suite"] == "markov"
     assert obj["passed"] is True
     assert obj["checks"][0]["status"] == "pass"
+
+
+def test_verify_all_json_is_one_document(tmp_path, capsys):
+    code, out = run(["verify", "all", "--n", "3", "--points", "5", "--table-dir",
+                     str(tmp_path), "--format", "json"], capsys)
+    assert code == 0
+    reports = json.loads(out)
+    assert [r["suite"] for r in reports] == list(cli.SUITES)
+    assert all(r["passed"] for r in reports)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "sumrules", "--n", "3", "--points", "-4"],
+    ["verify", "algebra", "--points", "-2"],
+    ["verify", "d1", "--points", "0"],
+])
+def test_points_must_be_positive(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*argv, "--table-dir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --points: must be at least 1, not {argv[-1]}" in captured.err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["degrees", "--scheme", "commuting", "--n", "3", "--max-n", "5"],
+    ["verify", "exchange", "--max-n", "4", "--n", "3"],
+])
+def test_n_and_max_n_exclude_each_other(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 def test_verify_rejects_out_of_range_size(tmp_path):

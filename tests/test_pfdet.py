@@ -1,5 +1,5 @@
-"""Pfaffians, matchings and the closed degree formulas, checked against
-naive expansions and the recursion tables."""
+"""Pfaffians and the closed degree formulas, checked against naive
+expansions, determinants and the recursion tables."""
 
 import itertools
 import random
@@ -17,12 +17,11 @@ from brauerloop.pfdet import (
     d1_mdeg_localization,
     d1_mdeg_pfaffian_form,
     degree_determinant,
-    matchings_with_sign,
     pfaffian,
     skew_sum,
     total_mdeg_pfaffian_value,
 )
-from brauerloop.psitable import random_point, target_degree
+from brauerloop.psitable import integer_image, random_point, target_degree
 
 
 def pfaffian_naive(rows):
@@ -88,23 +87,6 @@ def test_skew_matrix_validation():
     assert m[1, 2] == 12 and m[2, 1] == -12
 
 
-def test_matchings_with_sign():
-    for k in (2, 4, 6):
-        pairs = list(matchings_with_sign(tuple(range(1, k + 1))))
-        count = 1
-        for odd in range(k - 1, 0, -2):
-            count *= odd
-        assert len(pairs) == count
-        for sign, matching in pairs:
-            assert sign in (-1, 1)
-            used = [p for pair in matching for p in pair]
-            assert sorted(used) == list(range(1, k + 1))
-    signs = {tuple(m): s for s, m in matchings_with_sign((1, 2, 3, 4))}
-    assert signs[((1, 2), (3, 4))] == 1
-    assert signs[((1, 3), (2, 4))] == -1
-    assert signs[((1, 4), (2, 3))] == 1
-
-
 def test_pfaffian_small():
     assert pfaffian(SkewMatrix([[0, 7], [-7, 0]])) == 7
     m = rand_skew(4, random.Random(1))
@@ -115,14 +97,51 @@ def test_pfaffian_small():
         pfaffian(rand_skew(3, random.Random(2)))
 
 
+def rand_fraction_skew(n: int, rng: random.Random) -> SkewMatrix:
+    return SkewMatrix.build(n, lambda i, j: Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+
+
 def test_pfaffian_against_naive_and_determinant():
     rng = random.Random(3)
-    for n in (2, 4, 6):
-        for _ in range(25):
-            m = rand_skew(n, rng)
-            pf = pfaffian(m)
-            assert pf == pfaffian_naive(m.rows)
-            assert pf * pf == det(m.rows)
+    for n, count in ((2, 25), (4, 25), (6, 25), (8, 4), (10, 2), (12, 1)):
+        for _ in range(count):
+            for m in (rand_skew(n, rng), rand_fraction_skew(n, rng)):
+                pf = pfaffian(m)
+                assert pf == pfaffian_naive(m.rows)
+                assert pf * pf == det(m.rows)
+
+
+def test_pfaffian_pivot_swap_and_singular():
+    rng = random.Random(19)
+    for n in (4, 8, 12):
+        # a[1][2] = 0 forces the first step to swap a later point into place
+        m = rand_skew(n, rng)
+        rows = [row[:] for row in m.rows]
+        rows[0][1] = rows[1][0] = 0
+        swapped = SkewMatrix(rows)
+        pf = pfaffian(swapped)
+        assert pf == pfaffian_naive(rows) and pf * pf == det(rows)
+        assert pf != 0
+        # u v^T - v u^T has rank 2: the second step finds no pivot
+        u = [rng.randint(-5, 5) for _ in range(n)]
+        v = [rng.randint(-5, 5) for _ in range(n)]
+        u[0], v[0], u[1], v[1] = 1, 0, 0, 1
+        rank_two = SkewMatrix.build(n, lambda i, j: u[i - 1] * v[j - 1] - v[i - 1] * u[j - 1])
+        assert pfaffian(rank_two) == 0 == pfaffian_naive(rank_two.rows)
+    # a zero first row ends the elimination before any pivot
+    assert pfaffian(SkewMatrix.build(6, lambda i, j: 0 if i == 1 else i + j)) == 0
+
+
+def test_pfaffian_of_ints_never_yields_a_float():
+    # the first pivot, 2, divides neither later entry of row 1, so the
+    # elimination passes through halves before its integer value
+    m = SkewMatrix([[0, 2, 1, 1], [-2, 0, 1, 3], [-1, -1, 0, 5], [-1, -3, -5, 0]])
+    pf = pfaffian(m)
+    assert type(pf) in (int, Fraction) and pf == pfaffian_naive(m.rows) == 8
+    rng = random.Random(23)
+    for n in (2, 6, 10):
+        pf = pfaffian(rand_skew(n, rng))
+        assert type(pf) in (int, Fraction) and pf.denominator == 1
 
 
 def test_odd_pfaffian():
@@ -183,8 +202,8 @@ def test_odd_sign_flip_limits_to_degree_determinant():
     # target_degree(n) whose value at eps=0 (a pole of the formula itself)
     # is the degree sum; Lagrange interpolation reaches it from eps != 0.
     # The odd-n orientation z_j - z_i is fixed by this limit, so sizes 7
-    # and 9 test it beyond the tables.
-    for n in range(1, 10):
+    # to 13 test it beyond the tables.
+    for n in range(1, 14):
         eps = [Fraction(1, 10 * n + k) for k in range(target_degree(n) + 1)]
         at_zero = Fraction(0)
         for k, e in enumerate(eps):
@@ -211,6 +230,13 @@ def test_square_zero_cone_forms_agree():
         for _ in range(6):
             a, z = random_point(n, rng)
             assert d1_mdeg_localization(n, a, z) == d1_mdeg_pfaffian_form(n, a, z)
+
+
+def test_square_zero_cone_forms_agree_at_16():
+    # elimination keeps the Pfaffian form cheap; the localization form's
+    # C(16, 8) subsets set the cost, so the point is the integer image
+    a, z = integer_image(*random_point(16, random.Random(29)))
+    assert d1_mdeg_localization(16, a, z) == d1_mdeg_pfaffian_form(16, a, z)
 
 
 def test_square_zero_cone_one_point():

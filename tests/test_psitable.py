@@ -17,6 +17,7 @@ from brauerloop.errors import (
 from brauerloop.exactpoly import MultiPoly
 from brauerloop import psitable
 from brauerloop.linkpat import LinkPattern, _wrap, apply_f, maximal_pattern, reflect
+from brauerloop.pfdet import d0_multiplicity_check
 from brauerloop.psitable import (
     MdegTable,
     base_mdeg,
@@ -236,6 +237,15 @@ def test_sum_rule_total(tables):
     assert sum_rule_total(tables(2), points=6)["degree_sum"] == 1
     assert sum_rule_total(tables(3), points=6)["degree_sum"] == 3
     assert sum_rule_total(tables(4), points=6)["degree_sum"] == 7
+
+
+@pytest.mark.parametrize("check, keyword", [
+    (sum_rule_total, "points"), (positivity_spot_check, "trials"),
+    (d0_multiplicity_check, "points")])
+@pytest.mark.parametrize("count", [0, -4])
+def test_spot_checks_need_a_point(tables, check, keyword, count):
+    with pytest.raises(ValueError, match=f"{keyword} must be at least 1, not {count}"):
+        check(tables(2), **{keyword: count})
 
 
 def test_sum_rule_total_names_the_failing_point(tables):
