@@ -18,7 +18,9 @@ rescaling M_{ij} -> s^{(j-i) mod N} M_{ij}.
 The semidirect model splits M into its weakly upper part R and the class
 of M modulo upper triangulars, represented by the strict lower part L;
 the product is (R, L)(V, W) = (R V, R W + L V) and the inverse of (R, L)
-is (R^-1, -R^-1 L R^-1), which is how cp_inv is computed.  The periodic
+is (R^-1, -R^-1 L R^-1), which is how cp_inv is computed, on integers:
+from the adjugate of R cleared of denominators and from L cleared of
+denominators, with one exact division per entry at the end.  The periodic
 strip embeds M as the infinite banded matrix strip(i, j) = M_{i mod N,
 j mod N} for 0 <= j - i < N, turning the circular product into ordinary
 (banded) matrix multiplication.  The strip is never materialized: its
@@ -75,10 +77,14 @@ class ExactMatrix:
     __hash__ = None  # type: ignore[assignment]
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        if self.n != other.n:
+            raise ValueError("size mismatch")
         return ExactMatrix([[a + b for a, b in zip(ra, rb)]
                             for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
+        if self.n != other.n:
+            raise ValueError("size mismatch")
         return ExactMatrix([[a - b for a, b in zip(ra, rb)]
                             for ra, rb in zip(self.rows, other.rows)])
 
@@ -120,7 +126,10 @@ def clear_denominators(m: ExactMatrix) -> tuple[ExactMatrix, int]:
         for x in row:
             if type(x) is not int:
                 c = lcm(c, x.denominator)
-    return (m if c == 1 else ExactMatrix([[int(x * c) for x in row] for row in m.rows])), c
+    if c == 1:
+        return m, c
+    return ExactMatrix([[x * c if type(x) is int else x.numerator * (c // x.denominator)
+                         for x in row] for row in m.rows]), c
 
 
 # --------------------------------------------------------------------- cyclic order
@@ -136,6 +145,13 @@ def _arcs(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """_arcs(n)[i][k]: the 0-based indices on the cyclic arc from i to k, in arc order."""
     return tuple(tuple(tuple((i + t) % n for t in range((k - i) % n + 1))
                        for k in range(n)) for i in range(n))
+
+
+@lru_cache(maxsize=None)
+def _off_arcs(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """_off_arcs(n)[i][k]: the 0-based indices off the cyclic arc from i to k."""
+    return tuple(tuple(tuple(j for j in range(n) if j not in arc) for arc in arcs)
+                 for arcs in _arcs(n))
 
 
 # --------------------------------------------------------------------- products
@@ -167,28 +183,25 @@ def s_mul(p: ExactMatrix, q: ExactMatrix, s: Rational) -> ExactMatrix:
     if p.n != q.n:
         raise ValueError("size mismatch")
     n = p.n
-    off = s ** n
-    out = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            acc: Rational = 0
-            for j in range(1, n + 1):
-                a = p.rows[i - 1][j - 1]
-                if not a:
-                    continue
-                b = q.rows[j - 1][k - 1]
-                if not b:
-                    continue
-                term = a * b
-                acc += term if cyc_ordered(i, j, k, n) else off * term
-            out[i - 1][k - 1] = acc
+    s_n = s ** n
+    qrows = q.rows
+    out = []
+    for prow, arcs, off_arcs in zip(p.rows, _arcs(n), _off_arcs(n)):
+        orow = []
+        for k in range(n):
+            on = sum(prow[j] * qrows[j][k] for j in arcs[k])
+            off = sum(prow[j] * qrows[j][k] for j in off_arcs[k])
+            orow.append(on + s_n * off if off else on)
+        out.append(orow)
     return ExactMatrix(out)
 
 
 def s_scale(m: ExactMatrix, s: Rational) -> ExactMatrix:
     """Rescale M_{ij} by s^{(j-i) mod N} (the conjugation behind s_mul, s != 0)."""
     n = m.n
-    return ExactMatrix.build(n, lambda i, j: m[i, j] * s ** ((j - i) % n))
+    powers = [s ** e for e in range(n)]
+    return ExactMatrix([[x * powers[(j - i) % n] for j, x in enumerate(row)]
+                        for i, row in enumerate(m.rows)])
 
 
 def cycle(m: ExactMatrix, k: int = 1) -> ExactMatrix:
@@ -218,13 +231,16 @@ def semidirect_mul(a: tuple[ExactMatrix, ExactMatrix],
     return r @ v, (r @ w + low @ v).strict_lower_part()
 
 
-def upper_inverse(r: ExactMatrix) -> ExactMatrix:
-    """Ordinary inverse of a weakly upper triangular matrix, by back substitution.
+def _ratio(v: int, d: int) -> Rational:
+    """v / d, an int when d divides v."""
+    return v // d if v % d == 0 else Fraction(v, d)
 
-    R is first cleared of denominators, R = S / c with S integral.  The
-    adjugate A = det(S) S^-1 is integral and upper triangular, so back
-    substitution of S A = det(S) I divides exactly; then R^-1 = c A / det(S),
-    an int wherever it is integral.
+
+def _upper_adjugate(r: ExactMatrix) -> tuple[list[list[int]], int, int]:
+    """(A, c, det S) for R = S / c, S integral, and A = det(S) S^-1.
+
+    The adjugate A is integral and upper triangular, so back substitution
+    of S A = det(S) I divides exactly.
     """
     n = r.n
     if any(not d for d in r.diagonal_entries()):
@@ -238,15 +254,38 @@ def upper_inverse(r: ExactMatrix) -> ExactMatrix:
         for i in range(j - 1, -1, -1):
             acc = sum(s[i][k] * adj[k][j] for k in range(i + 1, j + 1) if s[i][k])
             adj[i][j] = -acc // s[i][i]
-    return ExactMatrix([[v // d if v % d == 0 else Fraction(v, d)
-                         for v in (c * a for a in row)] for row in adj])
+    return adj, c, d
+
+
+def upper_inverse(r: ExactMatrix) -> ExactMatrix:
+    """Ordinary inverse of a weakly upper triangular matrix, by back substitution.
+
+    R is first cleared of denominators, R = S / c with S integral, and
+    R^-1 = c A / det(S) for the integral adjugate A of S, an int wherever
+    it is integral.
+    """
+    adj, c, d = _upper_adjugate(r)
+    return ExactMatrix([[_ratio(c * a, d) for a in row] for row in adj])
 
 
 def cp_inv(p: ExactMatrix) -> ExactMatrix:
-    """Circular-product inverse; exists iff every diagonal entry is nonzero."""
+    """Circular-product inverse; exists iff every diagonal entry is nonzero.
+
+    With R = S / c the upper part, A the integral adjugate of S and
+    L = T / e the cleared strict lower part, the inverse (R^-1, -R^-1 L R^-1)
+    is (c A / det S, -c^2 (A T A) / (e det(S)^2)): two integer products and
+    one exact division per entry, an int wherever the entry is integral.
+    """
     r, low = to_semidirect(p)
-    rinv = upper_inverse(r)
-    return from_semidirect(rinv, -(rinv @ low @ rinv))
+    adj, c, d = _upper_adjugate(r)
+    t, e = clear_denominators(low)
+    adj_m = ExactMatrix(adj)
+    lower = (adj_m @ t @ adj_m).rows
+    den = e * d * d
+    c2 = -c * c
+    return ExactMatrix([[_ratio(c * a, d) if j >= i else _ratio(c2 * v, den)
+                         for j, (a, v) in enumerate(zip(arow, lrow))]
+                        for i, (arow, lrow) in enumerate(zip(adj, lower))])
 
 
 # --------------------------------------------------------------------- periodic strip

@@ -15,7 +15,9 @@ each component:
   - diagonal pairing: the ordinary square's diagonal is (t_i t_{pi(i)}),
     so its nonzero values come in equal pairs and identify the pattern;
   - rank bounds: the southwest triangle at each strip position has rank
-    at most the pattern's count of strip entries in that triangle;
+    at most the pattern's count of strip entries in that triangle.  The
+    triangles that start at one strip row are the leading blocks of the
+    largest one, so one elimination per strip row gives all their ranks;
   - tangent and stabilizer dimensions by exact linear algebra.
 """
 
@@ -28,8 +30,8 @@ from typing import Callable
 
 from .circlealg import ExactMatrix, Rational, cp_inv, cp_mul
 from .errors import AmbiguousPairing, DegenerateParameters
-from .linalg import rank
-from .linkpat import LinkPattern, rank_table
+from .linalg import prefix_ranks, rank
+from .linkpat import LinkPattern, RankTable
 
 
 def pattern_matrix(pi: LinkPattern, t: tuple[Rational, ...] | None = None) -> ExactMatrix:
@@ -170,26 +172,30 @@ def strip_triangle(m: ExactMatrix, i: int, d: int) -> list[list[Rational]]:
     (d+1) x (d+1) array; entries below the diagonal are outside the
     band and vanish.
     """
-    n = m.n
-    tri = [[0] * (d + 1) for _ in range(d + 1)]
-    for a in range(d + 1):
-        for c in range(a, d + 1):
-            tri[a][c] = m[(i + a - 1) % n + 1, (i + c - 1) % n + 1]
-    return tri
+    n, rows = m.n, m.rows
+    idx = [(i + a - 1) % n for a in range(d + 1)]
+    return [[rows[ia][idx[c]] if c >= a else 0 for c in range(d + 1)]
+            for a, ia in enumerate(idx)]
 
 
 def strip_rank(m: ExactMatrix, i: int, d: int) -> int:
     return rank(strip_triangle(m, i, d))
 
 
-def check_rank_bounds(m: ExactMatrix, pi: LinkPattern) -> bool:
-    """Does every southwest-triangle rank respect the pattern's bound?"""
-    if m.n != pi.n:
+def check_rank_bounds(m: ExactMatrix, bounds: RankTable) -> bool:
+    """Does every southwest-triangle rank respect the pattern's bound?
+
+    bounds is the pattern's rank_table.  Every entry of a triangle below
+    its diagonal vanishes, so triangle (i, d) is the leading block of the
+    first d+1 columns of triangle (i, N-1), and its rank is the rank of
+    those columns: one elimination per strip row i gives all N ranks.
+    """
+    n = m.n
+    if n != bounds.n:
         raise ValueError("size mismatch")
-    table = rank_table(pi)
-    for i in range(1, m.n + 1):
-        for d in range(m.n):
-            if strip_rank(m, i, d) > table.value(i, i + d):
+    for i in range(1, n + 1):
+        for d, r in enumerate(prefix_ranks(strip_triangle(m, i, n - 1))):
+            if r > bounds.value(i, i + d):
                 return False
     return True
 

@@ -4,15 +4,18 @@ Everything works on plain lists of lists whose entries are ints or
 fractions.Fraction.  One fraction-free (Bareiss) elimination does all
 the work: each row is scaled to integers, and every division in the
 elimination is exact, so intermediate entries stay minor-sized integers
-and no Fraction is formed.  rank() counts its pivots, det() reads the
-last pivot, and solve() back-substitutes from the echelon form of the
-augmented matrix.  Sizes here are small (the chain's orbit system has
-80 rows and 79 unknowns at N=10; the geometry suite's map ranks are 30
-by 36 at N=6), so no pivot strategy beyond "first nonzero" is needed.
+and no Fraction is formed.  rank() counts its pivots, prefix_ranks()
+reads the rank of every leading column block off where the pivots fall,
+det() reads the last pivot, and solve() back-substitutes from the
+echelon form of the augmented matrix.  Sizes here are small (the chain's
+orbit system has 80 rows and 79 unknowns at N=10; the geometry suite's
+map ranks are 30 by 36 at N=6), so no pivot strategy beyond "first
+nonzero" is needed.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -65,6 +68,18 @@ def _echelon(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[int]], list[
 def rank(rows: Sequence[Sequence[Rational]]) -> int:
     """Rank: the number of pivots of the fraction-free elimination."""
     return len(_echelon(rows)[1])
+
+
+def prefix_ranks(rows: Sequence[Sequence[Rational]]) -> list[int]:
+    """Entry c is the rank of columns 0..c, for every column c.
+
+    The elimination takes the columns in order and, restricted to the
+    first c+1 columns, is the elimination of that block, so the block's
+    rank is the number of pivots among its columns.
+    """
+    ncols = len(rows[0]) if rows else 0
+    pivots = _echelon(rows)[1]
+    return [bisect_right(pivots, c) for c in range(ncols)]
 
 
 def solve(rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) -> list[Fraction] | None:

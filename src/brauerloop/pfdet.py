@@ -8,9 +8,11 @@ one point joined to all others, with the sign of the permutation
 The cone D1 of square-zero N x N matrices has a multidegree with two
 closed forms: a localization sum over n-element subsets, and a Pfaffian
 product.  Both are rational-function identities, so they are checked by
-exact evaluation at admissible points, never with floating point.  They
-tie the whole table together: D1 degenerates onto the loop scheme with
-multiplicity 2^(n+r) on every component, so
+exact evaluation at admissible points, never with floating point.  The
+localization form is homogeneous, so it is evaluated at the integer image
+of the point, its subset terms summed over one Vandermonde denominator.
+They tie the whole table together: D1 degenerates onto the loop scheme
+with multiplicity 2^(n+r) on every component, so
 
     form = 2^(n+r) A^N sum_pi mdeg E_pi.
 """
@@ -18,7 +20,7 @@ multiplicity 2^(n+r) on every component, so
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, prod
 from typing import Callable, Sequence
 
 from .errors import IdentityViolation, PoleHit
@@ -169,27 +171,48 @@ def d1_mdeg_localization(n: int, a: Rational, z: Sequence[Rational]) -> Fraction
     2^r prod_{i,j} (A+z_i-z_j), the product running over all ordered
     pairs including i = j, times the sum over n-subsets S of
     1/((A+z_s-z_t)(z_t-z_s)) over s in S, t outside.
-    """
-    from itertools import combinations
 
+    The form is homogeneous of degree ceil(N^2/2), so it is evaluated at
+    the integer image (D a, D z), D the lcm of the point's denominators,
+    and divided by D^deg once.  There the subset terms share the one
+    denominator V = prod_{i<j} (z_j - z_i): the term of S times V is the
+    integer product of the prefactor's factors A+z_i-z_j off S x S^c and
+    of the differences z_j - z_i, i < j, inside S and inside S^c, signed
+    by the number of pairs t < s with s in S, t outside.  A depth-first
+    walk over the points, each put inside or outside, shares the product
+    of every prefix of choices between the subsets that extend it.
+    """
     _require_admissible(n, a, z)
     if a == 0:
         raise PoleHit("A = 0")
     half, r = n // 2, n % 2
-    prefactor = Fraction(2) ** r
-    for i in range(n):
-        for j in range(n):
-            prefactor *= a + z[i] - z[j]
-    total = Fraction(0)
-    for s_set in combinations(range(n), half):
-        inside = set(s_set)
-        term = Fraction(1)
-        for s in s_set:
-            for t in range(n):
-                if t not in inside:
-                    term /= (a + z[s] - z[t]) * (z[t] - z[s])
-        total += term
-    return prefactor * total
+    scale = lcm(*(Fraction(x).denominator for x in (a, *z)))
+    ai = int(a * scale)
+    zi = [int(x * scale) for x in z]
+    # factor of the pair j < k, by the sides of j and k: same side,
+    # k inside and j outside (one inversion), k outside and j inside
+    same = [[(ai + zi[j] - zi[k]) * (ai + zi[k] - zi[j]) * (zi[k] - zi[j])
+             for j in range(k)] for k in range(n)]
+    k_in = [[-(ai + zi[j] - zi[k]) for j in range(k)] for k in range(n)]
+    k_out = [[ai + zi[k] - zi[j] for j in range(k)] for k in range(n)]
+
+    def walk(k: int, acc: int, inside: list[int], outside: list[int]) -> int:
+        if k == n:
+            return acc
+        total = 0
+        if len(inside) < half:
+            step = (prod(map(same[k].__getitem__, inside))
+                    * prod(map(k_in[k].__getitem__, outside)))
+            total += walk(k + 1, acc * step, inside + [k], outside)
+        if len(outside) < n - half:
+            step = (prod(map(k_out[k].__getitem__, inside))
+                    * prod(map(same[k].__getitem__, outside)))
+            total += walk(k + 1, acc * step, inside, outside + [k])
+        return total
+
+    vandermonde = prod(zi[k] - zi[j] for k in range(n) for j in range(k))
+    return Fraction(2 ** r * ai ** n * walk(0, 1, [], []),
+                    vandermonde * scale ** ((n * n + 1) // 2))
 
 
 def d1_mdeg_pfaffian_form(n: int, a: Rational, z: Sequence[Rational]) -> Fraction:

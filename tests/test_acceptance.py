@@ -22,7 +22,7 @@ from brauerloop.escheme import (
     stabilizer_codim,
     tangent_dimension,
 )
-from brauerloop.linkpat import LinkPattern, enumerate_patterns
+from brauerloop.linkpat import LinkPattern, enumerate_patterns, rank_table
 from brauerloop.loopchain import match_psi, stationary
 from brauerloop.pfdet import d0_multiplicity_check, degree_determinant
 from brauerloop.psitable import (
@@ -148,7 +148,7 @@ def test_criterion_08_geometry(capsys):
                     sp = random_sample(pi, rng)
                     assert is_in_E(sp.matrix)
                     assert identify_pattern(sp.matrix) == pi
-                    assert check_rank_bounds(sp.matrix, pi)
+                    assert check_rank_bounds(sp.matrix, rank_table(pi))
                 assert tangent_dimension(sp.matrix) == n * n // 2
                 assert stabilizer_codim(pi, sp.t) == codim
 

@@ -116,6 +116,9 @@ def test_upper_inverse():
 def test_clear_denominators():
     cleared, c = clear_denominators(ExactMatrix([[Fraction(1, 2), 0], [Fraction(-2, 3), 5]]))
     assert c == 6 and cleared == ExactMatrix([[3, 0], [-4, 30]])
+    mixed = ExactMatrix([[Fraction(-7, 4), Fraction(5, 1)], [3, Fraction(1, 6)]])
+    cleared, c = clear_denominators(mixed)
+    assert c == 12 and cleared == ExactMatrix([[-21, 60], [36, 2]])
     assert all(type(x) is int for row in cleared.rows for x in row)
     ints = ExactMatrix([[1, 2], [3, 4]])
     assert clear_denominators(ints) == (ints, 1)
@@ -166,6 +169,54 @@ def test_cp_inv_two_sided():
     assert eye_checked == 80
     with pytest.raises(NotInvertible):
         cp_inv(ExactMatrix([[0, 1], [2, 3]]))
+
+
+def semidirect_inverse(p: ExactMatrix) -> ExactMatrix:
+    """Reference: (R^-1, -R^-1 L R^-1) by ordinary products."""
+    r, low = to_semidirect(p)
+    rinv = upper_inverse(r)
+    return from_semidirect(rinv, -(rinv @ low @ rinv))
+
+
+def test_cp_inv_matches_semidirect_reference():
+    rng = random.Random(47)
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        entries = [0, 0, 1, -2, 3, Fraction(1, 2), Fraction(-3, 4)]
+        diag = [1, -1, 2, 3, Fraction(1, 3), Fraction(-5, 2)]
+        m = ExactMatrix.build(n, lambda i, j: rng.choice(diag if i == j else entries))
+        got, want = cp_inv(m), semidirect_inverse(m)
+        assert got == want
+        for grow, wrow in zip(got.rows, want.rows):
+            for g, w in zip(grow, wrow):
+                assert type(g) is int or type(w) is not int
+
+
+def s_mul_by_terms(p: ExactMatrix, q: ExactMatrix, s) -> ExactMatrix:
+    """Reference: sum_j s^{e(i,j,k)} P_ij Q_jk, the arc decided term by term."""
+    n = p.n
+    return ExactMatrix.build(n, lambda i, k: sum(
+        p[i, j] * q[j, k] * (1 if cyc_ordered(i, j, k, n) else s ** n)
+        for j in range(1, n + 1)))
+
+
+def test_s_mul_matches_term_by_term_sum():
+    rng = random.Random(53)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        entry = lambda i, j: rng.choice([0, 0, 2, -3, 4, Fraction(2, 3), Fraction(-1, 5)])
+        p, q = ExactMatrix.build(n, entry), ExactMatrix.build(n, entry)
+        for s in (0, 1, -2, Fraction(3, 2)):
+            assert s_mul(p, q, s) == s_mul_by_terms(p, q, s)
+
+
+def test_sum_and_difference_need_equal_sizes():
+    small, big = ExactMatrix.identity(2), ExactMatrix.identity(3)
+    with pytest.raises(ValueError, match="size mismatch"):
+        small + big
+    with pytest.raises(ValueError, match="size mismatch"):
+        big - small
+    assert small + small == ExactMatrix([[2, 0], [0, 2]])
 
 
 def test_semidirect_splitting():

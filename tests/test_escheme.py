@@ -20,9 +20,11 @@ from brauerloop.escheme import (
     square_diag,
     stabilizer_codim,
     strip_rank,
+    strip_triangle,
     tangent_dimension,
 )
-from brauerloop.linkpat import LinkPattern, enumerate_patterns, maximal_pattern
+from brauerloop.linalg import prefix_ranks
+from brauerloop.linkpat import LinkPattern, enumerate_patterns, maximal_pattern, rank_table
 
 
 def test_pattern_matrix_entries():
@@ -56,7 +58,7 @@ def test_sample_point_membership():
                 assert all(d == 0 for d in m.diagonal_entries())
                 assert cp_mul(m, m).is_zero()
                 assert identify_pattern(m) == pi
-                assert check_rank_bounds(m, pi)
+                assert check_rank_bounds(m, rank_table(pi))
 
 
 def test_square_diag_reads_chord_products():
@@ -101,9 +103,43 @@ def test_rank_bounds_separate_components():
     # zero conditions on the first offset
     sp = sample_point(LinkPattern((2, 1, 4, 3)), (1, 2, 5, 7),
                       ExactMatrix.identity(4))
-    assert check_rank_bounds(sp.matrix, LinkPattern((2, 1, 4, 3)))
-    assert not check_rank_bounds(sp.matrix, maximal_pattern(4))
+    assert check_rank_bounds(sp.matrix, rank_table(LinkPattern((2, 1, 4, 3))))
+    assert not check_rank_bounds(sp.matrix, rank_table(maximal_pattern(4)))
     assert strip_rank(sp.matrix, 1, 1) == 1
+
+
+def rank_bounds_by_position(m, pi):
+    """Reference: one rank per strip position (i, i+d)."""
+    table = rank_table(pi)
+    return all(strip_rank(m, i, d) <= table.value(i, i + d)
+               for i in range(1, m.n + 1) for d in range(m.n))
+
+
+def test_rank_bounds_match_one_rank_per_position():
+    rng = random.Random(43)
+    verdicts = []
+    for n in range(3, 7):
+        patterns = list(enumerate_patterns(n))
+        points = [random_sample(pi, rng).matrix for pi in patterns for _ in range(2)]
+        points += [ExactMatrix.build(n, lambda i, j: rng.choice([0, 0, 1, -2, Fraction(1, 3)]))
+                   for _ in range(4)]
+        for m in points:
+            for i in range(1, n + 1):
+                # triangle (i, d) is the leading block of triangle (i, N-1)
+                assert prefix_ranks(strip_triangle(m, i, n - 1)) == \
+                    [strip_rank(m, i, d) for d in range(n)]
+            for rho in patterns:
+                got = check_rank_bounds(m, rank_table(rho))
+                assert got == rank_bounds_by_position(m, rho)
+                verdicts.append(got)
+    assert True in verdicts and False in verdicts
+
+
+def test_strip_triangle_is_upper_triangular():
+    m = ExactMatrix.build(4, lambda i, j: 10 * i + j)
+    assert strip_triangle(m, 3, 2) == [[33, 34, 31], [0, 44, 41], [0, 0, 11]]
+    with pytest.raises(ValueError):
+        check_rank_bounds(m, rank_table(maximal_pattern(5)))
 
 
 def test_tangent_dimension():

@@ -1,14 +1,16 @@
-"""The fraction-free elimination behind rank, det and solve, checked
-against sympy on small exact matrices."""
+"""The fraction-free elimination behind rank, prefix_ranks, det and
+solve, checked against sympy and against rank on small exact matrices."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from brauerloop.linalg import det, rank, solve
+from brauerloop.linalg import det, prefix_ranks, rank, solve
 
 sympy = pytest.importorskip("sympy")
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
 
 
 def to_sympy(rows):
@@ -133,3 +135,35 @@ def test_solve_fraction_entries_and_zero_rows():
     assert solve(rows, rhs) == [Fraction(1), Fraction(1)]
     assert solve([[3]], [2]) == [Fraction(2, 3)]
     assert solve([], []) == []
+
+
+entries = st.one_of(st.just(0), st.integers(-3, 3),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def row_sets(draw):
+    """Drawn rows, plus combinations of them (zero rows among them), shuffled."""
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    base = draw(st.lists(row, min_size=1, max_size=4))
+    picks = st.sampled_from(base)
+    coeffs = st.integers(-2, 2)
+    extra = draw(st.lists(st.tuples(coeffs, picks, coeffs, picks), max_size=3))
+    rows = base + [[c * x + d * y for x, y in zip(u, v)] for c, u, d, v in extra]
+    return draw(st.permutations(rows))
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(row_sets())
+def test_prefix_ranks_are_ranks_of_leading_column_blocks(rows):
+    want = [rank([r[:c + 1] for r in rows]) for c in range(len(rows[0]))]
+    assert prefix_ranks(rows) == want
+
+
+def test_prefix_ranks_edges():
+    assert prefix_ranks([]) == []
+    assert prefix_ranks([[0, 0, 0], [0, 0, 0]]) == [0, 0, 0]
+    # more columns than rows: the ranks stop growing at the row count
+    assert prefix_ranks([[0, 1, 0, 5], [0, 2, 1, 0]]) == [0, 1, 2, 2]
+    assert prefix_ranks([[Fraction(1, 2), 1], [1, 2]]) == [1, 1]

@@ -232,9 +232,40 @@ def test_square_zero_cone_forms_agree():
             assert d1_mdeg_localization(n, a, z) == d1_mdeg_pfaffian_form(n, a, z)
 
 
+def localization_by_subsets(n, a, z):
+    """Reference: the subset sum over Fractions, one division per (s, t) pair."""
+    half, r = n // 2, n % 2
+    prefactor = Fraction(2) ** r
+    for i in range(n):
+        for j in range(n):
+            prefactor *= a + z[i] - z[j]
+    total = Fraction(0)
+    for inside in itertools.combinations(range(n), half):
+        term = Fraction(1)
+        for s in inside:
+            for t in range(n):
+                if t not in inside:
+                    term /= (a + z[s] - z[t]) * (z[t] - z[s])
+        total += term
+    return prefactor * total
+
+
+def test_localization_matches_subset_sum():
+    rng = random.Random(59)
+    for n in range(1, 11):
+        for _ in range(2):
+            a, z = random_point(n, rng)
+            assert d1_mdeg_localization(n, a, z) == localization_by_subsets(n, a, z)
+            ai, zi = integer_image(a, z)
+            assert d1_mdeg_localization(n, ai, zi) == localization_by_subsets(n, ai, zi)
+    # negative A and unsorted z: the inversion signs and the Vandermonde sign
+    a, z = Fraction(-5, 3), [Fraction(7, 2), Fraction(-1, 4), 2, Fraction(-9, 5), 0]
+    assert d1_mdeg_localization(5, a, z) == localization_by_subsets(5, a, z)
+
+
 def test_square_zero_cone_forms_agree_at_16():
     # elimination keeps the Pfaffian form cheap; the localization form's
-    # C(16, 8) subsets set the cost, so the point is the integer image
+    # C(16, 8) subsets set the cost
     a, z = integer_image(*random_point(16, random.Random(29)))
     assert d1_mdeg_localization(16, a, z) == d1_mdeg_pfaffian_form(16, a, z)
 

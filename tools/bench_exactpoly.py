@@ -119,22 +119,27 @@ def ratios(runs: dict) -> dict:
     return out
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def record(out: Path, command: str, description: str, make_rows, argv: list[str] | None) -> int:
+    """Parse --label, store make_rows() under that label in out and keep the other label."""
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--label", required=True, choices=("before", "after"))
     args = parser.parse_args(argv)
-    bench = json.loads(OUT.read_text()) if OUT.is_file() else {}
-    bench["command"] = COMMAND
+    bench = json.loads(out.read_text()) if out.is_file() else {}
+    bench["command"] = command
     bench.setdefault("runs", {})[args.label] = {
         "date": time.strftime("%Y-%m-%d", time.gmtime()),
         "machine": machine(),
         "source_sha256": source_digest(),
-        "rows": rows(),
+        "rows": make_rows(),
     }
     if {"before", "after"} <= bench["runs"].keys():
         bench["after_over_before"] = ratios(bench["runs"])
-    OUT.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
+    out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return record(OUT, COMMAND, __doc__.split("\n\n")[0], rows, argv)
 
 
 if __name__ == "__main__":
