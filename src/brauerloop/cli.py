@@ -54,10 +54,10 @@ from .psitable import MdegTable, compute_table
 # from the stationary chain
 SYMBOLIC_LIMIT = 6
 # the sizes each degrees scheme finishes: the chain up to N=10 (under 1 s
-# there; N=11 has 10395 states), the D1 closed forms up to N=18 (0.6 s there,
-# nearly all in the localization form's C(18, 9) subsets), commuting pairs up
+# there; N=11 has 10395 states), the D1 closed forms up to N=20 (2 s there,
+# nearly all in the localization form's C(20, 10) subsets), commuting pairs up
 # to n=7 (27 s there)
-DEGREE_SIZES = {"E": (1, 10), "D1": (1, 18), "commuting": (1, 7)}
+DEGREE_SIZES = {"E": (1, 10), "D1": (1, 20), "commuting": (1, 7)}
 
 
 def _slug(pi: LinkPattern) -> str:

@@ -35,6 +35,9 @@ Divided differences use the convention
 so ddiff annihilates tau_i-symmetric polynomials and ddiff(z_i, i) = 1.
 It is computed in closed form, monomial by monomial, with no division.
 theta(i) is the degree-preserving combination -2*A*ddiff_i - tau_i.
+horner_u(nz, i, layers) sums u^k times an integer combination of
+polynomials over k, u = z_i - z_{i+1}, by Horner's rule: multiplying by u
+moves each term to two keys, so it forms no product of two polynomials.
 
 exact_divide divides only by polynomials monic in A, A^m plus terms of
 lower A-degree, such as the weights A + z_i - z_j and their products: it
@@ -324,6 +327,53 @@ class MultiPoly:
     def theta(self, i: int) -> "MultiPoly":
         """-2*A*ddiff_i - tau_i, the degree-preserving operator of the recursion."""
         return MultiPoly.gen_a(self.nz) * self.ddiff(i) * (-2) - self.tau(i)
+
+    @classmethod
+    def horner_u(cls, nz: int, i: int,
+                 layers: Sequence[Sequence[tuple[int, "MultiPoly"]]]) -> "MultiPoly":
+        """Sum over k of u^k * (sum of c*f over the pairs (c, f) of layers[k]).
+
+        u = z_i - z_{i+1} (cyclically), and the sum is taken by Horner's
+        rule, one dict per layer: from the top layer down, a layer's pairs
+        are summed (the first by a copy), and the running sum of the layers
+        above is multiplied by u into it.  Multiplying a term c*x^key by u
+        moves c to key + (one in z_i's field) and -c to key + (one in
+        z_{i+1}'s field).  A nonzero term whose z_i or z_{i+1} exponent is
+        already MAX_EXPONENT raises ExponentOverflow before it moves; such a
+        term survives into the result, since the top z_i and z_{i+1} degrees
+        of a nonzero sum grow by one under u.  Terms that cancel are dropped
+        once, at the end.
+        """
+        if not 1 <= i <= nz:
+            raise ValueError(f"index {i} out of range for nz={nz}")
+        if any(f.nz != nz for layer in layers for _, f in layer):
+            raise ValueError(f"a layer mixes in a variable count other than {nz}")
+        si, sj = FIELD_BITS * (nz - i), FIELD_BITS * (nz - i % nz - 1)
+        wi, wj = 1 << si, 1 << sj
+        guards = (wi | wj) << FIELD_BITS - 1
+        if wi == wj:  # nz = 1: u = z_1 - z_1 = 0
+            layers = layers[:1]
+        acc: dict[int, int] = {}
+        for layer in reversed(layers):
+            out: dict[int, int] = {}
+            for c, f in layer:
+                if not out:
+                    out = dict(f.terms) if c == 1 else {k: c * fc for k, fc in f.terms.items()}
+                    continue
+                get = out.get
+                for key, fc in f.terms.items():
+                    out[key] = get(key, 0) + c * fc
+            get = out.get
+            for key, c in acc.items():
+                if not c:
+                    continue
+                ki, kj = key + wi, key + wj
+                if (ki | kj) & guards:
+                    raise ExponentOverflow(f"a product exponent exceeds {MAX_EXPONENT}")
+                out[ki] = get(ki, 0) + c
+                out[kj] = get(kj, 0) - c
+            acc = out
+        return cls._of(nz, _nonzero(acc))
 
     def map_z(self, new_nz: int, new_pos: Sequence[int]) -> "MultiPoly":
         """Relabel z variables: old z_k becomes z_{new_pos[k-1]} (injective)."""

@@ -8,7 +8,9 @@ divided difference and its division by divisors monic in A.  The edge
 equations of a stored table are checked by the library's own
 `psitable.verify_edges`, so no copy of them lives here.
 `TuplePoly`, a tuple-keyed sparse polynomial, is the oracle for the
-packed monomial keys of `MultiPoly`.  `with_vanishing_term` tampers a
+packed monomial keys of `MultiPoly`, and `literal_horner`, a sum of
+powers of z_i - z_{i+1} built by the generic ring operations, the
+oracle for `MultiPoly.horner_u`.  `with_vanishing_term` tampers a
 table so that only the pointwise checks can see it.  The `ci` hypothesis
 profile draws the same examples on every run.
 """
@@ -111,6 +113,18 @@ def lex_divide(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     if rest:
         raise InexactDivision("nonzero remainder")
     return MultiPoly(num.nz, quo)
+
+
+def literal_horner(nz: int, i: int, layers) -> MultiPoly:
+    """sum_k u^k sum_{(c, f) in layers[k]} c*f, u = z_i - z_{i+1} (cyclic), by * and +."""
+    u = MultiPoly.gen_z(nz, i) - MultiPoly.gen_z(nz, i % nz + 1)
+    total = MultiPoly.zero(nz)
+    for k, layer in enumerate(layers):
+        part = MultiPoly.zero(nz)
+        for c, f in layer:
+            part = part + f * c
+        total = total + u ** k * part
+    return total
 
 
 class TuplePoly:

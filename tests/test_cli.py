@@ -128,8 +128,8 @@ def test_write_table_is_atomic(tmp_path, monkeypatch, tables):
     (["--scheme", "E", "--n", "0"], r"--n must lie in 1\.\.10"),
     (["--scheme", "E", "--n", "11"], r"--n must lie in 1\.\.10"),
     (["--scheme", "E", "--max-n", "11"], r"--max-n must lie in 2\.\.10"),
-    (["--scheme", "D1", "--n", "0"], r"--n must lie in 1\.\.18"),
-    (["--scheme", "D1", "--n", "19"], r"--n must lie in 1\.\.18"),
+    (["--scheme", "D1", "--n", "0"], r"--n must lie in 1\.\.20"),
+    (["--scheme", "D1", "--n", "21"], r"--n must lie in 1\.\.20"),
     (["--scheme", "commuting", "--n", "8"], r"--n must lie in 1\.\.7"),
     (["--scheme", "commuting", "--max-n", "0"], r"--max-n must lie in 1\.\.7"),
     (["--scheme", "E", "--max-n", "1"], r"--max-n must lie in 2\.\.10"),

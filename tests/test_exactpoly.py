@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import lex_divide
+from conftest import lex_divide, literal_horner
 
 from brauerloop.errors import ExponentOverflow, InexactDivision, NotHomogeneous
 from brauerloop.exactpoly import MAX_EXPONENT, MultiPoly
@@ -271,6 +271,45 @@ def test_specialize_a():
     q = p.specialize_a(2)
     assert q == z1 * 2 + 19
     assert q.evaluate(100, [1, 0]) == 21
+
+
+def test_horner_u_edge_cases():
+    z1, z2, z3 = (MultiPoly.gen_z(3, k) for k in (1, 2, 3))
+    assert MultiPoly.horner_u(3, 1, []) == 0
+    assert MultiPoly.horner_u(3, 2, [[], [], []]) == 0
+    assert MultiPoly.horner_u(3, 1, [[], [(1, z3)]]) == (z1 - z2) * z3
+    assert MultiPoly.horner_u(3, 3, [[], [], [(2, z1)]]) == (z3 - z1) ** 2 * z1 * 2
+    # u (z1 + z2) + (z2^2 - z1^2) cancels to zero at i = 1, and at the wrap i = 3 it does not
+    layers = [[(1, z2 * z2), (-1, z1 * z1)], [(1, z1 + z2)]]
+    assert not MultiPoly.horner_u(3, 1, layers).terms
+    assert MultiPoly.horner_u(3, 3, layers) == literal_horner(3, 3, layers) != 0
+    with pytest.raises(ValueError):
+        MultiPoly.horner_u(3, 4, layers)
+    with pytest.raises(ValueError):
+        MultiPoly.horner_u(3, 1, [[(1, MultiPoly.gen_z(2, 1))]])
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_horner_u_raises_on_field_overflow(i):
+    nz = 3
+    j = i % nz + 1
+    zi, zj = MultiPoly.gen_z(nz, i), MultiPoly.gen_z(nz, j)
+    rest = MultiPoly.gen_z(nz, 6 - i - j)
+    for top in (zi ** MAX_EXPONENT, zj ** MAX_EXPONENT * rest):
+        # in the bottom layer, or cancelled above it, the exponent never moves
+        assert MultiPoly.horner_u(nz, i, [[(1, top)]]) == top
+        assert MultiPoly.horner_u(nz, i, [[(3, top)], [(1, top), (-1, top)]]) == top * 3
+        with pytest.raises(ExponentOverflow):
+            MultiPoly.horner_u(nz, i, [[(1, top)], [(1, top)]])
+        with pytest.raises(ExponentOverflow):
+            MultiPoly.horner_u(nz, i, [[], [], [(-2, top)]])
+    # an exponent of 126 moves once; 127 in another variable never overflows
+    below = zi ** (MAX_EXPONENT - 1)
+    assert MultiPoly.horner_u(nz, i, [[], [(1, below)]]) == literal_horner(nz, i, [[], [(1, below)]])
+    with pytest.raises(ExponentOverflow):
+        MultiPoly.horner_u(nz, i, [[], [], [(1, below)]])
+    other = rest ** MAX_EXPONENT * MultiPoly.gen_a(nz) ** MAX_EXPONENT
+    assert MultiPoly.horner_u(nz, i, [[], [], [(1, other)]]) == literal_horner(nz, i, [[], [], [(1, other)]])
 
 
 def test_coefficients_are_integers():

@@ -1,12 +1,13 @@
 """The polynomial kernel against oracles: the closed-form divided
 difference against the general lexicographic division of f - tau_i f by
-z_i - z_{i+1} and against sympy's cancel, and every operator on packed
-monomial keys against the tuple-keyed reference TuplePoly."""
+z_i - z_{i+1} and against sympy's cancel, every operator on packed
+monomial keys against the tuple-keyed reference TuplePoly, and the Horner
+sum in u = z_i - z_{i+1} against literal_horner."""
 
 import random
 
 import pytest
-from conftest import TuplePoly, lex_divide
+from conftest import TuplePoly, lex_divide, literal_horner
 
 from brauerloop.errors import ExponentOverflow, InexactDivision
 from brauerloop.exactpoly import MAX_EXPONENT, MultiPoly
@@ -161,3 +162,50 @@ def test_ddiff_matches_sympy_cancel():
             swapped = expr.subs({x: y, y: x}, simultaneous=True)
             want = sympy.cancel((expr - swapped) / (x - y))
             assert sympy.expand(want - to_sympy(f.ddiff(i))) == 0
+
+
+@st.composite
+def horner_cases(draw):
+    """(nz, layers, literal): layers of (int, poly) pairs and literal_horner
+    of them at each position i.  Some draws cancel to zero: the negated
+    literal sum at one position joins the bottom layer."""
+    nz = draw(st.integers(1, 4))
+    layer = st.lists(st.tuples(st.integers(-3, 3), polys(nz, max_size=5)), max_size=3)
+    layers = draw(st.lists(layer, max_size=4))
+    cancel = draw(st.none() | st.integers(1, nz))
+    literal = {i: literal_horner(nz, i, layers) for i in range(1, nz + 1)}
+    if cancel is not None and literal[cancel]:
+        layers = [[*(layers[0] if layers else []), (-1, literal[cancel])], *layers[1:]]
+        literal = {i: MultiPoly.zero(nz) if i == cancel else literal[i] - literal[cancel]
+                   for i in literal}
+    return nz, layers, literal
+
+
+@checked
+@hypothesis.given(horner_cases())
+def test_horner_u_matches_literal_sum(case):
+    nz, layers, literal = case
+    for i in range(1, nz + 1):  # i = nz pairs z_nz with z_1
+        assert MultiPoly.horner_u(nz, i, layers) == literal[i]
+
+
+@checked
+@hypothesis.given(st.integers(1, 3).flatmap(lambda nz: st.tuples(
+    st.just(nz), st.lists(st.lists(st.tuples(st.integers(-3, 3),
+                                             polys(nz, MAX_EXPONENT, 3)), max_size=2),
+                          max_size=3))))
+def test_horner_u_overflows_exactly_past_the_field(case):
+    nz, layers = case
+    for i in range(1, nz + 1):
+        j = i % nz + 1
+        u = (TuplePoly(nz, {tuple(int(k == i) for k in range(nz + 1)): 1})
+             - TuplePoly(nz, {tuple(int(k == j) for k in range(nz + 1)): 1}))  # 0 if nz = 1
+        want = TuplePoly(nz, {})
+        for k, pairs in enumerate(layers):
+            for c, f in pairs:
+                want = want + u ** k * (TuplePoly.of(f) * c)
+        if any(e > MAX_EXPONENT for key in want.terms for e in key):
+            with pytest.raises(ExponentOverflow):
+                MultiPoly.horner_u(nz, i, layers)
+        else:
+            assert want.matches(MultiPoly.horner_u(nz, i, layers))

@@ -16,12 +16,13 @@ from brauerloop.errors import (
 )
 from brauerloop.exactpoly import MultiPoly
 from brauerloop import psitable
-from brauerloop.linkpat import LinkPattern, _wrap, apply_f, maximal_pattern, reflect
+from brauerloop.linkpat import LinkPattern, _wrap, apply_e, apply_f, maximal_pattern, reflect
 from brauerloop.pfdet import d0_multiplicity_check
 from brauerloop.psitable import (
     MdegTable,
     base_mdeg,
     compute_table,
+    exchange_residuals,
     integer_image,
     positivity_spot_check,
     random_point,
@@ -215,6 +216,43 @@ def test_exchange_identity(tables):
     assert verify_exchange(tables(2)) == {"identities": 2}
     assert verify_exchange(tables(3)) == {"identities": 9}
     assert verify_exchange(tables(4)) == {"identities": 12}
+    assert verify_exchange(tables(5)) == {"identities": 75}
+
+
+def literal_exchange(table, i, pi):
+    """lhs - rhs of the exchange identity as printed, a P + c F + b E - r T, by * and +."""
+    n = table.n
+    one = MultiPoly.one(n)
+    u = MultiPoly.linear(n, 0, {i: 1, _wrap(i + 1, n): -1})
+    esum = MultiPoly.zero(n)
+    for rho in table.patterns():
+        if apply_e(rho, i) == pi:
+            esum = esum + table.psi(rho)
+    a, b, c, r = (one - u) * 2, u * 2, u * (one - u), (one * 2 - u) * (one + u)
+    return (a * table.psi(pi) + c * table.psi(apply_f(pi, i)) + b * esum
+            - r * table.psi(pi).tau(i))
+
+
+def with_monomial(table, pi, k):
+    """The table with z_k^d added to the entry of pi, d the entries' degree."""
+    n = table.n
+    term = MultiPoly.gen_z(n, k) ** target_degree(n)
+    return MdegTable(n, {**table.entries, pi: table.mdeg(pi) + term}, table.edges)
+
+
+def test_exchange_residual_is_the_literal_difference(tables):
+    for n in range(2, 6):
+        t = tables(n)
+        pats = t.patterns()
+        doubled = MdegTable(n, {**t.entries, pats[0]: t.mdeg(pats[0]) * 2}, t.edges)
+        for table in (t, doubled, with_monomial(t, pats[-1], n)):
+            residuals = list(exchange_residuals(table))
+            assert [(i, pi) for i, pi, _ in residuals] == [
+                (i, pi) for i in range(1, n + 1) for pi in pats]
+            for i, pi, residual in residuals:
+                assert residual == literal_exchange(table, i, pi)
+            # N=2 has one entry, and the identity is linear in it
+            assert any(r for _, _, r in residuals) == (table is not t and n > 2)
 
 
 def test_exchange_catches_scaling(tables):
@@ -224,6 +262,17 @@ def test_exchange_catches_scaling(tables):
     bad[pi] = bad[pi] * 2
     with pytest.raises(IdentityViolation):
         verify_exchange(MdegTable(3, bad, t3.edges))
+    for n in (4, 5):  # one monomial added to each entry in turn
+        t = tables(n)
+        pats = t.patterns()
+        for index, pi in enumerate(pats):
+            bad = with_monomial(t, pi, index % n + 1)
+            # the first failing position in verify_exchange's order, by the literal form
+            i, sigma = next((i, sigma) for i in range(1, n + 1) for sigma in pats
+                            if literal_exchange(bad, i, sigma))
+            with pytest.raises(IdentityViolation) as err:
+                verify_exchange(bad)
+            assert str(err.value) == f"exchange identity fails at i={i}, {sigma}"
 
 
 def test_sum_rule_sector(tables):
