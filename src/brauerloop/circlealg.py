@@ -26,8 +26,24 @@ j mod N} for 0 <= j - i < N, turning the circular product into ordinary
 (banded) matrix multiplication.  The strip is never materialized: its
 entries are read off M, in every row.
 
+Writing s = u/v with v > 0, the s-family runs on integers through two
+cleared maps: s_mul_cleared(P, Q, u, v) = v^N (P x_s Q), whose terms are
+u^e v^{N-e} P_{ij} Q_{jk} (v^N on the arc, u^N off it), and
+s_scale_cleared(M, u, v) = T(M) with T(M)_{ij} = u^e v^{N-1-e} M_{ij} for
+e = (j-i) mod N, which is v^{N-1} times the rescaling.  The conjugation
+S(P) S(Q) = S(P x_s Q) multiplied by v^{2N-1} reads
+
+    v T(P) T(Q) = T(v^N (P x_s Q)),
+
+an identity between integer matrices for integer P, Q that holds exactly
+when the rational one does.  s_mul and s_scale divide these by v^N and
+v^{N-1}.
+
 Matrices are exact: entries are ints or fractions.Fraction, 1-based
-indexing in the public interface.
+indexing in the public interface.  ExactMatrix(rows) copies and checks its
+rows; ExactMatrix._of(rows) wraps square rows that the caller has just
+built and hands over, without copying or checking them, so no public
+operation returns a row list shared with an operand.
 """
 
 from __future__ import annotations
@@ -36,6 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
+from operator import mul
 from typing import Callable, Sequence
 
 from .errors import NotInvertible
@@ -55,64 +72,69 @@ class ExactMatrix:
             raise ValueError("matrix must be square")
 
     @classmethod
+    def _of(cls, rows: list[list[Rational]]) -> "ExactMatrix":
+        """Wrap freshly built square rows, which the matrix then owns: no copy, no check."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.n = len(rows)
+        return m
+
+    @classmethod
     def zeros(cls, n: int) -> "ExactMatrix":
-        return cls([[0] * n for _ in range(n)])
+        return cls._of([[0] * n for _ in range(n)])
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def build(cls, n: int, entry: Callable[[int, int], Rational]) -> "ExactMatrix":
-        return cls([[entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)])
+        return cls._of([[entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)])
 
     def __getitem__(self, ij: tuple[int, int]) -> Rational:
         i, j = ij
         return self.rows[i - 1][j - 1]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ExactMatrix) and self.n == other.n and all(
-            a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb))
+        return isinstance(other, ExactMatrix) and self.rows == other.rows
 
     __hash__ = None  # type: ignore[assignment]
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.n != other.n:
             raise ValueError("size mismatch")
-        return ExactMatrix([[a + b for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.rows, other.rows)])
+        return ExactMatrix._of([[a + b for a, b in zip(ra, rb)]
+                                for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.n != other.n:
             raise ValueError("size mismatch")
-        return ExactMatrix([[a - b for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.rows, other.rows)])
+        return ExactMatrix._of([[a - b for a, b in zip(ra, rb)]
+                                for ra, rb in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-a for a in r] for r in self.rows])
+        return ExactMatrix._of([[-a for a in r] for r in self.rows])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.n != other.n:
             raise ValueError("size mismatch")
-        n = self.n
         cols = list(zip(*other.rows))
-        return ExactMatrix([[sum(a * b for a, b in zip(row, col) if a and b)
-                             for col in cols] for row in self.rows])
+        return ExactMatrix._of([[sum(map(mul, row, col)) for col in cols]
+                                for row in self.rows])
 
     def diagonal_entries(self) -> list[Rational]:
         return [self.rows[i][i] for i in range(self.n)]
 
     def upper_part(self) -> "ExactMatrix":
         """Weakly upper triangular part, diagonal included."""
-        return ExactMatrix([[a if j >= i else 0 for j, a in enumerate(r)]
-                            for i, r in enumerate(self.rows)])
+        return ExactMatrix._of([[0] * i + r[i:] for i, r in enumerate(self.rows)])
 
     def strict_lower_part(self) -> "ExactMatrix":
-        return ExactMatrix([[a if j < i else 0 for j, a in enumerate(r)]
-                            for i, r in enumerate(self.rows)])
+        n = self.n
+        return ExactMatrix._of([r[:i] + [0] * (n - i) for i, r in enumerate(self.rows)])
 
     def is_zero(self) -> bool:
-        return all(not a for r in self.rows for a in r)
+        return not any(map(any, self.rows))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(a) for a in r) for r in self.rows)
@@ -120,16 +142,29 @@ class ExactMatrix:
 
 
 def clear_denominators(m: ExactMatrix) -> tuple[ExactMatrix, int]:
-    """(c M, c) for the least c > 0 that makes c M an integer matrix (M itself if c = 1)."""
-    c = 1
-    for row in m.rows:
-        for x in row:
-            if type(x) is not int:
-                c = lcm(c, x.denominator)
-    if c == 1:
-        return m, c
-    return ExactMatrix([[x * c if type(x) is int else x.numerator * (c // x.denominator)
-                         for x in row] for row in m.rows]), c
+    """(c M, c) for the least c > 0 that makes c M a matrix of ints (M itself if it is one).
+
+    A Fraction entry with denominator 1 becomes an int too.
+    """
+    dens = {x.denominator for row in m.rows for x in row if type(x) is not int}
+    if not dens:
+        return m, 1
+    c = lcm(*dens)
+    return ExactMatrix._of([[x * c if type(x) is int else x.numerator * (c // x.denominator)
+                             for x in row] for row in m.rows]), c
+
+
+def _ratio(v: int, d: int) -> Rational:
+    """v / d, an int when d divides v."""
+    return v // d if v % d == 0 else Fraction(v, d)
+
+
+def _divided(m: ExactMatrix, d: int) -> ExactMatrix:
+    """M / d entry by entry, an int wherever the quotient is integral; M itself if d = 1."""
+    if d == 1:
+        return m
+    return ExactMatrix._of([[_ratio(x, d) if type(x) is int else x / d for x in row]
+                            for row in m.rows])
 
 
 # --------------------------------------------------------------------- cyclic order
@@ -157,13 +192,13 @@ def _off_arcs(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 # --------------------------------------------------------------------- products
 
 
-def cp_mul(p: ExactMatrix, q: ExactMatrix) -> ExactMatrix:
-    """Circular product: sum over the cyclic arc from row to column index."""
+def _arc_weighted(p: ExactMatrix, q: ExactMatrix, on: int, off: int) -> ExactMatrix:
+    """Entry (i, k) is on * (sum on the arc) + off * (sum off the arc) of P_{ij} Q_{jk}."""
     if p.n != q.n:
         raise ValueError("size mismatch")
     qrows = q.rows
     out = []
-    for prow, arcs in zip(p.rows, _arcs(p.n)):
+    for prow, arcs, off_arcs in zip(p.rows, _arcs(p.n), _off_arcs(p.n)):
         orow = []
         for k, arc in enumerate(arcs):
             acc: Rational = 0
@@ -173,41 +208,61 @@ def cp_mul(p: ExactMatrix, q: ExactMatrix) -> ExactMatrix:
                     b = qrows[j][k]
                     if b:
                         acc += a * b
+            if off:
+                rest: Rational = 0
+                for j in off_arcs[k]:
+                    a = prow[j]
+                    if a:
+                        b = qrows[j][k]
+                        if b:
+                            rest += a * b
+                acc = on * acc + off * rest
+            elif on != 1:
+                acc *= on
             orow.append(acc)
         out.append(orow)
-    return ExactMatrix(out)
+    return ExactMatrix._of(out)
+
+
+def cp_mul(p: ExactMatrix, q: ExactMatrix) -> ExactMatrix:
+    """Circular product: sum over the cyclic arc from row to column index."""
+    return _arc_weighted(p, q, 1, 0)
+
+
+def s_mul_cleared(p: ExactMatrix, q: ExactMatrix, u: int, v: int) -> ExactMatrix:
+    """v^N (P x_s Q) for s = u/v, v != 0: the terms u^e v^{N-e} P_{ij} Q_{jk}, e in {0, N}.
+
+    Arc terms carry v^N and the others u^N, so integer P and Q give an
+    integer matrix; (u, v) = (0, 1) is the circular and (1, 1) the ordinary
+    product.
+    """
+    return _arc_weighted(p, q, v ** p.n, u ** p.n)
 
 
 def s_mul(p: ExactMatrix, q: ExactMatrix, s: Rational) -> ExactMatrix:
     """Deformed product sum_j s^{e(i,j,k)} P_{ij} Q_{jk}; s=1 ordinary, s=0 circular."""
-    if p.n != q.n:
-        raise ValueError("size mismatch")
-    n = p.n
-    s_n = s ** n
-    qrows = q.rows
-    out = []
-    for prow, arcs, off_arcs in zip(p.rows, _arcs(n), _off_arcs(n)):
-        orow = []
-        for k in range(n):
-            on = sum(prow[j] * qrows[j][k] for j in arcs[k])
-            off = sum(prow[j] * qrows[j][k] for j in off_arcs[k])
-            orow.append(on + s_n * off if off else on)
-        out.append(orow)
-    return ExactMatrix(out)
+    return _divided(s_mul_cleared(p, q, s.numerator, s.denominator), s.denominator ** p.n)
+
+
+def s_scale_cleared(m: ExactMatrix, u: int, v: int) -> ExactMatrix:
+    """T(M)_{ij} = u^e v^{N-1-e} M_{ij}, e = (j-i) mod N: v^{N-1} times s_scale at s = u/v."""
+    n = m.n
+    powers = [u ** e * v ** (n - 1 - e) for e in range(n)]
+    # row i takes powers[(j - i) mod N] in column j: the list rotated right by i
+    return ExactMatrix._of([list(map(mul, row, powers[n - i:] + powers[:n - i]))
+                            for i, row in enumerate(m.rows)])
 
 
 def s_scale(m: ExactMatrix, s: Rational) -> ExactMatrix:
     """Rescale M_{ij} by s^{(j-i) mod N} (the conjugation behind s_mul, s != 0)."""
-    n = m.n
-    powers = [s ** e for e in range(n)]
-    return ExactMatrix([[x * powers[(j - i) % n] for j, x in enumerate(row)]
-                        for i, row in enumerate(m.rows)])
+    return _divided(s_scale_cleared(m, s.numerator, s.denominator),
+                    s.denominator ** (m.n - 1))
 
 
 def cycle(m: ExactMatrix, k: int = 1) -> ExactMatrix:
     """The cycling automorphism M_{ij} -> M_{i+k, j+k} (indices mod N)."""
-    n = m.n
-    return ExactMatrix.build(n, lambda i, j: m[(i + k - 1) % n + 1, (j + k - 1) % n + 1])
+    k = k % m.n if m.n else 0
+    return ExactMatrix._of([row[k:] + row[:k] for row in m.rows[k:] + m.rows[:k]])
 
 
 # --------------------------------------------------------------------- semidirect model
@@ -231,16 +286,11 @@ def semidirect_mul(a: tuple[ExactMatrix, ExactMatrix],
     return r @ v, (r @ w + low @ v).strict_lower_part()
 
 
-def _ratio(v: int, d: int) -> Rational:
-    """v / d, an int when d divides v."""
-    return v // d if v % d == 0 else Fraction(v, d)
-
-
 def _upper_adjugate(r: ExactMatrix) -> tuple[list[list[int]], int, int]:
     """(A, c, det S) for R = S / c, S integral, and A = det(S) S^-1.
 
     The adjugate A is integral and upper triangular, so back substitution
-    of S A = det(S) I divides exactly.
+    of S A = det(S) I, one column at a time, divides exactly.
     """
     n = r.n
     if any(not d for d in r.diagonal_entries()):
@@ -248,13 +298,14 @@ def _upper_adjugate(r: ExactMatrix) -> tuple[list[list[int]], int, int]:
     cleared, c = clear_denominators(r)
     s = cleared.rows
     d = prod(s[i][i] for i in range(n))
-    adj = [[0] * n for _ in range(n)]
-    for j in range(n - 1, -1, -1):
-        adj[j][j] = d // s[j][j]
+    cols = []
+    for j in range(n):
+        col = [0] * n
+        col[j] = d // s[j][j]
         for i in range(j - 1, -1, -1):
-            acc = sum(s[i][k] * adj[k][j] for k in range(i + 1, j + 1) if s[i][k])
-            adj[i][j] = -acc // s[i][i]
-    return adj, c, d
+            col[i] = -sum(map(mul, s[i][i + 1:j + 1], col[i + 1:j + 1])) // s[i][i]
+        cols.append(col)
+    return [list(row) for row in zip(*cols)], c, d
 
 
 def upper_inverse(r: ExactMatrix) -> ExactMatrix:
@@ -265,7 +316,7 @@ def upper_inverse(r: ExactMatrix) -> ExactMatrix:
     it is integral.
     """
     adj, c, d = _upper_adjugate(r)
-    return ExactMatrix([[_ratio(c * a, d) for a in row] for row in adj])
+    return _divided(ExactMatrix._of([[c * a for a in row] for row in adj]), d)
 
 
 def cp_inv(p: ExactMatrix) -> ExactMatrix:
@@ -275,17 +326,22 @@ def cp_inv(p: ExactMatrix) -> ExactMatrix:
     L = T / e the cleared strict lower part, the inverse (R^-1, -R^-1 L R^-1)
     is (c A / det S, -c^2 (A T A) / (e det(S)^2)): two integer products and
     one exact division per entry, an int wherever the entry is integral.
+    When c = det S = e = 1 (an integer P with unit diagonal) it is
+    (A, -A T A), all ints, and nothing is divided.
     """
     r, low = to_semidirect(p)
     adj, c, d = _upper_adjugate(r)
     t, e = clear_denominators(low)
-    adj_m = ExactMatrix(adj)
+    adj_m = ExactMatrix._of(adj)
     lower = (adj_m @ t @ adj_m).rows
+    if c == d == e == 1:
+        return ExactMatrix._of([[-v for v in lrow[:i]] + arow[i:]
+                                for i, (arow, lrow) in enumerate(zip(adj, lower))])
     den = e * d * d
     c2 = -c * c
-    return ExactMatrix([[_ratio(c * a, d) if j >= i else _ratio(c2 * v, den)
-                         for j, (a, v) in enumerate(zip(arow, lrow))]
-                        for i, (arow, lrow) in enumerate(zip(adj, lower))])
+    return ExactMatrix._of([[_ratio(c2 * v, den) for v in lrow[:i]]
+                            + [_ratio(c * a, d) for a in arow[i:]]
+                            for i, (arow, lrow) in enumerate(zip(adj, lower))])
 
 
 # --------------------------------------------------------------------- periodic strip
@@ -308,12 +364,24 @@ class StripWindow:
         return self.matrix[(i - 1) % n + 1, (j - 1) % n + 1]
 
     def band_product_entry(self, other: "StripWindow", i: int, k: int) -> Rational:
-        """Entry (i, k) of the product of two strips, 0 <= k - i < N."""
+        """Entry (i, k) of the product of two strips, 0 <= k - i < N (ValueError off the band).
+
+        The terms are strip(i, j) strip(j, k) for i <= j <= k, read off row
+        i of the first matrix and column k of the second.
+        """
+        n = self.matrix.n
+        if other.matrix.n != n:
+            raise ValueError("size mismatch")
+        if not 0 <= k - i < n:
+            raise ValueError(f"column {k} outside the band of row {i}")
+        prow = self.matrix.rows[(i - 1) % n]
+        qrows = other.matrix.rows
+        kc = (k - 1) % n
         acc: Rational = 0
-        for j in range(i, k + 1):
-            a = self.entry(i, j)
+        for j in range(i - 1, k):
+            a = prow[j % n]
             if a:
-                b = other.entry(j, k)
+                b = qrows[j % n][kc]
                 if b:
                     acc += a * b
         return acc

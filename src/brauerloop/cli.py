@@ -44,7 +44,8 @@ from .circlealg import (
     cp_mul,
     cycle,
     s_mul,
-    s_scale,
+    s_mul_cleared,
+    s_scale_cleared,
 )
 from .errors import BrauerLoopError, IdentityViolation
 from .linkpat import LinkPattern, enumerate_patterns, rank_table
@@ -275,6 +276,13 @@ def _check_strip(n: int, rng: random.Random, count: int) -> str:
 
 
 def _check_sfamily(n: int, rng: random.Random, count: int) -> str:
+    """The s-family's limits and its conjugation to the ordinary product, on integers.
+
+    With s = u/v, v > 0, T = s_scale_cleared(., u, v) is v^(N-1) times the
+    rescaling S by s and s_mul_cleared(P, Q, u, v) is v^N (P x_s Q), so
+    multiplying S(P) S(Q) = S(P x_s Q) by v^(2N-1) gives
+    v T(P) T(Q) = T(v^N (P x_s Q)): the same identity, as v != 0.
+    """
     for k in range(count):
         p, q = _random_matrix(n, rng), _random_matrix(n, rng)
         pc, qc = _cleared(p), _cleared(q)
@@ -283,9 +291,9 @@ def _check_sfamily(n: int, rng: random.Random, count: int) -> str:
         if s_mul(pc, qc, 1) != pc @ qc:
             raise IdentityViolation(f"instance {k}, s=1: P={p!r}, Q={q!r}")
         s = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
-        sp, c1 = clear_denominators(s_scale(pc, s))
-        sq, c2 = clear_denominators(s_scale(qc, s))
-        if sp @ sq != _times(c1 * c2, s_scale(s_mul(pc, qc, s), s)):
+        u, v = s.numerator, s.denominator
+        left = _times(v, s_scale_cleared(pc, u, v)) @ s_scale_cleared(qc, u, v)
+        if left != s_scale_cleared(s_mul_cleared(pc, qc, u, v), u, v):
             raise IdentityViolation(f"instance {k}, s={s}: P={p!r}, Q={q!r}")
     return f"{count} instances"
 

@@ -18,7 +18,10 @@ each component:
     at most the pattern's count of strip entries in that triangle.  The
     triangles that start at one strip row are the leading blocks of the
     largest one, so one elimination per strip row gives all their ranks;
-  - tangent and stabilizer dimensions by exact linear algebra.
+  - tangent and stabilizer dimensions: the ranks of the linear maps
+    P -> P o M + M o P and P -> (pi t) o P - P o (pi t) on the
+    zero-diagonal matrices, whose rows on the basis E_ij are written in
+    closed form (circular_map_rows) and eliminated once.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .circlealg import ExactMatrix, Rational, cp_inv, cp_mul
 from .errors import AmbiguousPairing, DegenerateParameters
@@ -203,20 +205,31 @@ def check_rank_bounds(m: ExactMatrix, bounds: RankTable) -> bool:
 # --------------------------------------------------------------------- dimensions
 
 
-def _map_rank(n: int, image: Callable[[ExactMatrix], ExactMatrix]) -> int:
-    """Rank of the linear map image on the zero-diagonal N x N matrices.
+def circular_map_rows(a: ExactMatrix, b: ExactMatrix) -> list[list[Rational]]:
+    """The rows of P -> P o A + B o P on the zero-diagonal N x N matrices.
 
-    Each basis matrix E_ij, i != j, contributes the flattened image(E_ij)
-    as one row; the rank of those rows is the rank of the map.
+    Row (i, j), i != j, in row-major order, is the flattened image of the
+    basis matrix E_ij, written down in closed form: E_ij o A has A_jk at
+    (i, k) for every k with j on the arc from i to k, and B o E_ij has
+    B_li at (l, j) for every l with i on the arc from l to j.  These k run
+    from j around to i-1 and these l from i back around to j+1.
     """
+    n = a.n
+    if b.n != n:
+        raise ValueError("size mismatch")
+    arow, brow = a.rows, b.rows
     rows = []
     for i in range(n):
         for j in range(n):
-            if i != j:
-                e = ExactMatrix.zeros(n)
-                e.rows[i][j] = 1
-                rows.append([x for row in image(e).rows for x in row])
-    return rank(rows)
+            if i == j:
+                continue
+            row = [0] * (n * n)
+            for t in range((j - i) % n, n):
+                k, l = (i + t) % n, (j - t) % n
+                row[i * n + k] += arow[j][k]
+                row[l * n + j] += brow[l][i]
+            rows.append(row)
+    return rows
 
 
 def tangent_dimension(m: ExactMatrix) -> int:
@@ -224,13 +237,20 @@ def tangent_dimension(m: ExactMatrix) -> int:
 
     This is the kernel of the derivative of M o M at M, restricted to
     the zero-diagonal space, so it bounds the local dimension of the
-    scheme from above.
+    scheme from above.  The row of E_ij has M_jk at (i, k) for j on the
+    arc from i to k, plus M_li at (l, j) for i on the arc from l to j.
     """
-    return m.n * m.n - m.n - _map_rank(m.n, lambda e: cp_mul(e, m) + cp_mul(m, e))
+    n = m.n
+    return n * n - n - rank(circular_map_rows(m, m))
 
 
 def stabilizer_codim(pi: LinkPattern, t: tuple[Rational, ...]) -> int:
-    """Codimension in the zero-diagonal space of {P : (pi t) o P = P o (pi t)}."""
+    """Codimension in the zero-diagonal space of {P : (pi t) o P = P o (pi t)}.
+
+    The rank of P -> (pi t) o P - P o (pi t): the row of E_ij has
+    -(pi t)_jk at (i, k) for j on the arc from i to k, plus (pi t)_li at
+    (l, j) for i on the arc from l to j.
+    """
     check_generic(pi, tuple(t))
     mt = pattern_matrix(pi, tuple(t))
-    return _map_rank(pi.n, lambda e: cp_mul(mt, e) - cp_mul(e, mt))
+    return rank(circular_map_rows(-mt, mt))

@@ -16,7 +16,9 @@ from brauerloop.circlealg import (
     cycle,
     from_semidirect,
     s_mul,
+    s_mul_cleared,
     s_scale,
+    s_scale_cleared,
     semidirect_mul,
     to_semidirect,
     upper_inverse,
@@ -122,6 +124,10 @@ def test_clear_denominators():
     assert all(type(x) is int for row in cleared.rows for x in row)
     ints = ExactMatrix([[1, 2], [3, 4]])
     assert clear_denominators(ints) == (ints, 1)
+    integral = ExactMatrix([[Fraction(4, 2), 0], [Fraction(-3, 1), 5]])
+    cleared, c = clear_denominators(integral)
+    assert c == 1 and cleared == integral
+    assert all(type(x) is int for row in cleared.rows for x in row)
 
 
 def fraction_upper_inverse(r: ExactMatrix) -> ExactMatrix:
@@ -171,6 +177,16 @@ def test_cp_inv_two_sided():
         cp_inv(ExactMatrix([[0, 1], [2, 3]]))
 
 
+def test_cp_inv_of_unit_diagonal_integer_matrix_is_integral():
+    rng = random.Random(43)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        p = ExactMatrix.build(n, lambda i, j: 1 if i == j else rng.randint(-3, 3))
+        inv = cp_inv(p)
+        assert all(type(x) is int for row in inv.rows for x in row)
+        assert cp_mul(p, inv) == ExactMatrix.identity(n) == cp_mul(inv, p)
+
+
 def semidirect_inverse(p: ExactMatrix) -> ExactMatrix:
     """Reference: (R^-1, -R^-1 L R^-1) by ordinary products."""
     r, low = to_semidirect(p)
@@ -208,6 +224,29 @@ def test_s_mul_matches_term_by_term_sum():
         p, q = ExactMatrix.build(n, entry), ExactMatrix.build(n, entry)
         for s in (0, 1, -2, Fraction(3, 2)):
             assert s_mul(p, q, s) == s_mul_by_terms(p, q, s)
+
+
+def test_s_mul_cleared_is_v_to_the_n_times_the_product():
+    rng = random.Random(59)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        p, q = rand_matrix(n, rng), rand_matrix(n, rng)
+        for u, v in ((0, 1), (1, 1), (-3, 2), (-1, 3), (2, 5), (-4, 1)):
+            got = s_mul_cleared(p, q, u, v)
+            want = s_mul_by_terms(p, q, Fraction(u, v))
+            assert got == ExactMatrix([[v ** n * x for x in row] for row in want.rows])
+            assert all(type(x) is int for row in got.rows for x in row)
+
+
+def test_s_scale_cleared_is_v_to_the_n_minus_1_times_the_rescaling():
+    rng = random.Random(61)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        m = rand_matrix(n, rng)
+        for u, v in ((0, 1), (1, 1), (-3, 2), (2, 5)):
+            s = Fraction(u, v)
+            want = ExactMatrix.build(n, lambda i, j: v ** (n - 1) * s ** ((j - i) % n) * m[i, j])
+            assert s_scale_cleared(m, u, v) == want
 
 
 def test_sum_and_difference_need_equal_sizes():
@@ -254,6 +293,14 @@ def test_strip_window_entries():
         w.entry(2, 1)
     with pytest.raises(ValueError, match="outside the band"):
         w.entry(1001, 1003)
+
+
+def test_strip_band_product_rejects_columns_outside_the_band():
+    w = StripWindow(ExactMatrix([[1, 2], [3, 4]]))
+    for i, k in ((3, 1), (3, 2), (1, 3), (0, 2), (5, 4)):
+        with pytest.raises(ValueError, match="outside the band"):
+            w.band_product_entry(w, i, k)
+    assert w.band_product_entry(w, 3, 4) == 1 * 2 + 2 * 4
 
 
 def test_strip_band_product_matches_circular_product():
@@ -306,3 +353,27 @@ def test_cycle():
         assert cycle(cycle(p, 1), k - 1) == cycle(p, k)
         # rotating labels is an automorphism of the circular product
         assert cycle(cp_mul(p, q), k) == cp_mul(cycle(p, k), cycle(q, k))
+
+
+def test_no_operation_returns_an_operands_row():
+    # results wrap freshly built rows: mutating one never reaches an operand
+    rng = random.Random(67)
+    p, q = rand_matrix(4, rng), rand_matrix(4, rng)
+    for i in range(4):
+        p.rows[i][i] = 1
+    source = [[1, 2], [3, 4]]
+    results = [
+        ExactMatrix(source), p + q, p - q, -p, p @ q, p.upper_part(),
+        p.strict_lower_part(), cp_mul(p, q), cp_inv(p), upper_inverse(p.upper_part()),
+        s_mul(p, q, 0), s_mul(p, q, 1), s_mul(p, q, Fraction(-3, 2)),
+        s_mul_cleared(p, q, 1, 1), s_scale(p, 1), s_scale(p, Fraction(2, 3)),
+        s_scale_cleared(p, 1, 1), cycle(p, 0), cycle(p, 4), cycle(p, 1),
+        *to_semidirect(p), from_semidirect(p, q),
+        *semidirect_mul(to_semidirect(p), to_semidirect(q)),
+    ]
+    operand_rows = {id(r) for m in (p, q) for r in m.rows} | {id(r) for r in source}
+    operand_lists = {id(p.rows), id(q.rows), id(source)}
+    for m in results:
+        assert id(m.rows) not in operand_lists
+        assert not operand_rows & {id(r) for r in m.rows}
+        assert len({id(r) for r in m.rows}) == m.n

@@ -236,6 +236,17 @@ def test_algebra_witness_names_the_drawn_matrices(monkeypatch):
     assert str(err.value) == f"instance 0: P={p!r}, Q={q!r}, R={r!r}"
 
 
+def test_sfamily_check_catches_a_kernel_without_its_off_arc_term(monkeypatch):
+    # the cleared identity v T(P) T(Q) = T(v^N (P x_s Q)) needs the u^N
+    # terms; a kernel that drops them must fail the first instance, s = u/v
+    def arc_terms_only(p, q, u, v):
+        return cli._times(v ** p.n, cli.cp_mul(p, q))
+
+    monkeypatch.setattr(cli, "s_mul_cleared", arc_terms_only)
+    with pytest.raises(IdentityViolation, match=r"^instance 0, s=-?\d+(/\d+)?: P="):
+        cli._check_sfamily(4, cli._rng(0, "sfamily/4"), 5)
+
+
 def test_verify_json_format(tmp_path, capsys):
     code, out = run(["verify", "markov", "--n", "2", "--table-dir",
                      str(tmp_path), "--format", "json"], capsys)

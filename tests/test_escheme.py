@@ -12,6 +12,7 @@ from brauerloop.escheme import (
     SamplePoint,
     check_generic,
     check_rank_bounds,
+    circular_map_rows,
     identify_pattern,
     is_in_E,
     pattern_matrix,
@@ -140,6 +141,39 @@ def test_strip_triangle_is_upper_triangular():
     assert strip_triangle(m, 3, 2) == [[33, 34, 31], [0, 44, 41], [0, 0, 11]]
     with pytest.raises(ValueError):
         check_rank_bounds(m, rank_table(maximal_pattern(5)))
+
+
+def map_rows_by_products(n, image):
+    """Reference: the flattened image of each basis matrix E_ij, i != j, row-major in (i, j)."""
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                e = ExactMatrix.zeros(n)
+                e.rows[i][j] = 1
+                rows.append([x for row in image(e).rows for x in row])
+    return rows
+
+
+def test_circular_map_rows_match_products_with_basis_matrices():
+    rng = random.Random(19)
+    entries = [0, 0, 1, -2, 3, Fraction(1, 2), Fraction(-3, 4)]
+    for n in range(2, 7):
+        for _ in range(4):
+            m = ExactMatrix.build(n, lambda i, j: rng.choice(entries))
+            a = ExactMatrix.build(n, lambda i, j: rng.choice(entries))
+            assert circular_map_rows(m, m) == map_rows_by_products(
+                n, lambda e: cp_mul(e, m) + cp_mul(m, e))
+            assert circular_map_rows(a, m) == map_rows_by_products(
+                n, lambda e: cp_mul(e, a) + cp_mul(m, e))
+        for pi in enumerate_patterns(n):
+            t = tuple(rng.choice([1, 2, -3, Fraction(5, 2)]) for _ in range(n))
+            mt = pattern_matrix(pi, t)
+            assert circular_map_rows(-mt, mt) == map_rows_by_products(
+                n, lambda e: cp_mul(mt, e) - cp_mul(e, mt))
+            sample = random_sample(pi, rng).matrix
+            assert circular_map_rows(sample, sample) == map_rows_by_products(
+                n, lambda e: cp_mul(e, sample) + cp_mul(sample, e))
 
 
 def test_tangent_dimension():

@@ -18,10 +18,15 @@ the geometry suite calls it (with the pattern's rank table, built once per
 pattern, where the checkout's check_rank_bounds takes one); cp_inv of an
 N=8 unit-diagonal conjugator and of the same matrix with an integer
 diagonal; s_mul of two N=8 integer matrices at s = 0 and at s = -3/2.
-End-to-end rows: the geometry suite at N=6 with 30 samples and the
-algebra suite at N=8 with 100 instances (the chain workload's sizes, seed
-1); the bodies of acceptance criteria 08 and 09; d1_mdeg_localization at
-the point that `brauerloop degrees --scheme D1 --n 16` draws (seed 0).
+Check rows take REPEATS samples of one pass over a fixed set: the algebra
+suite's s-family and strip checks at N=8 with 100 instances (seed 1, as in
+the suite); tangent_dimension at one sample of each N=6 pattern and
+stabilizer_codim at one t per N=6 pattern; cp_inv of 20 N=6 unit-diagonal
+conjugators.  End-to-end rows: the geometry suite at N=6 with 30 samples
+and the algebra suite at N=8 with 100 instances (the chain workload's
+sizes, seed 1); the bodies of acceptance criteria 08 and 09;
+d1_mdeg_localization at the point that `brauerloop degrees --scheme D1
+--n 16` draws (seed 0).
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from bench_exactpoly import E2E_REPEATS, LAYER_CALLS, record, timed
+from bench_exactpoly import E2E_REPEATS, LAYER_CALLS, REPEATS, record, timed
 
 from brauerloop import cli, escheme, pfdet, psitable
 from brauerloop.circlealg import ExactMatrix, cp_inv, s_mul
@@ -86,7 +91,20 @@ def rows() -> dict:
     p, q = (ExactMatrix.build(8, lambda i, j: rng.choice((0, 0, -4, -1, 2, 3, 5)))
             for _ in range(2))
     a16, z16 = psitable.random_point(16, cli._rng(0, "d1point/16"))
+    patterns6 = enumerate_patterns(6)
+    samples6 = [escheme.random_sample(pi, rng) for pi in patterns6]
+    conjugators6 = [escheme.random_conjugator(6, rng) for _ in range(20)]
     return {
+        "sfamily_check_n8_100": timed(
+            lambda: cli._check_sfamily(8, cli._rng(1, "sfamily/8"), 100), REPEATS),
+        "strip_check_n8_100": timed(
+            lambda: cli._check_strip(8, cli._rng(1, "strip/8"), 100), REPEATS),
+        "tangent_dimension_n6_patterns": timed(
+            lambda: [escheme.tangent_dimension(sp.matrix) for sp in samples6], REPEATS),
+        "stabilizer_codim_n6_patterns": timed(
+            lambda: [escheme.stabilizer_codim(sp.pattern, sp.t) for sp in samples6], REPEATS),
+        "cp_inv_n6_unit_diagonal_20": timed(
+            lambda: [cp_inv(p6) for p6 in conjugators6], REPEATS),
         "check_rank_bounds_n6": timed(
             lambda: escheme.check_rank_bounds(sample6, bounds6), number=LAYER_CALLS),
         "cp_inv_n8_unit_diagonal": timed(lambda: cp_inv(unit), number=LAYER_CALLS),
