@@ -2,9 +2,13 @@
 
 Three subcommands:
 
-* ``table``   computes the multidegree table for one size and persists
-  it as JSON with a content hash; an existing file with a different
-  hash is only overwritten under ``--force``.
+* ``table``   computes the multidegree table for one size, or reloads
+  it, and persists it as JSON with a content hash.  Each table has one
+  canonical text, serialized at most once: the hash is taken of it and
+  the file is written around it.  A file already holding those bytes is
+  kept unparsed; one with a different hash is only overwritten under
+  ``--force``.  Reloading a table re-serializes it to check its hash, so
+  a warm run is still slower than a cold one.
 * ``degrees`` prints exact degree numbers: the pattern-sum against the
   closed determinant form (scheme E), the two closed forms for the
   doubled scheme at a seeded sample point (scheme D1), or the commuting
@@ -90,7 +94,11 @@ class TableStore:
         return self.directory / f"mdeg-{n}.json"
 
     def load(self, n: int) -> MdegTable | None:
-        """A previously persisted table, or None if absent or unusable."""
+        """A previously persisted table, or None if absent or unusable.
+
+        The parsed table must hash, from its own canonical text, to the hash
+        the file names, and validate; that hash stays with the table.
+        """
         if self.directory is None:
             return None
         path = self.path(n)
@@ -115,34 +123,48 @@ class TableStore:
         return self._cache[n]
 
 
-def table_payload(table: MdegTable) -> dict:
-    return {"n": table.n, "hash": table.content_hash(), "table": table.to_obj()}
+def _stored_hash(held: bytes) -> str | None:
+    """The hash a table file's text names, or None if it names none."""
+    try:
+        obj = json.loads(held)
+    except ValueError:
+        return None
+    return obj.get("hash") if isinstance(obj, dict) else None
 
 
 def write_table(table: MdegTable, path: Path, force: bool = False) -> bool:
-    """Persist a table; returns False when an identical file already exists.
+    """Persist a table; returns False when the file already holds it.
 
-    A temporary file beside the target replaces it atomically, so a failed
-    write leaves the old file intact.
+    The file is {"hash": ..., "n": ..., "table": ...} as compact JSON with
+    sorted keys, written around the table's canonical text, so the table
+    is serialized once.  An existing file is first compared byte for byte
+    and parsed only when it differs: one naming the same hash is kept, any
+    other is replaced only under force.  A temporary file beside the
+    target replaces it atomically, so a failed write leaves the old file
+    intact.
     """
-    payload = table_payload(table)
+    digest = table.content_hash()
+    data = ('{"hash":"%s","n":%d,"table":%s}\n'
+            % (digest, table.n, table.canonical_text())).encode()
     if path.is_file():
         try:
-            existing = json.loads(path.read_text())
-        except (OSError, ValueError):
-            existing = None
-        if existing is not None and existing.get("hash") == payload["hash"]:
+            held = path.read_bytes()
+        except OSError:
+            held = b""
+        if held == data:
+            return False
+        stored = _stored_hash(held)
+        if stored == digest:
             return False
         if not force:
             raise SystemExit(
                 f"error: {path} holds a different table "
-                f"(hash {existing.get('hash') if existing else 'unreadable'}); "
-                "pass --force to overwrite")
+                f"(hash {stored or 'unreadable'}); pass --force to overwrite")
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -513,8 +513,21 @@ class MultiPoly:
 
     @classmethod
     def from_obj(cls, nz: int, obj: Iterable[Sequence]) -> "MultiPoly":
-        """Inverse of to_obj; a coefficient string that is not an integer raises ValueError."""
+        """Inverse of to_obj; a coefficient string that is not an integer raises ValueError.
+
+        A term's fields are packed by bytes(), which takes only ints in
+        0..255; a term with the wrong field count, a bool or a set guard
+        bit goes to _pack, which raises the error that names the fault.
+        """
+        width, guards = nz + 1, _guards(nz)
         terms: dict[int, int] = {}
         for coeff_str, a_exp, z_exps in obj:
-            terms[_pack((a_exp, *z_exps), nz)] = int(coeff_str)
+            fields = (a_exp, *z_exps)
+            try:
+                key = int.from_bytes(bytes(fields), "big")
+            except (TypeError, ValueError):
+                key = guards
+            if key & guards or len(fields) != width or bool in map(type, fields):
+                key = _pack(fields, nz)
+            terms[key] = int(coeff_str)
         return cls._of(nz, _nonzero(terms))

@@ -33,7 +33,8 @@ def _echelon(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[int]], list[
     """
     m, scale = [], 1
     for r in rows:
-        if all(type(x) is int for x in r):
+        # a sum of ints is an int, and one Fraction term makes it a Fraction
+        if type(sum(r)) is int:
             m.append(list(r))
             continue
         den = lcm(*(x.denominator for x in r if isinstance(x, Fraction)))

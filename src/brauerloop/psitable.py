@@ -36,7 +36,8 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .errors import ChainInconsistency, ChordPresent, IdentityViolation
 from .exactpoly import MultiPoly
@@ -101,11 +102,22 @@ def recursion_step(mdeg_rho: MultiPoly, rho: LinkPattern, i: int) -> MultiPoly:
 
 @dataclass(frozen=True)
 class MdegTable:
-    """All multidegrees at one size, with the recursion edges that built them."""
+    """All multidegrees at one size, with the recursion edges that built them.
+
+    The table is read-only: entries and edges are copied into read-only
+    views, so its canonical text, serialized at most once, and the content
+    hash of that text can never go stale.
+    """
 
     n: int
-    entries: dict[LinkPattern, MultiPoly]
-    edges: dict[LinkPattern, tuple[int, LinkPattern] | None] = field(default_factory=dict)
+    entries: Mapping[LinkPattern, MultiPoly]
+    edges: Mapping[LinkPattern, tuple[int, LinkPattern] | None] = field(default_factory=dict)
+    _text: str | None = field(default=None, init=False, repr=False, compare=False)
+    _hash: str | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
 
     def patterns(self) -> tuple[LinkPattern, ...]:
         return enumerate_patterns(self.n)
@@ -170,9 +182,19 @@ class MdegTable:
             edges[pi] = None if edge is None else (edge[0], LinkPattern(tuple(edge[1])))
         return cls(n, entries, edges)
 
+    def canonical_text(self) -> str:
+        """to_obj() as compact JSON with sorted keys, serialized once per table."""
+        if self._text is None:
+            text = json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
+            object.__setattr__(self, "_text", text)
+        return self._text
+
     def content_hash(self) -> str:
-        blob = json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        """The sha256 of the canonical text, computed once per table."""
+        if self._hash is None:
+            digest = hashlib.sha256(self.canonical_text().encode()).hexdigest()
+            object.__setattr__(self, "_hash", digest)
+        return self._hash
 
 
 def _moves(rho: LinkPattern) -> Iterator[tuple[int, LinkPattern]]:

@@ -52,6 +52,71 @@ def test_table_refuses_foreign_overwrite(tmp_path, capsys):
     assert json.loads(target.read_text())["n"] == 3
 
 
+def canonical_file(table: MdegTable) -> str:
+    """The table file as a json.dumps of the whole payload would write it."""
+    obj = table.to_obj()
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    payload = {"n": table.n, "hash": digest, "table": obj}
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_written_file_is_the_canonical_payload(tmp_path, tables, n):
+    table = tables(n)
+    want = canonical_file(table)
+    assert table.content_hash() == json.loads(want)["hash"]
+    path = tmp_path / f"mdeg-{n}.json"
+    assert cli.write_table(table, path)
+    assert path.read_text() == want
+
+
+def test_table_command_serializes_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    to_obj = MdegTable.to_obj
+
+    def counted(self):
+        calls.append(self.n)
+        return to_obj(self)
+
+    monkeypatch.setattr(MdegTable, "to_obj", counted)
+    args = ["table", "--n", "3", "--table-dir", str(tmp_path)]
+    for word in ("wrote", "kept"):  # computed, then reloaded
+        calls.clear()
+        code, out = run(args, capsys)
+        assert code == 0 and out.splitlines()[-1].startswith(word)
+        assert calls == [3]
+
+
+def test_identical_file_is_kept_unparsed(tmp_path, monkeypatch, tables):
+    path = tmp_path / "mdeg-3.json"
+    assert cli.write_table(tables(3), path)
+    before = path.stat().st_mtime_ns
+
+    def refuse(*args, **kw):
+        raise AssertionError("an identical file was parsed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.json, "loads", refuse)
+        assert cli.write_table(tables(3), path) is False
+    assert path.stat().st_mtime_ns == before
+    # a file naming the same hash in another layout is parsed and kept too
+    spaced = json.dumps(json.loads(canonical_file(tables(3))))
+    path.write_text(spaced)
+    assert cli.write_table(tables(3), path) is False
+    assert path.read_text() == spaced
+
+
+def test_refusal_names_the_foreign_hash(tmp_path, tables):
+    path = tmp_path / "mdeg.json"
+    assert cli.write_table(tables(2), path)
+    with pytest.raises(SystemExit, match=tables(2).content_hash()):
+        cli.write_table(tables(3), path)
+    path.write_text("[]")
+    with pytest.raises(SystemExit, match="hash unreadable"):
+        cli.write_table(tables(3), path)
+
+
 def test_table_corrupt_file_is_recomputed(tmp_path, capsys):
     path = tmp_path / "mdeg-2.json"
     path.write_text("{not json")
@@ -63,7 +128,7 @@ def test_table_corrupt_file_is_recomputed(tmp_path, capsys):
 
 def test_table_with_fractional_coefficient_is_recomputed(tmp_path, tables):
     # a well-formed file whose hash matches, but one coefficient is 1/2
-    obj = cli.table_payload(tables(3))["table"]
+    obj = tables(3).to_obj()
     obj["entries"][0][1][0][0] = "1/2"
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     payload = {"n": 3, "hash": hashlib.sha256(blob.encode()).hexdigest(), "table": obj}
@@ -75,7 +140,7 @@ def test_table_with_fractional_coefficient_is_recomputed(tmp_path, tables):
 
 def test_table_with_overflowing_exponent_is_recomputed(tmp_path, tables):
     # a well-formed file whose hash matches, but one A-exponent needs a wider field
-    obj = cli.table_payload(tables(3))["table"]
+    obj = tables(3).to_obj()
     obj["entries"][0][1][0][1] = MAX_EXPONENT + 1
     with pytest.raises(ExponentOverflow):
         MdegTable.from_obj(obj)

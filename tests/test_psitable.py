@@ -170,6 +170,21 @@ def test_table_content_hashes_are_pinned(tables):
     assert {n: tables(n).content_hash() for n in TABLE_HASHES} == TABLE_HASHES
 
 
+def test_table_is_read_only(tables):
+    t3 = tables(3)
+    pi = t3.patterns()[0]
+    with pytest.raises(TypeError):
+        t3.entries[pi] = MultiPoly.one(3)
+    with pytest.raises(TypeError):
+        t3.edges[pi] = None
+    # the table copies what it is given, so its hash cannot go stale
+    entries = dict(t3.entries)
+    twin = MdegTable(3, entries, t3.edges)
+    entries[pi] = MultiPoly.one(3)
+    assert twin == t3 and {**twin.entries} == dict(t3.entries)
+    assert twin.content_hash() == TABLE_HASHES[3]
+
+
 def test_edge_order_does_not_matter(tables):
     # every move, tree edge or not, reproduces the stored entry
     assert sum(verify_edges(tables(n))["edges"] for n in (3, 4, 5)) == 74
