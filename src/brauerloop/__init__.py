@@ -31,7 +31,6 @@ from .circlealg import (
     cyc_ordered,
     cycle,
     s_mul,
-    s_scale,
 )
 from .commvar import DeltaResult, delta, delta_alt_order, degree_sequence
 from .errors import BrauerLoopError
@@ -97,7 +96,6 @@ __all__ = [
     "restrict_pattern",
     "rotate",
     "s_mul",
-    "s_scale",
     "sample_point",
     "skew_sum",
     "stabilizer_codim",

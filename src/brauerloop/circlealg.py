@@ -36,8 +36,7 @@ S(P) S(Q) = S(P x_s Q) multiplied by v^{2N-1} reads
     v T(P) T(Q) = T(v^N (P x_s Q)),
 
 an identity between integer matrices for integer P, Q that holds exactly
-when the rational one does.  s_mul and s_scale divide these by v^N and
-v^{N-1}.
+when the rational one does.  s_mul divides the product by v^N.
 
 Matrices are exact: entries are ints or fractions.Fraction, 1-based
 indexing in the public interface.  ExactMatrix(rows) copies and checks its
@@ -245,18 +244,12 @@ def s_mul(p: ExactMatrix, q: ExactMatrix, s: Rational) -> ExactMatrix:
 
 
 def s_scale_cleared(m: ExactMatrix, u: int, v: int) -> ExactMatrix:
-    """T(M)_{ij} = u^e v^{N-1-e} M_{ij}, e = (j-i) mod N: v^{N-1} times s_scale at s = u/v."""
+    """T(M)_{ij} = u^e v^{N-1-e} M_{ij}, e = (j-i) mod N: v^{N-1} times the s = u/v rescaling."""
     n = m.n
     powers = [u ** e * v ** (n - 1 - e) for e in range(n)]
     # row i takes powers[(j - i) mod N] in column j: the list rotated right by i
     return ExactMatrix._of([list(map(mul, row, powers[n - i:] + powers[:n - i]))
                             for i, row in enumerate(m.rows)])
-
-
-def s_scale(m: ExactMatrix, s: Rational) -> ExactMatrix:
-    """Rescale M_{ij} by s^{(j-i) mod N} (the conjugation behind s_mul, s != 0)."""
-    return _divided(s_scale_cleared(m, s.numerator, s.denominator),
-                    s.denominator ** (m.n - 1))
 
 
 def cycle(m: ExactMatrix, k: int = 1) -> ExactMatrix:
@@ -306,17 +299,6 @@ def _upper_adjugate(r: ExactMatrix) -> tuple[list[list[int]], int, int]:
             col[i] = -sum(map(mul, s[i][i + 1:j + 1], col[i + 1:j + 1])) // s[i][i]
         cols.append(col)
     return [list(row) for row in zip(*cols)], c, d
-
-
-def upper_inverse(r: ExactMatrix) -> ExactMatrix:
-    """Ordinary inverse of a weakly upper triangular matrix, by back substitution.
-
-    R is first cleared of denominators, R = S / c with S integral, and
-    R^-1 = c A / det(S) for the integral adjugate A of S, an int wherever
-    it is integral.
-    """
-    adj, c, d = _upper_adjugate(r)
-    return _divided(ExactMatrix._of([[c * a for a in row] for row in adj]), d)
 
 
 def cp_inv(p: ExactMatrix) -> ExactMatrix:

@@ -110,7 +110,7 @@ class TableStore:
             if table.n != n or table.content_hash() != obj["hash"]:
                 return None
             table.validate()
-        except (BrauerLoopError, KeyError, TypeError, ValueError, OSError):
+        except (BrauerLoopError, KeyError, TypeError, ValueError, OSError, RecursionError):
             return None
         return table
 
@@ -127,7 +127,7 @@ def _stored_hash(held: bytes) -> str | None:
     """The hash a table file's text names, or None if it names none."""
     try:
         obj = json.loads(held)
-    except ValueError:
+    except (ValueError, RecursionError):
         return None
     return obj.get("hash") if isinstance(obj, dict) else None
 

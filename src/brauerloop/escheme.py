@@ -181,6 +181,12 @@ def strip_triangle(m: ExactMatrix, i: int, d: int) -> list[list[Rational]]:
 
 
 def strip_rank(m: ExactMatrix, i: int, d: int) -> int:
+    """Rank of the southwest triangle (i, d), by its own elimination.
+
+    Nothing in the package calls it: it is kept public as the plain
+    reference that the tests compare prefix_ranks and check_rank_bounds
+    against.
+    """
     return rank(strip_triangle(m, i, d))
 
 

@@ -17,11 +17,9 @@ from brauerloop.circlealg import (
     from_semidirect,
     s_mul,
     s_mul_cleared,
-    s_scale,
     s_scale_cleared,
     semidirect_mul,
     to_semidirect,
-    upper_inverse,
 )
 from brauerloop.errors import NotInvertible
 
@@ -102,17 +100,18 @@ def test_associativity():
 
 
 def test_upper_inverse():
+    # on a weakly upper triangular matrix the circular inverse is the ordinary one
     rng = random.Random(13)
     for _ in range(40):
         n = rng.randint(2, 5)
         r = rand_unit_upper(n, rng)
-        rinv = upper_inverse(r)
+        rinv = cp_inv(r)
         assert r @ rinv == ExactMatrix.identity(n)
         assert all(isinstance(v, int) for row in rinv.rows for v in row)
-    half = upper_inverse(ExactMatrix([[2, 0], [0, 1]]))
+    half = cp_inv(ExactMatrix([[2, 0], [0, 1]]))
     assert half[1, 1] == Fraction(1, 2)
     with pytest.raises(NotInvertible):
-        upper_inverse(ExactMatrix([[0, 1], [0, 1]]))
+        cp_inv(ExactMatrix([[0, 1], [0, 1]]))
 
 
 def test_clear_denominators():
@@ -153,7 +152,7 @@ def test_upper_inverse_matches_fraction_back_substitution():
         n = rng.randint(1, 6)
         diag = [rng.choice([-3, -2, -1, 1, 2, 3, Fraction(3, 2), Fraction(-2, 5)]) for _ in range(n)]
         r = ExactMatrix.build(n, lambda i, j: diag[i - 1] if i == j else entry() if i < j else 0)
-        got, want = upper_inverse(r), fraction_upper_inverse(r)
+        got, want = cp_inv(r), fraction_upper_inverse(r)
         assert repr(got) == repr(want)
         assert [[type(x) for x in row] for row in got.rows] == \
             [[type(x) for x in row] for row in want.rows]
@@ -190,7 +189,7 @@ def test_cp_inv_of_unit_diagonal_integer_matrix_is_integral():
 def semidirect_inverse(p: ExactMatrix) -> ExactMatrix:
     """Reference: (R^-1, -R^-1 L R^-1) by ordinary products."""
     r, low = to_semidirect(p)
-    rinv = upper_inverse(r)
+    rinv = fraction_upper_inverse(r)
     return from_semidirect(rinv, -(rinv @ low @ rinv))
 
 
@@ -331,13 +330,16 @@ def test_s_family_conjugation():
         n = rng.randint(2, 5)
         p, q = rand_matrix(n, rng), rand_matrix(n, rng)
         s = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        assert s_scale(p, s) @ s_scale(q, s) == s_scale(s_mul(p, q, s), s)
+        u, v = s.numerator, s.denominator
+        tp, tq = s_scale_cleared(p, u, v), s_scale_cleared(q, u, v)
+        left = ExactMatrix([[v * x for x in row] for row in tp.rows]) @ tq
+        assert left == s_scale_cleared(s_mul_cleared(p, q, u, v), u, v)
 
 
 def test_s_scale_literal():
     m = ExactMatrix([[1, 1], [1, 1]])
-    got = s_scale(m, 3)
-    # entry (i, j) picks up s^((j - i) mod n)
+    got = s_scale_cleared(m, 3, 1)
+    # at s = 3/1 entry (i, j) picks up s^((j - i) mod n)
     assert got == ExactMatrix([[1, 3], [3, 1]])
 
 
@@ -364,10 +366,10 @@ def test_no_operation_returns_an_operands_row():
     source = [[1, 2], [3, 4]]
     results = [
         ExactMatrix(source), p + q, p - q, -p, p @ q, p.upper_part(),
-        p.strict_lower_part(), cp_mul(p, q), cp_inv(p), upper_inverse(p.upper_part()),
+        p.strict_lower_part(), cp_mul(p, q), cp_inv(p), cp_inv(p.upper_part()),
         s_mul(p, q, 0), s_mul(p, q, 1), s_mul(p, q, Fraction(-3, 2)),
-        s_mul_cleared(p, q, 1, 1), s_scale(p, 1), s_scale(p, Fraction(2, 3)),
-        s_scale_cleared(p, 1, 1), cycle(p, 0), cycle(p, 4), cycle(p, 1),
+        s_mul_cleared(p, q, 1, 1), s_scale_cleared(p, 1, 1), s_scale_cleared(p, 2, 3),
+        cycle(p, 0), cycle(p, 4), cycle(p, 1),
         *to_semidirect(p), from_semidirect(p, q),
         *semidirect_mul(to_semidirect(p), to_semidirect(q)),
     ]

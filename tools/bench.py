@@ -1,0 +1,328 @@
+"""Before/after timings of the library, as rows of the BENCH_<group>.json files.
+
+Run it once per checkout, on the same machine, with that checkout's sources
+first on the path:
+
+    PYTHONPATH=<checkout>/src python3 tools/bench.py <group> --label before
+    PYTHONPATH=src python3 tools/bench.py <group> --label after
+
+The groups are exactpoly, exchange, chainsuites and tables; group g writes
+BENCH_g.json at the repository root.  Each run appends one entry
+{label, date, machine, source_sha256, rows} to the file's runs, so the file
+keeps every run, and after_over_before holds the ratio of every row of the
+latest after run to the latest before run recorded before it.
+
+A timed row is the median of REPEATS (E2E_REPEATS for the end-to-end rows)
+single-threaded samples in CPU seconds per call (time.process_time), with
+the minimum beside it, both to 4 significant figures; a layer row's sample
+is LAYER_CALLS calls.  The settings are fixed so that both labels are
+always taken alike.  Each group's docstring lists its rows.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import random
+import statistics
+import sys
+import tempfile
+import time
+from fractions import Fraction
+from pathlib import Path
+
+import brauerloop
+from brauerloop import cli, commvar, escheme, pfdet, psitable
+from brauerloop.circlealg import ExactMatrix, cp_inv, s_mul
+from brauerloop.exactpoly import MultiPoly
+from brauerloop.linkpat import enumerate_patterns, maximal_pattern, rank_table
+from brauerloop.psitable import MdegTable
+
+ROOT = Path(__file__).resolve().parent.parent
+LAYER_CALLS = 20
+REPEATS = 7
+E2E_REPEATS = 3
+
+
+def timed(fn, repeats: int = REPEATS, number: int = 1) -> dict:
+    """CPU seconds per call: median and minimum of repeats samples of number calls."""
+    runs = []
+    for _ in range(repeats):
+        start = time.process_time()
+        for _ in range(number):
+            fn()
+        runs.append((time.process_time() - start) / number)
+    return {"unit": "s", "median": float(f"{statistics.median(runs):.4g}"),
+            "min": float(f"{min(runs):.4g}"), "repeats": repeats, "calls_per_sample": number}
+
+
+def source_digest() -> str:
+    src = Path(brauerloop.__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted(src.glob("*.py")):
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def machine() -> dict:
+    model = ""
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.is_file():
+        for line in cpuinfo.read_text().splitlines():
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    return {"cpu": model, "nproc": os.cpu_count(), "python": platform.python_version()}
+
+
+# ------------------------------------------------------------------ groups
+
+
+def exactpoly() -> dict:
+    """Layer and end-to-end timings of the polynomial kernel.
+
+    Fixtures: w = A + z_1 - z_2 and g = recursion_step(base_mdeg(6), maximal
+    pattern, 1), the pinned N=6 step (6086 terms).  Layer rows: mul_w_g
+    (w * g), tau_g, ddiff_g, exact_divide_wg_w ((w * g).exact_divide(w)),
+    evaluate_g_integer (g at an integer point).  Step rows: recursion_step_n6
+    and recursion_step_n7, the same step at N=6 and N=7.  Memory row:
+    base_mdeg7_term_bytes, the bytes of base_mdeg(7)'s term dict and its
+    keys (the coefficients are the same objects under any key layout).
+    fixture_terms counts the terms of g and w * g.  End-to-end rows:
+    verify_exchange_n6 on a prebuilt table, and delta_n7, commvar.delta(7).
+    """
+    n = 6
+    w = MultiPoly.linear(n, 1, {1: 1, 2: -1})
+    g = psitable.recursion_step(psitable.base_mdeg(n), maximal_pattern(n), 1)
+    wg = w * g
+    point = (7, [3, -5, 11, 2, -13, 17])
+    base6, base7 = psitable.base_mdeg(6), psitable.base_mdeg(7)
+    table6 = psitable.compute_table(6)
+    keys = sys.getsizeof(base7.terms) + sum(sys.getsizeof(k) for k in base7.terms)
+    return {
+        "fixture_terms": {"unit": "terms", "g": len(g.terms), "w*g": len(wg.terms)},
+        "mul_w_g": timed(lambda: w * g, number=LAYER_CALLS),
+        "tau_g": timed(lambda: g.tau(1), number=LAYER_CALLS),
+        "ddiff_g": timed(lambda: g.ddiff(1), number=LAYER_CALLS),
+        "exact_divide_wg_w": timed(lambda: wg.exact_divide(w), number=LAYER_CALLS),
+        "evaluate_g_integer": timed(lambda: g.evaluate(*point), number=LAYER_CALLS),
+        "recursion_step_n6": timed(
+            lambda: psitable.recursion_step(base6, maximal_pattern(6), 1)),
+        "recursion_step_n7": timed(
+            lambda: psitable.recursion_step(base7, maximal_pattern(7), 1)),
+        "base_mdeg7_term_bytes": {"unit": "bytes", "terms": len(base7.terms),
+                                  "dict_and_keys": keys,
+                                  "per_term": round(keys / len(base7.terms), 1)},
+        "verify_exchange_n6": timed(lambda: psitable.verify_exchange(table6), E2E_REPEATS),
+        "delta_n7": timed(lambda: commvar.delta(7), E2E_REPEATS),
+    }
+
+
+def exchange() -> dict:
+    """Timings of the exchange identity check.
+
+    End-to-end rows, on tables built beforehand: verify_exchange_n5,
+    verify_exchange_n6 and criterion_03, the body of acceptance criterion 03
+    (verify_exchange at N=2..6).  Layer row: exchange_residual_n6_fixture,
+    one exchange residual by MultiPoly.horner_u on the fixture
+    g = recursion_step(base_mdeg(6), maximal pattern, 1) (6086 terms), with
+    P = F = E = g and T = tau_1 g at i = 1.
+    """
+    n = 6
+    g = psitable.recursion_step(psitable.base_mdeg(n), maximal_pattern(n), 1)
+    t = g.tau(1)
+    layers = [[(2, g), (-2, t)], [(1, g), (-2, g), (-1, t), (2, g)], [(1, t), (-1, g)]]
+    tables = {k: psitable.compute_table(k) for k in range(2, 7)}
+    return {
+        "exchange_residual_n6_fixture": timed(
+            lambda: MultiPoly.horner_u(n, 1, layers), number=LAYER_CALLS),
+        "verify_exchange_n5": timed(lambda: psitable.verify_exchange(tables[5]), E2E_REPEATS),
+        "verify_exchange_n6": timed(lambda: psitable.verify_exchange(tables[6]), E2E_REPEATS),
+        "criterion_03": timed(
+            lambda: [psitable.verify_exchange(tables[k]) for k in range(2, 7)], E2E_REPEATS),
+    }
+
+
+def chainsuites() -> dict:
+    """Timings of the geometry and algebra suites and of the D1 localization.
+
+    Layer rows: check_rank_bounds_n6, on one N=6 sample of the maximal
+    pattern with its rank table, as the geometry suite calls it;
+    cp_inv_n8_unit_diagonal and cp_inv_n8_integer_diagonal, an N=8
+    unit-diagonal conjugator and the same matrix with an integer diagonal;
+    s_mul_n8_s0 and s_mul_n8_s_minus_3_2, two N=8 integer matrices at s = 0
+    and s = -3/2.  Check rows take REPEATS samples of one pass over a fixed
+    set: sfamily_check_n8_100 and strip_check_n8_100, the jobs
+    algebra/sfamily/N8 and algebra/strip/N8 of the algebra suite with 100
+    instances, seed 1; tangent_dimension_n6_patterns at one sample of each
+    N=6 pattern and stabilizer_codim_n6_patterns at one t per N=6 pattern;
+    cp_inv_n6_unit_diagonal_20, 20 N=6 unit-diagonal conjugators.
+    End-to-end rows: geometry_suite_n6_30 and algebra_suite_n8_100 (the
+    chain workload's sizes, seed 1); criterion_08 and criterion_09, the
+    bodies of those acceptance criteria; d1_localization_n16_cli_point,
+    d1_mdeg_localization at the point that `brauerloop degrees --scheme D1
+    --n 16` draws (seed 0).
+    """
+    def suite(name: str, n: int, points: int) -> None:
+        args = argparse.Namespace(n=n, max_n=None, seed=1, points=points)
+        cli.run_suite(name, cli.suite_jobs(name, args, cli.TableStore(None)))
+
+    def criterion_08() -> None:
+        for n in range(3, 7):
+            for pi in enumerate_patterns(n):
+                sample_rng = random.Random(f"acceptance-geometry/{n}/{pi}")
+                bounds = rank_table(pi)
+                for _ in range(200):
+                    sp = escheme.random_sample(pi, sample_rng)
+                    assert escheme.is_in_E(sp.matrix)
+                    assert escheme.identify_pattern(sp.matrix) == pi
+                    assert escheme.check_rank_bounds(sp.matrix, bounds)
+                escheme.tangent_dimension(sp.matrix)
+                escheme.stabilizer_codim(pi, sp.t)
+
+    def criterion_09() -> None:
+        for _, fn in cli.algebra_jobs(list(range(2, 9)), seed=0, count=1000):
+            fn()
+
+    rng = random.Random(8)
+    pi6 = maximal_pattern(6)
+    sample6 = escheme.random_sample(pi6, rng).matrix
+    bounds6 = rank_table(pi6)
+    unit = escheme.random_conjugator(8, rng)
+    scaled = ExactMatrix([[rng.choice((-3, -2, 2, 3)) if i == j else x
+                           for j, x in enumerate(row)] for i, row in enumerate(unit.rows)])
+    p, q = (ExactMatrix.build(8, lambda i, j: rng.choice((0, 0, -4, -1, 2, 3, 5)))
+            for _ in range(2))
+    a16, z16 = psitable.random_point(16, cli._rng(0, "d1point/16"))
+    samples6 = [escheme.random_sample(pi, rng) for pi in enumerate_patterns(6)]
+    conjugators6 = [escheme.random_conjugator(6, rng) for _ in range(20)]
+    jobs = dict(cli.algebra_jobs([8], seed=1, count=100))
+    return {
+        "sfamily_check_n8_100": timed(jobs["algebra/sfamily/N8"]),
+        "strip_check_n8_100": timed(jobs["algebra/strip/N8"]),
+        "tangent_dimension_n6_patterns": timed(
+            lambda: [escheme.tangent_dimension(sp.matrix) for sp in samples6]),
+        "stabilizer_codim_n6_patterns": timed(
+            lambda: [escheme.stabilizer_codim(sp.pattern, sp.t) for sp in samples6]),
+        "cp_inv_n6_unit_diagonal_20": timed(lambda: [cp_inv(p6) for p6 in conjugators6]),
+        "check_rank_bounds_n6": timed(
+            lambda: escheme.check_rank_bounds(sample6, bounds6), number=LAYER_CALLS),
+        "cp_inv_n8_unit_diagonal": timed(lambda: cp_inv(unit), number=LAYER_CALLS),
+        "cp_inv_n8_integer_diagonal": timed(lambda: cp_inv(scaled), number=LAYER_CALLS),
+        "s_mul_n8_s0": timed(lambda: s_mul(p, q, 0), number=LAYER_CALLS),
+        "s_mul_n8_s_minus_3_2": timed(lambda: s_mul(p, q, Fraction(-3, 2)), number=LAYER_CALLS),
+        "geometry_suite_n6_30": timed(lambda: suite("geometry", 6, 30), E2E_REPEATS),
+        "algebra_suite_n8_100": timed(lambda: suite("algebra", 8, 100), E2E_REPEATS),
+        "criterion_08": timed(criterion_08, E2E_REPEATS),
+        "criterion_09": timed(criterion_09, E2E_REPEATS),
+        "d1_localization_n16_cli_point": timed(
+            lambda: pfdet.d1_mdeg_localization(16, a16, z16), E2E_REPEATS),
+    }
+
+
+def tables() -> dict:
+    """Timings of building, hashing, writing and reloading tables.
+
+    Every hashing or writing row starts from a new MdegTable over the
+    entries of a table built beforehand, so a table that keeps its
+    serialized text pays for it in each call as a fresh one would.  Rows:
+    compute_table_n5; content_hash_n5; write_table_n5 and write_table_n6,
+    to an absent file; store_load_n5 and store_load_n6, TableStore.load from
+    a file written beforehand; and cmd_table_n6_cold and cmd_table_n6_warm,
+    the whole `brauerloop table --n 6` command with no file in the table
+    directory and with the file it wrote there, its stdout discarded.
+    Rows with a cheap call take REPEATS samples, the cmd_table rows
+    E2E_REPEATS, all of one call.
+    """
+    def fresh(table: MdegTable) -> MdegTable:
+        return MdegTable(table.n, table.entries, table.edges)
+
+    def write_absent(table: MdegTable, path: Path) -> None:
+        path.unlink(missing_ok=True)
+        cli.write_table(fresh(table), path)
+
+    def cmd_table(directory: Path, cold: bool) -> None:
+        if cold:
+            (directory / "mdeg-6.json").unlink(missing_ok=True)
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["table", "--n", "6", "--table-dir", str(directory)])
+
+    built = {n: psitable.compute_table(n) for n in (5, 6)}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        store = cli.TableStore(root / "store")
+        for n, table in built.items():
+            cli.write_table(table, store.path(n))
+        out = root / "out.json"
+        cold, warm = root / "cold", root / "warm"
+        cmd_table(warm, cold=False)  # writes the file the warm row keeps
+        return {
+            "compute_table_n5": timed(lambda: psitable.compute_table(5)),
+            "content_hash_n5": timed(lambda: fresh(built[5]).content_hash()),
+            "write_table_n5": timed(lambda: write_absent(built[5], out)),
+            "write_table_n6": timed(lambda: write_absent(built[6], out)),
+            "store_load_n5": timed(lambda: store.load(5)),
+            "store_load_n6": timed(lambda: store.load(6)),
+            "cmd_table_n6_cold": timed(lambda: cmd_table(cold, cold=True), E2E_REPEATS),
+            "cmd_table_n6_warm": timed(lambda: cmd_table(warm, cold=False), E2E_REPEATS),
+        }
+
+
+GROUPS = {"exactpoly": exactpoly, "exchange": exchange,
+          "chainsuites": chainsuites, "tables": tables}
+
+
+# ------------------------------------------------------------------ recording
+
+
+def ratios(runs: list[dict]) -> dict:
+    """after / before of every timed median and of the stored bytes.
+
+    The latest after run is compared with the latest before run recorded
+    before it; without such a pair there is nothing to compare.
+    """
+    pair = latest_before = None
+    for run in runs:
+        if run["label"] == "before":
+            latest_before = run
+        elif latest_before is not None:
+            pair = latest_before["rows"], run["rows"]
+    if pair is None:
+        return {}
+    before, after = pair
+    out = {}
+    for name, row in after.items():
+        field = "median" if "median" in row else "dict_and_keys" if "dict_and_keys" in row else None
+        if field and name in before:
+            out[name] = round(row[field] / before[name][field], 3)
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("group", choices=sorted(GROUPS))
+    parser.add_argument("--label", required=True, choices=("before", "after"))
+    args = parser.parse_args(argv)
+    out = ROOT / f"BENCH_{args.group}.json"
+    bench = json.loads(out.read_text()) if out.is_file() else {"runs": []}
+    bench["command"] = (f"PYTHONPATH=<checkout>/src python3 tools/bench.py "
+                        f"{args.group} --label <before|after>")
+    bench["runs"].append({
+        "label": args.label,
+        "date": time.strftime("%Y-%m-%d", time.gmtime()),
+        "machine": machine(),
+        "source_sha256": source_digest(),
+        "rows": GROUPS[args.group](),
+    })
+    bench["after_over_before"] = ratios(bench["runs"])
+    out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
