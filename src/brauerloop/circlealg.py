@@ -306,22 +306,32 @@ def cp_inv(p: ExactMatrix) -> ExactMatrix:
 
     With R = S / c the upper part, A the integral adjugate of S and
     L = T / e the cleared strict lower part, the inverse (R^-1, -R^-1 L R^-1)
-    is (c A / det S, -c^2 (A T A) / (e det(S)^2)): two integer products and
+    is (c A / det S, -c^2 (A T A) / (e det(S)^2)): integer products and
     one exact division per entry, an int wherever the entry is integral.
     When c = det S = e = 1 (an integer P with unit diagonal) it is
     (A, -A T A), all ints, and nothing is divided.
+
+    Only the strict lower part of A T A is kept, and only it is formed: A
+    is upper and T strictly lower triangular, so (A T A)_{ik}, k < i, sums
+    (A T)_{il} A_{lk} over l <= k, and those (A T)_{il}, l < i, sum
+    A_{ij} T_{jl} over j >= i.
     """
     r, low = to_semidirect(p)
     adj, c, d = _upper_adjugate(r)
     t, e = clear_denominators(low)
-    adj_m = ExactMatrix._of(adj)
-    lower = (adj_m @ t @ adj_m).rows
+    tcols = list(zip(*t.rows))
+    acols = list(zip(*adj))
+    lower = []
+    for i, arow in enumerate(adj):
+        tail = arow[i:]
+        at = [sum(map(mul, tail, tcols[l][i:])) for l in range(i)]
+        lower.append([sum(map(mul, at, acols[k][:k + 1])) for k in range(i)])
     if c == d == e == 1:
-        return ExactMatrix._of([[-v for v in lrow[:i]] + arow[i:]
+        return ExactMatrix._of([[-v for v in lrow] + arow[i:]
                                 for i, (arow, lrow) in enumerate(zip(adj, lower))])
     den = e * d * d
     c2 = -c * c
-    return ExactMatrix._of([[_ratio(c2 * v, den) for v in lrow[:i]]
+    return ExactMatrix._of([[_ratio(c2 * v, den) for v in lrow]
                             + [_ratio(c * a, d) for a in arow[i:]]
                             for i, (arow, lrow) in enumerate(zip(adj, lower))])
 

@@ -19,8 +19,12 @@ Three subcommands:
 
 Reports are byte-stable for fixed inputs and seed: all randomness is
 derived from the seed, and timing goes to stderr, never into the
-report itself.  Failures never escape as tracebacks; each becomes a
-failed check whose witness carries the offending instance.
+report itself.  Instances are integers drawn from the bits of a seeded
+random.Random by rejection (escheme._below), exactly as its randrange,
+randint and choice would draw them, and the algebra checks draw their
+matrices already cleared of denominators.  Failures never escape as
+tracebacks; each becomes a failed check whose witness carries the
+offending instance, printed as drawn.
 """
 
 from __future__ import annotations
@@ -35,14 +39,15 @@ import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import commvar, escheme, loopchain, pfdet, psitable
 from .circlealg import (
     ExactMatrix,
-    Rational,
     StripWindow,
+    _divided,
     clear_denominators,
     cp_inv,
     cp_mul,
@@ -52,6 +57,7 @@ from .circlealg import (
     s_scale_cleared,
 )
 from .errors import BrauerLoopError, IdentityViolation
+from .escheme import _below
 from .linkpat import LinkPattern, enumerate_patterns, rank_table
 from .psitable import MdegTable, compute_table
 
@@ -225,54 +231,81 @@ def run_suite(suite: str, jobs: Iterable[Job]) -> SuiteReport:
 # ------------------------------------------------------------------ algebra suite
 
 
-def _random_entry(rng: random.Random) -> Rational:
-    kind = rng.randrange(6)
-    if kind == 0:
-        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    if kind <= 2:
-        return 0
-    return rng.randint(-4, 4)
+# the nonzero values that the inverse check's diagonal and the s-family's s take
+_NONZERO = (-3, -2, -1, 1, 2, 3)
 
 
-def _random_matrix(n: int, rng: random.Random) -> ExactMatrix:
-    return ExactMatrix([[_random_entry(rng) for _ in range(n)] for _ in range(n)])
+def _random_cleared(n: int, rng: random.Random) -> tuple[ExactMatrix, int]:
+    """(c P, c) for a random N x N matrix P and the least c > 0 making c P integral.
 
-
-def _cleared(m: ExactMatrix) -> ExactMatrix:
-    """M times the lcm of its entries' denominators, an integer matrix.
+    P is drawn entry by entry, row by row: with probability 1/6 a fraction
+    a/b, a in -6..6 and b in 1..4, with probability 1/3 a zero, and
+    otherwise an int in -4..4.  Each fraction is reduced by its gcd and c is
+    the lcm of the reduced denominators, so no Fraction is formed; P itself
+    is _divided(c P, c).
 
     Every algebra check except inverse is multilinear in the drawn
     matrices, so it holds for the cleared matrices exactly when it holds
-    for the drawn ones, and the products then run on ints.  The inverse
-    and the scaled s-family identity clear their own factors and compare
-    against the same multiple of the other side.
+    for the drawn ones, and the products run on ints.  The inverse and the
+    scaled s-family identity clear their own factors and compare against
+    the same multiple of the other side.
     """
-    return clear_denominators(m)[0]
+    bits = rng.getrandbits
+    rows = []
+    fractions = []  # (row, column, reduced denominator > 1)
+    c = 1
+    for i in range(n):
+        row = []
+        for j in range(n):
+            kind = _below(bits, 6)
+            if kind == 0:
+                a = _below(bits, 13) - 6
+                b = _below(bits, 4) + 1
+                g = gcd(a, b)
+                if g != b:
+                    b //= g
+                    fractions.append((i, j, b))
+                    c = lcm(c, b)
+                row.append(a // g)
+            elif kind <= 2:
+                row.append(0)
+            else:
+                row.append(_below(bits, 9) - 4)
+        rows.append(row)
+    if c != 1:
+        rows = [[c * x for x in row] for row in rows]
+        for i, j, b in fractions:
+            rows[i][j] //= b
+    return ExactMatrix._of(rows), c
+
+
+def _as_drawn(*draws: tuple[ExactMatrix, int]) -> str:
+    """The witness text P=..., Q=..., R=... of (c P, c) draws, each matrix as drawn."""
+    return ", ".join(f"{name}={_divided(m, c)!r}" for name, (m, c) in zip("PQR", draws))
 
 
 def _times(c: int, m: ExactMatrix) -> ExactMatrix:
-    return ExactMatrix([[c * x for x in row] for row in m.rows])
+    return ExactMatrix._of([[c * x for x in row] for row in m.rows])
 
 
 def _check_assoc(n: int, rng: random.Random, count: int) -> str:
     for k in range(count):
-        p, q, r = (_random_matrix(n, rng) for _ in range(3))
-        pc, qc, rc = _cleared(p), _cleared(q), _cleared(r)
-        if cp_mul(cp_mul(pc, qc), rc) != cp_mul(pc, cp_mul(qc, rc)):
-            raise IdentityViolation(f"instance {k}: P={p!r}, Q={q!r}, R={r!r}")
+        draws = [_random_cleared(n, rng) for _ in range(3)]
+        (p, _), (q, _), (r, _) = draws
+        if cp_mul(cp_mul(p, q), r) != cp_mul(p, cp_mul(q, r)):
+            raise IdentityViolation(f"instance {k}: {_as_drawn(*draws)}")
     return f"{count} instances"
 
 
 def _check_inverse(n: int, rng: random.Random, count: int) -> str:
     ident = ExactMatrix.identity(n)
+    bits = rng.getrandbits
     for k in range(count):
         p = escheme.random_conjugator(n, rng)
         unit_diag = k % 2 == 0
         if not unit_diag:
-            d = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)]
-            rows = [[d[i] if i == j else p.rows[i][j] for j in range(n)]
-                    for i in range(n)]
-            p = ExactMatrix(rows)
+            for i, row in enumerate(p.rows):
+                row[i] = _NONZERO[_below(bits, 6)]
         q = cp_inv(p)
         cq, c = clear_denominators(q)
         scalar = _times(c, ident)
@@ -285,15 +318,15 @@ def _check_inverse(n: int, rng: random.Random, count: int) -> str:
 
 def _check_strip(n: int, rng: random.Random, count: int) -> str:
     for k in range(count):
-        p, q = _random_matrix(n, rng), _random_matrix(n, rng)
-        pc, qc = _cleared(p), _cleared(q)
-        sp, sq = StripWindow(pc), StripWindow(qc)
-        product = StripWindow(cp_mul(pc, qc))
+        pd, qd = _random_cleared(n, rng), _random_cleared(n, rng)
+        p, q = pd[0], qd[0]
+        sp, sq = StripWindow(p), StripWindow(q)
+        product = StripWindow(cp_mul(p, q))
         for i in range(1, 2 * n + 1):
             for d in range(n):
                 if sp.band_product_entry(sq, i, i + d) != product.entry(i, i + d):
                     raise IdentityViolation(
-                        f"instance {k} at ({i}, {i + d}): P={p!r}, Q={q!r}")
+                        f"instance {k} at ({i}, {i + d}): {_as_drawn(pd, qd)}")
     return f"{count} instances"
 
 
@@ -305,31 +338,31 @@ def _check_sfamily(n: int, rng: random.Random, count: int) -> str:
     multiplying S(P) S(Q) = S(P x_s Q) by v^(2N-1) gives
     v T(P) T(Q) = T(v^N (P x_s Q)): the same identity, as v != 0.
     """
+    bits = rng.getrandbits
     for k in range(count):
-        p, q = _random_matrix(n, rng), _random_matrix(n, rng)
-        pc, qc = _cleared(p), _cleared(q)
-        if s_mul(pc, qc, 0) != cp_mul(pc, qc):
-            raise IdentityViolation(f"instance {k}, s=0: P={p!r}, Q={q!r}")
-        if s_mul(pc, qc, 1) != pc @ qc:
-            raise IdentityViolation(f"instance {k}, s=1: P={p!r}, Q={q!r}")
-        s = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+        pd, qd = _random_cleared(n, rng), _random_cleared(n, rng)
+        p, q = pd[0], qd[0]
+        if s_mul(p, q, 0) != cp_mul(p, q):
+            raise IdentityViolation(f"instance {k}, s=0: {_as_drawn(pd, qd)}")
+        if s_mul(p, q, 1) != p @ q:
+            raise IdentityViolation(f"instance {k}, s=1: {_as_drawn(pd, qd)}")
+        s = Fraction(_NONZERO[_below(bits, 6)], 1 + _below(bits, 3))
         u, v = s.numerator, s.denominator
-        left = _times(v, s_scale_cleared(pc, u, v)) @ s_scale_cleared(qc, u, v)
-        if left != s_scale_cleared(s_mul_cleared(pc, qc, u, v), u, v):
-            raise IdentityViolation(f"instance {k}, s={s}: P={p!r}, Q={q!r}")
+        left = _times(v, s_scale_cleared(p, u, v)) @ s_scale_cleared(q, u, v)
+        if left != s_scale_cleared(s_mul_cleared(p, q, u, v), u, v):
+            raise IdentityViolation(f"instance {k}, s={s}: {_as_drawn(pd, qd)}")
     return f"{count} instances"
 
 
 def _check_cycling(n: int, rng: random.Random, count: int) -> str:
     for k in range(count):
-        p, q = _random_matrix(n, rng), _random_matrix(n, rng)
-        pc, qc = _cleared(p), _cleared(q)
-        shift = rng.randrange(n)
-        if cycle(cp_mul(pc, qc), shift) != cp_mul(cycle(pc, shift), cycle(qc, shift)):
-            raise IdentityViolation(
-                f"instance {k}, shift {shift}: P={p!r}, Q={q!r}")
-        if cycle(pc, n) != pc:
-            raise IdentityViolation(f"instance {k}: full cycle moved P={p!r}")
+        pd, qd = _random_cleared(n, rng), _random_cleared(n, rng)
+        p, q = pd[0], qd[0]
+        shift = _below(rng.getrandbits, n)
+        if cycle(cp_mul(p, q), shift) != cp_mul(cycle(p, shift), cycle(q, shift)):
+            raise IdentityViolation(f"instance {k}, shift {shift}: {_as_drawn(pd, qd)}")
+        if cycle(p, n) != p:
+            raise IdentityViolation(f"instance {k}: full cycle moved {_as_drawn(pd)}")
     return f"{count} instances"
 
 
@@ -337,11 +370,11 @@ def _check_semidirect(n: int, rng: random.Random, count: int) -> str:
     from .circlealg import from_semidirect, semidirect_mul, to_semidirect
 
     for k in range(count):
-        p, q = _random_matrix(n, rng), _random_matrix(n, rng)
-        pc, qc = _cleared(p), _cleared(q)
-        r, low = semidirect_mul(to_semidirect(pc), to_semidirect(qc))
-        if from_semidirect(r, low) != cp_mul(pc, qc):
-            raise IdentityViolation(f"instance {k}: P={p!r}, Q={q!r}")
+        pd, qd = _random_cleared(n, rng), _random_cleared(n, rng)
+        p, q = pd[0], qd[0]
+        r, low = semidirect_mul(to_semidirect(p), to_semidirect(q))
+        if from_semidirect(r, low) != cp_mul(p, q):
+            raise IdentityViolation(f"instance {k}: {_as_drawn(pd, qd)}")
     return f"{count} instances"
 
 

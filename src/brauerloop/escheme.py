@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .circlealg import ExactMatrix, Rational, cp_inv, cp_mul
 from .errors import AmbiguousPairing, DegenerateParameters
@@ -103,9 +104,27 @@ def sample_point(pi: LinkPattern, t: tuple[Rational, ...],
     return SamplePoint(m, pi, tuple(t), p)
 
 
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """A uniform draw from range(n), n >= 1, from a generator's getrandbits.
+
+    It draws n.bit_length() bits and draws again while the value is n or
+    more.  That is how CPython's randrange(n) draws (3.6 through 3.13), and
+    randint(a, b) is a + randrange(b - a + 1) and choice(seq) is
+    seq[randrange(len(seq))], so every instance drawn here is the one those
+    calls drew, and the generator is left in the same state.
+    """
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def random_t(pi: LinkPattern, rng: random.Random) -> tuple[int, ...]:
+    """Generic t with entries in 1..40, redrawn until check_generic passes."""
+    bits = rng.getrandbits
     while True:
-        t = tuple(rng.randint(1, 40) for _ in range(pi.n))
+        t = tuple(1 + _below(bits, 40) for _ in range(pi.n))
         try:
             check_generic(pi, t)
         except DegenerateParameters:
@@ -114,8 +133,10 @@ def random_t(pi: LinkPattern, rng: random.Random) -> tuple[int, ...]:
 
 
 def random_conjugator(n: int, rng: random.Random) -> ExactMatrix:
-    return ExactMatrix.build(
-        n, lambda i, j: 1 if i == j else rng.randint(-3, 3))
+    """A unit-diagonal matrix with off-diagonal entries in -3..3, row by row."""
+    bits = rng.getrandbits
+    return ExactMatrix._of([[1 if i == j else _below(bits, 7) - 3 for j in range(n)]
+                            for i in range(n)])
 
 
 def random_sample(pi: LinkPattern, rng: random.Random) -> SamplePoint:
@@ -193,17 +214,19 @@ def strip_rank(m: ExactMatrix, i: int, d: int) -> int:
 def check_rank_bounds(m: ExactMatrix, bounds: RankTable) -> bool:
     """Does every southwest-triangle rank respect the pattern's bound?
 
-    bounds is the pattern's rank_table.  Every entry of a triangle below
-    its diagonal vanishes, so triangle (i, d) is the leading block of the
-    first d+1 columns of triangle (i, N-1), and its rank is the rank of
-    those columns: one elimination per strip row i gives all N ranks.
+    bounds is the pattern's rank_table, read by its (row, offset) keys.
+    Every entry of a triangle below its diagonal vanishes, so triangle
+    (i, d) is the leading block of the first d+1 columns of triangle
+    (i, N-1), and its rank is the rank of those columns: one elimination
+    per strip row i gives all N ranks.
     """
     n = m.n
     if n != bounds.n:
         raise ValueError("size mismatch")
+    ranks = bounds.ranks
     for i in range(1, n + 1):
         for d, r in enumerate(prefix_ranks(strip_triangle(m, i, n - 1))):
-            if r > bounds.value(i, i + d):
+            if r > ranks[i, d]:
                 return False
     return True
 

@@ -500,6 +500,11 @@ class MultiPoly:
         return sum(c * prod(map(list.__getitem__, tables, k.to_bytes(width, "big")))
                    for k, c in self.terms.items())
 
+    def z_free_sum(self) -> int:
+        """The value at A = 1, z = 0: the sum of the coefficients of the terms with no z factor."""
+        z_fields = (1 << FIELD_BITS * self.nz) - 1
+        return sum(c for k, c in self.terms.items() if not k & z_fields)
+
     # ---------------------------------------------------------------- serialization
 
     def to_obj(self) -> list[list]:

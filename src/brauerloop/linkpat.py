@@ -9,7 +9,10 @@ neighbouring pair (i, i+1), with i = N acting on (N, 1).
 apply_e glues a little arc between i and i+1 and rejoins the former
 partners of i and i+1 (when one of them was the fixed point, the other
 former partner becomes the new fixed point); apply_f crosses the two
-strands, i.e. conjugates by the transposition (i, i+1).
+strands, i.e. conjugates by the transposition (i, i+1).  Both map a link
+pattern to a link pattern by construction, so they wrap their result with
+LinkPattern._of instead of validating it again; the constructor validates
+every pattern built from outside.
 
 The periodic strip of a pattern is the infinite 0/1 array with an entry
 in row a at column a + ((pi(a) - a) mod N) for every non-fixed a (shifted
@@ -66,6 +69,13 @@ class LinkPattern:
         fixed = sum(1 for i in range(1, n + 1) if self.pairing[i - 1] == i)
         if fixed != n % 2:
             raise ValueError(f"{self.pairing} has {fixed} fixed points, expected {n % 2}")
+
+    @classmethod
+    def _of(cls, pairing: tuple[int, ...]) -> "LinkPattern":
+        """Wrap a pairing that is a link pattern by construction: no check."""
+        pi = object.__new__(cls)
+        object.__setattr__(pi, "pairing", pairing)
+        return pi
 
     @property
     def n(self) -> int:
@@ -138,35 +148,35 @@ def apply_e(pi: LinkPattern, i: int) -> LinkPattern:
     n = pi.n
     i = _wrap(i, n)
     ip = _wrap(i + 1, n)
-    a, b = pi(i), pi(ip)
+    image = list(pi.pairing)
+    a, b = image[i - 1], image[ip - 1]
     if a == ip:
         return pi
-    image = list(pi.pairing)
-
-    def pair(x: int, y: int) -> None:
-        image[x - 1], image[y - 1] = y, x
-
-    pair(i, ip)
+    image[i - 1], image[ip - 1] = ip, i
     if a == i:  # i was the fixed point: the partner of i+1 becomes fixed
         image[b - 1] = b
     elif b == ip:  # i+1 was the fixed point
         image[a - 1] = a
     else:
-        pair(a, b)
-    return LinkPattern(tuple(image))
+        image[a - 1], image[b - 1] = b, a
+    return LinkPattern._of(tuple(image))
 
 
 def apply_f(pi: LinkPattern, i: int) -> LinkPattern:
-    """Cross the strands at (i, i+1): conjugate by the transposition."""
+    """Cross the strands at (i, i+1): conjugate by the transposition s = (i i+1).
+
+    s pi s swaps the entries at positions i and i+1, after which the values
+    i and i+1 sit at positions s(pi(i)) and s(pi(i+1)); it then swaps them.
+    """
     n = pi.n
     i = _wrap(i, n)
     ip = _wrap(i + 1, n)
-
-    def s(x: int) -> int:
-        return ip if x == i else i if x == ip else x
-
-    image = tuple(s(pi(s(j))) for j in range(1, n + 1))
-    return LinkPattern(image)
+    image = list(pi.pairing)
+    a, b = image[i - 1], image[ip - 1]
+    image[i - 1], image[ip - 1] = b, a
+    image[(ip if a == i else i if a == ip else a) - 1] = ip
+    image[(ip if b == i else i if b == ip else b) - 1] = i
+    return LinkPattern._of(tuple(image))
 
 
 def rotate(pi: LinkPattern, k: int = 1) -> LinkPattern:

@@ -129,7 +129,7 @@ class MdegTable:
         return self.entries[pi].specialize_a(1)
 
     def degree(self, pi: LinkPattern) -> int:
-        return self.entries[pi].evaluate(1, [0] * self.n)
+        return self.entries[pi].z_free_sum()
 
     def degrees(self) -> dict[LinkPattern, int]:
         return {pi: self.degree(pi) for pi in self.patterns()}

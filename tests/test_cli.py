@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from brauerloop import cli
+from brauerloop.circlealg import _divided
 from brauerloop.errors import ExponentOverflow, IdentityViolation
 from brauerloop.exactpoly import MAX_EXPONENT
 from brauerloop.psitable import MdegTable
@@ -292,10 +293,10 @@ def test_verify_algebra_small(capsys):
 
 
 def test_algebra_witness_names_the_drawn_matrices(monkeypatch):
-    # the checks multiply denominator-cleared copies; a failure still
-    # reports the matrices as drawn, Fraction entries included
+    # the checks draw and multiply denominator-cleared matrices; a failure
+    # still reports the matrices as drawn, Fraction entries included
     rng = cli._rng(0, "assoc/3")
-    drawn = [cli._random_matrix(3, rng) for _ in range(3)]
+    drawn = [_divided(*cli._random_cleared(3, rng)) for _ in range(3)]
     assert all(any(isinstance(x, Fraction) for row in m.rows for x in row) for m in drawn)
     monkeypatch.setattr(cli, "cp_mul", lambda p, q: p - q)  # not associative
     with pytest.raises(IdentityViolation) as err:

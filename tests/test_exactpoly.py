@@ -88,6 +88,16 @@ def test_ring_ops_match_evaluation():
         assert (c * p).evaluate(a, z) == c * pv
 
 
+def test_z_free_sum_is_the_value_at_a_one_z_zero():
+    rng = random.Random(5)
+    for _ in range(100):
+        nz = rng.randint(1, 4)
+        p = rand_poly(nz, rng) * MultiPoly.gen_a(nz) ** rng.randint(0, 2)
+        assert p.z_free_sum() == p.evaluate(1, [0] * nz)
+    assert MultiPoly.const(7, 0).z_free_sum() == 7
+    assert MultiPoly.zero(3).z_free_sum() == 0
+
+
 def test_pow():
     rng = random.Random(5)
     p = rand_poly(3, rng)

@@ -8,6 +8,7 @@ import pytest
 from brauerloop.linkpat import (
     LinkPattern,
     RankTable,
+    _wrap,
     apply_e,
     apply_f,
     chords_cross,
@@ -135,6 +136,30 @@ def test_apply_f_is_involution():
         for pi in enumerate_patterns(n):
             for i in range(1, n + 1):
                 assert apply_f(apply_f(pi, i), i) == pi
+
+
+def conjugated(pi: LinkPattern, i: int) -> LinkPattern:
+    """apply_f by its definition, s pi s for the transposition s = (i i+1), validated."""
+    n = pi.n
+    i = _wrap(i, n)
+    ip = _wrap(i + 1, n)
+
+    def s(x: int) -> int:
+        return ip if x == i else i if x == ip else x
+
+    return LinkPattern(tuple(s(pi(s(j))) for j in range(1, n + 1)))
+
+
+def test_moves_are_valid_without_the_check():
+    # apply_e and apply_f skip validation: rebuilding their results through
+    # the checking constructor must succeed, and apply_f is the conjugation
+    for n in range(1, 10):
+        for pi in enumerate_patterns(n):
+            for i in range(1, n + 1):
+                e, f = apply_e(pi, i), apply_f(pi, i)
+                assert LinkPattern(e.pairing) == e
+                assert LinkPattern(f.pairing) == f
+                assert f == conjugated(pi, i)
 
 
 def test_rotate():

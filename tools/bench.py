@@ -37,7 +37,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import brauerloop
-from brauerloop import cli, commvar, escheme, pfdet, psitable
+from brauerloop import cli, commvar, escheme, loopchain, pfdet, psitable
 from brauerloop.circlealg import ExactMatrix, cp_inv, s_mul
 from brauerloop.exactpoly import MultiPoly
 from brauerloop.linkpat import enumerate_patterns, maximal_pattern, rank_table
@@ -166,7 +166,8 @@ def chainsuites() -> dict:
     chain workload's sizes, seed 1); criterion_08 and criterion_09, the
     bodies of those acceptance criteria; d1_localization_n16_cli_point,
     d1_mdeg_localization at the point that `brauerloop degrees --scheme D1
-    --n 16` draws (seed 0).
+    --n 16` draws (seed 0); transition_matrix_n10, the 945-state move
+    counts, and stationary_n10, the whole chain solve at N=10.
     """
     def suite(name: str, n: int, points: int) -> None:
         args = argparse.Namespace(n=n, max_n=None, seed=1, points=points)
@@ -222,6 +223,8 @@ def chainsuites() -> dict:
         "criterion_09": timed(criterion_09, E2E_REPEATS),
         "d1_localization_n16_cli_point": timed(
             lambda: pfdet.d1_mdeg_localization(16, a16, z16), E2E_REPEATS),
+        "transition_matrix_n10": timed(lambda: loopchain.transition_matrix(10)),
+        "stationary_n10": timed(lambda: loopchain.stationary(10), E2E_REPEATS),
     }
 
 
