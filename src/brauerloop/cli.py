@@ -102,8 +102,10 @@ class TableStore:
     def load(self, n: int) -> MdegTable | None:
         """A previously persisted table, or None if absent or unusable.
 
-        The parsed table must hash, from its own canonical text, to the hash
-        the file names, and validate; that hash stays with the table.
+        The table's size must be n, an int, before any entry is parsed, since
+        the size sets each entry's field count.  The parsed table must hash,
+        from its own canonical text, to the hash the file names, and
+        validate; that hash stays with the table.
         """
         if self.directory is None:
             return None
@@ -112,8 +114,11 @@ class TableStore:
             return None
         try:
             obj = json.loads(path.read_text())
+            size = obj["table"]["n"]
+            if type(size) is not int or size != n:
+                return None
             table = MdegTable.from_obj(obj["table"])
-            if table.n != n or table.content_hash() != obj["hash"]:
+            if table.content_hash() != obj["hash"]:
                 return None
             table.validate()
         except (BrauerLoopError, KeyError, TypeError, ValueError, OSError, RecursionError):
@@ -589,7 +594,10 @@ def cmd_table(args) -> int:
     store = _store(args)
     table = store.get(args.n)
     path = Path(args.out) if args.out else store.path(args.n)
-    wrote = write_table(table, path, force=args.force)
+    try:
+        wrote = write_table(table, path, force=args.force)
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write {path}: {exc.strerror or exc}")
     degrees = {str(pi): table.degree(pi) for pi in table.patterns()}
     if args.format == "json":
         print(json.dumps({"n": table.n, "patterns": len(degrees),

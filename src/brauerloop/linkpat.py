@@ -9,10 +9,11 @@ neighbouring pair (i, i+1), with i = N acting on (N, 1).
 apply_e glues a little arc between i and i+1 and rejoins the former
 partners of i and i+1 (when one of them was the fixed point, the other
 former partner becomes the new fixed point); apply_f crosses the two
-strands, i.e. conjugates by the transposition (i, i+1).  Both map a link
-pattern to a link pattern by construction, so they wrap their result with
-LinkPattern._of instead of validating it again; the constructor validates
-every pattern built from outside.
+strands, i.e. conjugates by the transposition (i, i+1).  Both, like the
+rotations and the reflection, map a link pattern to a link pattern by
+construction, so they wrap their result with LinkPattern._of instead of
+validating it again; the constructor validates every pattern built from
+outside.
 
 The periodic strip of a pattern is the infinite 0/1 array with an entry
 in row a at column a + ((pi(a) - a) mod N) for every non-fixed a (shifted
@@ -182,8 +183,7 @@ def apply_f(pi: LinkPattern, i: int) -> LinkPattern:
 def rotate(pi: LinkPattern, k: int = 1) -> LinkPattern:
     """Rotate labels: rot(pi)(i) = pi(i-1) + 1 (applied k times, k may be negative)."""
     n = pi.n
-    image = tuple(_wrap(pi(i - k) + k, n) for i in range(1, n + 1))
-    return LinkPattern(image)
+    return LinkPattern._of(tuple(_wrap(pi(i - k) + k, n) for i in range(1, n + 1)))
 
 
 def reflect(pi: LinkPattern) -> LinkPattern:
@@ -193,7 +193,7 @@ def reflect(pi: LinkPattern) -> LinkPattern:
     at position i become those at position N - i (read mod N).
     """
     n = pi.n
-    return LinkPattern(tuple(n + 1 - pi(n + 1 - i) for i in range(1, n + 1)))
+    return LinkPattern._of(tuple(n + 1 - pi(n + 1 - i) for i in range(1, n + 1)))
 
 
 def chords_cross(c1: tuple[int, int], c2: tuple[int, int]) -> bool:

@@ -11,16 +11,23 @@ equations of a stored table are checked by the library's own
 packed monomial keys of `MultiPoly`, and `literal_horner`, a sum of
 powers of z_i - z_{i+1} built by the generic ring operations, the
 oracle for `MultiPoly.horner_u`.  `with_vanishing_term` tampers a
-table so that only the pointwise checks can see it.  The `ci` hypothesis
-profile draws the same examples on every run.
+table so that only the pointwise checks can see it.  `verify_all` is one
+run of `brauerloop verify all` over those tables, reloaded from their
+files; the acceptance criteria and the report pin read it.  The `ci`
+hypothesis profile draws the same examples on every run.
 """
 
+import contextlib
 import heapq
+import io
+import re
 from fractions import Fraction
 from operator import add, index
+from typing import NamedTuple
 
 import pytest
 
+from brauerloop import cli
 from brauerloop.errors import InexactDivision
 from brauerloop.exactpoly import MultiPoly
 from brauerloop.psitable import MdegTable, compute_table, target_degree
@@ -63,6 +70,46 @@ def store_table(table: MdegTable) -> None:
 @pytest.fixture(scope="session")
 def tables():
     return cached_table
+
+
+class VerifyRun(NamedTuple):
+    """The exit code and stdout of one verify run, with its checks by id."""
+
+    code: int
+    out: str
+    checks: dict[str, cli.CheckResult]
+
+
+# a report line of cli.print_report: PASS id [note] or FAIL id :: witness
+_CHECK_LINE = re.compile(r"(PASS|FAIL) (\S+)(?: \[(.*)\])?(?: :: (.*))?")
+
+
+@pytest.fixture(scope="session")
+def verify_all(tmp_path_factory) -> VerifyRun:
+    """`brauerloop verify all` once, over the session tables reloaded from files.
+
+    A table the run would compute instead fails its checks; stderr is dropped.
+    """
+    directory = tmp_path_factory.mktemp("tables")
+    store = cli.TableStore(directory)
+    for n in range(2, cli.SYMBOLIC_LIMIT + 1):
+        cli.write_table(cached_table(n), store.path(n))
+
+    def recompute(n):
+        raise AssertionError(f"the table N={n} was computed, not reloaded")
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        patch.setattr(cli, "compute_table", recompute)
+        code = cli.main(["verify", "all", "--table-dir", str(directory)])
+    checks = {}
+    for line in out.getvalue().splitlines():
+        if match := _CHECK_LINE.fullmatch(line):
+            status, check_id, note, witness = match.groups()
+            checks[check_id] = cli.CheckResult(check_id, status == "PASS",
+                                               witness or "", note or "")
+    return VerifyRun(code, out.getvalue(), checks)
 
 
 def lex_divide(num: MultiPoly, den: MultiPoly) -> MultiPoly:

@@ -2,29 +2,21 @@
 
 Every criterion prints exactly one PASS/FAIL line on the terminal
 (bypassing capture), then fails the usual way if something is off.  The
-two heavyweight computations carry wall-clock budgets; the large-size
-runs sit at the end.
+criteria that a verify suite checks read the session's one `verify all`
+run (the `verify_all` fixture); its pinned stdout fixes every size, seed
+and count.  The others call the library directly.  The two heavyweight
+computations carry wall-clock budgets; the large-size runs sit at the end.
 """
 
 import contextlib
-import random
 import time
 
 from conftest import store_table
 
-from brauerloop import cli
 from brauerloop.commvar import degree_sequence, delta
-from brauerloop.escheme import (
-    check_rank_bounds,
-    identify_pattern,
-    is_in_E,
-    random_sample,
-    stabilizer_codim,
-    tangent_dimension,
-)
-from brauerloop.linkpat import LinkPattern, enumerate_patterns, rank_table
-from brauerloop.loopchain import match_psi, stationary
-from brauerloop.pfdet import d0_multiplicity_check, degree_determinant
+from brauerloop.linkpat import LinkPattern
+from brauerloop.loopchain import stationary
+from brauerloop.pfdet import degree_determinant
 from brauerloop.psitable import (
     compute_table,
     positivity_spot_check,
@@ -32,10 +24,6 @@ from brauerloop.psitable import (
     rotation_check,
     smallarch_check,
     specialize_check,
-    sum_rule_sector,
-    sum_rule_total,
-    verify_edges,
-    verify_exchange,
 )
 
 
@@ -49,6 +37,17 @@ def criterion(capsys, label):
         raise
     with capsys.disabled():
         print(f"PASS {label}", flush=True)
+
+
+def passed(run, suite: str) -> dict[str, str]:
+    """The notes of the run's checks of one suite, by id; each must have passed.
+
+    A failure names the suite's failing checks with their witnesses.
+    """
+    checks = [c for c in run.checks.values() if c.check_id.startswith(f"{suite}/")]
+    failed = [f"FAIL {c.check_id} :: {c.witness}" for c in checks if not c.passed]
+    assert checks and not failed, "\n".join(failed) or f"no {suite} check ran"
+    return {c.check_id: c.note for c in checks}
 
 
 def test_criterion_01_degree_sums(capsys):
@@ -89,19 +88,18 @@ def test_criterion_02_commuting_sequence(capsys):
         assert elapsed < 300
 
 
-def test_criterion_03_exchange(capsys, tables):
+def test_criterion_03_exchange(capsys, tables, verify_all):
     with criterion(capsys, "criterion 03: exchange identity exact at every "
                            "position, N=2..6"):
-        for n in range(2, 7):
-            result = verify_exchange(tables(n))
-            assert result["identities"] == n * len(tables(n).patterns())
+        assert passed(verify_all, "exchange") == {
+            f"exchange/N{n}": f"{n * len(tables(n).patterns())} identities"
+            for n in range(2, 7)}
 
 
-def test_criterion_04_markov(capsys, tables):
+def test_criterion_04_markov(capsys, verify_all):
     with criterion(capsys, "criterion 04: stationary chain weights equal the "
                            "table values, N=2..6"):
-        for n in range(2, 7):
-            match_psi(tables(n), stationary(n))
+        passed(verify_all, "markov")
         assert stationary(4).normalized == {
             LinkPattern((2, 1, 4, 3)): 3,
             LinkPattern((3, 4, 1, 2)): 1,
@@ -109,13 +107,10 @@ def test_criterion_04_markov(capsys, tables):
         }
 
 
-def test_criterion_05_sum_rules(capsys, tables):
+def test_criterion_05_sum_rules(capsys, verify_all):
     with criterion(capsys, "criterion 05: sector sum rule (N=2,4,6) and "
                            "Pfaffian total (20 points, N=2..6)"):
-        for n in (2, 4, 6):
-            sum_rule_sector(tables(n))
-        for n in range(2, 7):
-            assert sum_rule_total(tables(n), points=20)["points"] == 20
+        passed(verify_all, "sumrules")
 
 
 def test_criterion_06_specialization_smallarch(capsys, tables):
@@ -129,49 +124,34 @@ def test_criterion_06_specialization_smallarch(capsys, tables):
                 smallarch_check(big, i)
 
 
-def test_criterion_07_square_zero_cone(capsys, tables):
+def test_criterion_07_square_zero_cone(capsys, verify_all):
     with criterion(capsys, "criterion 07: square-zero cone forms with "
                            "multiplicity 2^(n+r), 20 points, N=2..6"):
-        for n in range(2, 7):
-            d0_multiplicity_check(tables(n), points=20)
+        passed(verify_all, "d1")
 
 
-def test_criterion_08_geometry(capsys):
+def test_criterion_08_geometry(capsys, verify_all):
     with criterion(capsys, "criterion 08: component membership, rank bounds, "
                            "tangent and stabilizer dimensions, N=3..6"):
-        for n in range(3, 7):
-            codim = 2 * (n // 2) * (n // 2 + n % 2 - 1)
-            for pi in enumerate_patterns(n):
-                rng = random.Random(f"acceptance-geometry/{n}/{pi}")
-                sp = None
-                for _ in range(200):
-                    sp = random_sample(pi, rng)
-                    assert is_in_E(sp.matrix)
-                    assert identify_pattern(sp.matrix) == pi
-                    assert check_rank_bounds(sp.matrix, rank_table(pi))
-                assert tangent_dimension(sp.matrix) == n * n // 2
-                assert stabilizer_codim(pi, sp.t) == codim
+        passed(verify_all, "geometry")
 
 
-def test_criterion_09_algebra(capsys):
+def test_criterion_09_algebra(capsys, verify_all):
     with criterion(capsys, "criterion 09: circular product algebra, 1000 "
                            "instances per property, N=2..8"):
-        jobs = cli.algebra_jobs(list(range(2, 9)), seed=0, count=1000)
-        assert len(jobs) == 6 * 7
-        for _, fn in jobs:
-            fn()
+        assert len(passed(verify_all, "algebra")) == 6 * 7
 
 
-def test_criterion_10_regressions(capsys, tables):
+def test_criterion_10_regressions(capsys, tables, verify_all):
     with criterion(capsys, "criterion 10: every edge equation, homogeneity, "
                            "rotation and reflection covariance, positivity"):
+        passed(verify_all, "edges")
         for n in range(2, 7):
             table = tables(n)
             table.validate()
             rotation_check(table)
             reflection_check(table)
             positivity_spot_check(table, trials=100)
-            verify_edges(table)
 
 
 def test_criterion_02_stretch_seven(capsys):

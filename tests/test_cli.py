@@ -142,18 +142,29 @@ def test_table_with_fractional_coefficient_is_recomputed(tmp_path, tables):
     assert store.get(3).content_hash() == tables(3).content_hash()
 
 
-def test_table_with_overflowing_exponent_is_recomputed(tmp_path, tables):
-    # a well-formed file whose hash matches, but one A-exponent needs a wider field
-    obj = tables(3).to_obj()
-    obj["entries"][0][1][0][1] = MAX_EXPONENT + 1
-    with pytest.raises(ExponentOverflow):
-        MdegTable.from_obj(obj)
+def tampered_table_is_recomputed(tmp_path, tables, obj):
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     payload = {"n": 3, "hash": hashlib.sha256(blob.encode()).hexdigest(), "table": obj}
     store = cli.TableStore(tmp_path)
     store.path(3).write_text(json.dumps(payload))
     assert store.load(3) is None
     assert store.get(3).content_hash() == tables(3).content_hash()
+
+
+def test_table_with_overflowing_exponent_is_recomputed(tmp_path, tables):
+    # a well-formed file whose hash matches, but one A-exponent needs a wider field
+    obj = tables(3).to_obj()
+    obj["entries"][0][1][0][1] = MAX_EXPONENT + 1
+    with pytest.raises(ExponentOverflow):
+        MdegTable.from_obj(obj)
+    tampered_table_is_recomputed(tmp_path, tables, obj)
+
+
+def test_table_with_overflowing_size_is_recomputed(tmp_path, tables):
+    # the size sets each entry's field count, so it is checked before any entry
+    obj = tables(3).to_obj()
+    obj["n"] = 2 ** 70
+    tampered_table_is_recomputed(tmp_path, tables, obj)
 
 
 def test_table_requires_n():
@@ -191,6 +202,24 @@ def test_write_table_is_atomic(tmp_path, monkeypatch, tables):
         cli.write_table(tables(3), path, force=True)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["mdeg.json"]
+
+
+def test_table_write_failure_is_reported(tmp_path):
+    # a target that is a directory, and a table directory that is a file
+    target, blocker = tmp_path / "target", tmp_path / "blocker"
+    target.mkdir()
+    (target / "inside").write_text("kept")
+    blocker.write_text("kept")
+    for flags, shown, reason in [
+        (["--out", str(target), "--table-dir", str(tmp_path / "tables")], target,
+         "Is a directory"),
+        (["--table-dir", str(blocker)], blocker / "mdeg-2.json", "File exists"),
+    ]:
+        with pytest.raises(SystemExit, match=f"^error: cannot write {shown}: {reason}$"):
+            cli.main(["table", "--n", "2", *flags])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "target"]
+    assert [p.name for p in target.iterdir()] == ["inside"]
+    assert (target / "inside").read_text() == blocker.read_text() == "kept"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -431,6 +460,16 @@ def test_verify_edges_report_is_pinned(tmp_path, capsys, tables):
     assert code == 0
     assert out.splitlines()[-1] == "suite edges: 5/5 checks passed"
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_EDGES
+
+
+VERIFY_ALL = "b57f6446583374fb5fea427dc62ea7e84f4b212d839660ca9f0490aea52d9c9b"
+
+
+def test_verify_all_report_is_pinned(verify_all):
+    # every suite at its defaults, the table suites on tables reloaded from files
+    assert verify_all.code == 0
+    assert len(verify_all.out.splitlines()) == 194
+    assert hashlib.sha256(verify_all.out.encode()).hexdigest() == VERIFY_ALL
 
 
 def test_seed_derivation_is_stable():

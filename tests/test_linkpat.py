@@ -151,15 +151,17 @@ def conjugated(pi: LinkPattern, i: int) -> LinkPattern:
 
 
 def test_moves_are_valid_without_the_check():
-    # apply_e and apply_f skip validation: rebuilding their results through
-    # the checking constructor must succeed, and apply_f is the conjugation
+    # the moves, rotations and reflection skip validation: rebuilding their
+    # results through the checking constructor must succeed, and apply_f is
+    # the conjugation
     for n in range(1, 10):
         for pi in enumerate_patterns(n):
             for i in range(1, n + 1):
-                e, f = apply_e(pi, i), apply_f(pi, i)
-                assert LinkPattern(e.pairing) == e
-                assert LinkPattern(f.pairing) == f
+                e, f, turned = apply_e(pi, i), apply_f(pi, i), rotate(pi, i)
+                for q in (e, f, turned):
+                    assert LinkPattern(q.pairing) == q
                 assert f == conjugated(pi, i)
+            assert LinkPattern(reflect(pi).pairing) == reflect(pi)
 
 
 def test_rotate():

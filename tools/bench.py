@@ -80,6 +80,14 @@ def machine() -> dict:
     return {"cpu": model, "nproc": os.cpu_count(), "python": platform.python_version()}
 
 
+def suite(name: str, n: int | None = None, seed: int = 0, points: int | None = None,
+          store: cli.TableStore | None = None) -> None:
+    """One verify suite as `brauerloop verify <name>` runs it, by default at its defaults."""
+    args = argparse.Namespace(n=n, max_n=None, seed=seed, points=points)
+    report = cli.run_suite(name, cli.suite_jobs(name, args, store or cli.TableStore(None)))
+    assert report.passed, name
+
+
 # ------------------------------------------------------------------ groups
 
 
@@ -127,9 +135,9 @@ def exchange() -> dict:
     """Timings of the exchange identity check.
 
     End-to-end rows, on tables built beforehand: verify_exchange_n5,
-    verify_exchange_n6 and criterion_03, the body of acceptance criterion 03
-    (verify_exchange at N=2..6).  Layer row: exchange_residual_n6_fixture,
-    one exchange residual by MultiPoly.horner_u on the fixture
+    verify_exchange_n6 and criterion_03, the exchange suite at its defaults
+    (N=2..6), which acceptance criterion 03 reads.  Layer row:
+    exchange_residual_n6_fixture, one exchange residual by MultiPoly.horner_u on the fixture
     g = recursion_step(base_mdeg(6), maximal pattern, 1) (6086 terms), with
     P = F = E = g and T = tau_1 g at i = 1.
     """
@@ -137,14 +145,14 @@ def exchange() -> dict:
     g = psitable.recursion_step(psitable.base_mdeg(n), maximal_pattern(n), 1)
     t = g.tau(1)
     layers = [[(2, g), (-2, t)], [(1, g), (-2, g), (-1, t), (2, g)], [(1, t), (-1, g)]]
-    tables = {k: psitable.compute_table(k) for k in range(2, 7)}
+    store = cli.TableStore(None)
+    tables = {k: store.get(k) for k in range(2, 7)}
     return {
         "exchange_residual_n6_fixture": timed(
             lambda: MultiPoly.horner_u(n, 1, layers), number=LAYER_CALLS),
         "verify_exchange_n5": timed(lambda: psitable.verify_exchange(tables[5]), E2E_REPEATS),
         "verify_exchange_n6": timed(lambda: psitable.verify_exchange(tables[6]), E2E_REPEATS),
-        "criterion_03": timed(
-            lambda: [psitable.verify_exchange(tables[k]) for k in range(2, 7)], E2E_REPEATS),
+        "criterion_03": timed(lambda: suite("exchange", store=store), E2E_REPEATS),
     }
 
 
@@ -163,33 +171,12 @@ def chainsuites() -> dict:
     N=6 pattern and stabilizer_codim_n6_patterns at one t per N=6 pattern;
     cp_inv_n6_unit_diagonal_20, 20 N=6 unit-diagonal conjugators.
     End-to-end rows: geometry_suite_n6_30 and algebra_suite_n8_100 (the
-    chain workload's sizes, seed 1); criterion_08 and criterion_09, the
-    bodies of those acceptance criteria; d1_localization_n16_cli_point,
-    d1_mdeg_localization at the point that `brauerloop degrees --scheme D1
+    chain workload's sizes, seed 1); criterion_08 and criterion_09, the two
+    suites at their defaults, which those acceptance criteria read;
+    d1_localization_n16_cli_point, d1_mdeg_localization at the point that `brauerloop degrees --scheme D1
     --n 16` draws (seed 0); transition_matrix_n10, the 945-state move
     counts, and stationary_n10, the whole chain solve at N=10.
     """
-    def suite(name: str, n: int, points: int) -> None:
-        args = argparse.Namespace(n=n, max_n=None, seed=1, points=points)
-        cli.run_suite(name, cli.suite_jobs(name, args, cli.TableStore(None)))
-
-    def criterion_08() -> None:
-        for n in range(3, 7):
-            for pi in enumerate_patterns(n):
-                sample_rng = random.Random(f"acceptance-geometry/{n}/{pi}")
-                bounds = rank_table(pi)
-                for _ in range(200):
-                    sp = escheme.random_sample(pi, sample_rng)
-                    assert escheme.is_in_E(sp.matrix)
-                    assert escheme.identify_pattern(sp.matrix) == pi
-                    assert escheme.check_rank_bounds(sp.matrix, bounds)
-                escheme.tangent_dimension(sp.matrix)
-                escheme.stabilizer_codim(pi, sp.t)
-
-    def criterion_09() -> None:
-        for _, fn in cli.algebra_jobs(list(range(2, 9)), seed=0, count=1000):
-            fn()
-
     rng = random.Random(8)
     pi6 = maximal_pattern(6)
     sample6 = escheme.random_sample(pi6, rng).matrix
@@ -217,10 +204,12 @@ def chainsuites() -> dict:
         "cp_inv_n8_integer_diagonal": timed(lambda: cp_inv(scaled), number=LAYER_CALLS),
         "s_mul_n8_s0": timed(lambda: s_mul(p, q, 0), number=LAYER_CALLS),
         "s_mul_n8_s_minus_3_2": timed(lambda: s_mul(p, q, Fraction(-3, 2)), number=LAYER_CALLS),
-        "geometry_suite_n6_30": timed(lambda: suite("geometry", 6, 30), E2E_REPEATS),
-        "algebra_suite_n8_100": timed(lambda: suite("algebra", 8, 100), E2E_REPEATS),
-        "criterion_08": timed(criterion_08, E2E_REPEATS),
-        "criterion_09": timed(criterion_09, E2E_REPEATS),
+        "geometry_suite_n6_30": timed(
+            lambda: suite("geometry", n=6, seed=1, points=30), E2E_REPEATS),
+        "algebra_suite_n8_100": timed(
+            lambda: suite("algebra", n=8, seed=1, points=100), E2E_REPEATS),
+        "criterion_08": timed(lambda: suite("geometry"), E2E_REPEATS),
+        "criterion_09": timed(lambda: suite("algebra"), E2E_REPEATS),
         "d1_localization_n16_cli_point": timed(
             lambda: pfdet.d1_mdeg_localization(16, a16, z16), E2E_REPEATS),
         "transition_matrix_n10": timed(lambda: loopchain.transition_matrix(10)),
