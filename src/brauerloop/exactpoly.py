@@ -34,7 +34,9 @@ Divided differences use the convention
 
 so ddiff annihilates tau_i-symmetric polynomials and ddiff(z_i, i) = 1.
 It is computed in closed form, monomial by monomial, with no division.
-theta(i) is the degree-preserving combination -2*A*ddiff_i - tau_i.
+theta(i) is the degree-preserving combination -2*A*ddiff_i - tau_i, in
+one pass; dihedral(r, flip), the rotation and reflection of the z
+variables, is one permutation of the keys.
 horner_u(nz, i, layers) sums u^k times an integer combination of
 polynomials over k, u = z_i - z_{i+1}, by Horner's rule: multiplying by u
 moves each term to two keys, so it forms no product of two polynomials.
@@ -325,8 +327,27 @@ class MultiPoly:
         return MultiPoly._of(self.nz, _nonzero(out))
 
     def theta(self, i: int) -> "MultiPoly":
-        """-2*A*ddiff_i - tau_i, the degree-preserving operator of the recursion."""
-        return MultiPoly.gen_a(self.nz) * self.ddiff(i) * (-2) - self.tau(i)
+        """-2*A*ddiff_i - tau_i, the degree-preserving operator of the recursion.
+
+        One dict: the terms of ddiff_i, each moved up one A-degree with its
+        coefficient times -2, then every term of f subtracted at its tau_i
+        key (the permutation of tau).  A nonzero ddiff_i term whose A-exponent
+        is already MAX_EXPONENT raises ExponentOverflow, as the product
+        A * ddiff_i would.
+        """
+        d = self.ddiff(i).terms
+        sa = self._shift(0)
+        if d and max(d) >> sa == MAX_EXPONENT:  # A is the top field of a key
+            raise ExponentOverflow(f"a product exponent exceeds {MAX_EXPONENT}")
+        wa = 1 << sa
+        out = {k + wa: -2 * c for k, c in d.items()}
+        si, sj = self._pair(i)
+        step = (1 << si) - (1 << sj)
+        get = out.get
+        for k, c in self.terms.items():
+            nk = k - ((k >> si & _FIELD) - (k >> sj & _FIELD)) * step
+            out[nk] = get(nk, 0) - c
+        return MultiPoly._of(self.nz, _nonzero(out))
 
     @classmethod
     def horner_u(cls, nz: int, i: int,
@@ -401,6 +422,31 @@ class MultiPoly:
         return MultiPoly._of(self.nz, {
             k: -c if (sum(k.to_bytes(width, "big")) - (k >> sa)) & 1 else c
             for k, c in self.terms.items()})
+
+    def dihedral(self, r: int, flip: bool = False) -> "MultiPoly":
+        """f reflected when flip, then rotated by r, as one key permutation.
+
+        The reflection is f(A, -z_m, ..., -z_1), map_z(m, [m, ..., 1])
+        then negate_z(); the rotation relabels z_k as z_{k+r} (cyclically),
+        map_z(m, [1+r, ..., m+r]).  On a key the z fields are its low
+        FIELD_BITS * m bits, z_m lowest: the reflection reverses their bytes,
+        and a term changes sign when its z-degree is odd, that is, when the
+        low bits of its z fields hold an odd number of ones; the rotation
+        turns the z bits right by FIELD_BITS * r, read off the z bits
+        written twice side by side.
+        """
+        m = self.nz
+        zbits = FIELD_BITS * m
+        zmask = (1 << zbits) - 1
+        amask, twice = ~zmask, 1 + (1 << zbits)
+        sr = FIELD_BITS * (r % m) if m else 0
+        if not flip:
+            return MultiPoly._of(m, {k & amask | (k & zmask) * twice >> sr & zmask: c
+                                     for k, c in self.terms.items()})
+        ones, unpack = int.from_bytes(b"\1" * m, "big"), int.from_bytes
+        return MultiPoly._of(m, {
+            k & amask | unpack((k & zmask).to_bytes(m, "little"), "big") * twice >> sr & zmask:
+            -c if (k & ones).bit_count() & 1 else c for k, c in self.terms.items()})
 
     def subs_z(self, i: int, repl: "MultiPoly | int") -> "MultiPoly":
         """Substitute z_i := repl (a polynomial in the same variables, or an integer)."""

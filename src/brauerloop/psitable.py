@@ -12,12 +12,17 @@ The table of all of them is generated from two ingredients:
     the commuting-variety chain (commvar), conjugated by the weight
     A + z_i - z_{i+1}; one operator drives both chains.
 
+The multidegrees are covariant under the dihedral group: rotating a
+pattern rotates the z's cyclically, and reflecting it reverses and negates
+them (MultiPoly.dihedral).  So the table is built over dihedral orbits.
 Since adjacent transposition moves connect all patterns, a breadth-first
-sweep fills the whole table, one move per pattern: the first move into a
-pattern fills its entry, and these moves form a spanning tree rooted at
-the base.  Every other move is a consistency relation between two
-entries already filled; verify_edges checks all of them exactly, apart
-from the build.
+sweep reaches every pattern; the first move into each one is its edge, and
+these edges form a spanning tree rooted at the base.  The first pattern
+reached in an orbit is the orbit's representative, and its entry is one
+recursion step along its edge; every other entry is its representative's
+under one symmetry.  verify_edges checks every move exactly, tree edge or
+not, and stabilizer_check that every symmetry fixing a representative
+fixes its entry; both run apart from the build.
 
 The remaining functions verify, symbolically or at exact rational
 points, the identities these polynomials satisfy: the exchange
@@ -102,7 +107,12 @@ def recursion_step(mdeg_rho: MultiPoly, rho: LinkPattern, i: int) -> MultiPoly:
 
 @dataclass(frozen=True)
 class MdegTable:
-    """All multidegrees at one size, with the recursion edges that built them.
+    """All multidegrees at one size, with the first-move tree of the build.
+
+    edges maps each pattern to the first move (i, rho) into it in the
+    build's breadth-first sweep, None at the base.  compute_table takes a
+    recursion step along the edges of the orbit representatives only;
+    verify_edges checks every move, edge or not.
 
     The table is read-only: entries and edges are copied into read-only
     views, so its canonical text, serialized at most once, and the content
@@ -205,29 +215,116 @@ def _moves(rho: LinkPattern) -> Iterator[tuple[int, LinkPattern]]:
             yield i, apply_f(rho, i)
 
 
-def compute_table(n: int) -> MdegTable:
-    """Fill the table by breadth-first transposition moves from the base.
+def _symmetries(pi: LinkPattern) -> Iterator[tuple[int, bool, LinkPattern]]:
+    """(r, flip, rotate(reflect(pi) if flip else pi, r)) over the dihedral group.
 
-    The moves out of each pattern are taken in the order of _moves, and
-    only the first move into a pattern is computed: it fills the entry
-    and is recorded in edges, so the build makes one recursion step per
-    pattern besides the base.  verify_edges compares the other moves.
+    The identity comes first, then the other rotations, then the reflections.
     """
+    for flip in (False, True):
+        mirrored = reflect(pi) if flip else pi
+        for r in range(pi.n):
+            yield r, flip, rotate(mirrored, r)
+
+
+def _derived(reps: Mapping[LinkPattern, MultiPoly],
+             place: tuple[LinkPattern, int, bool]) -> MultiPoly:
+    """The entry at place = (rep, r, flip), from its representative's entry."""
+    rep, r, flip = place
+    return reps[rep].dihedral(r, flip) if r or flip else reps[rep]
+
+
+@dataclass(frozen=True)
+class OrbitTable:
+    """The multidegrees at one size, computed once per dihedral orbit.
+
+    reps maps each orbit representative to its multidegree.  place maps
+    every pattern pi to (rep, r, flip) with pi = rotate(reflect(rep) if flip
+    else rep, r), the first such symmetry in _symmetries' order, so that
+    mdeg(pi) = mdeg(rep).dihedral(r, flip).  edges is the build's first-move
+    tree, as in MdegTable.  place and edges list the patterns in the order
+    the build reached them.
+    """
+
+    n: int
+    reps: Mapping[LinkPattern, MultiPoly]
+    place: Mapping[LinkPattern, tuple[LinkPattern, int, bool]]
+    edges: Mapping[LinkPattern, tuple[int, LinkPattern] | None]
+
+    def mdeg(self, pi: LinkPattern) -> MultiPoly:
+        """The entry of any pattern: its representative's, under one key permutation."""
+        return _derived(self.reps, self.place[pi])
+
+    def expand(self) -> MdegTable:
+        """The full table, its entries in the order the build reached them."""
+        return MdegTable(self.n, {pi: self.mdeg(pi) for pi in self.place}, self.edges)
+
+
+def orbit_table(n: int) -> OrbitTable:
+    """The breadth-first transposition sweep from the base, one step per orbit.
+
+    The moves out of each pattern are taken in the order of _moves, and the
+    first move into a pattern is recorded in edges.  When that pattern's
+    orbit was not reached before, the pattern becomes its representative,
+    with one recursion step along the move; every pattern of the orbit is
+    then placed by the first symmetry that carries the representative to
+    it.  So the build makes one recursion step per orbit besides the base's.
+    """
+    reps: dict[LinkPattern, MultiPoly] = {}
+    orbit: dict[LinkPattern, tuple[LinkPattern, int, bool]] = {}
+
+    def new_orbit(rep: LinkPattern, entry: MultiPoly) -> None:
+        reps[rep] = entry
+        for r, flip, image in _symmetries(rep):
+            orbit.setdefault(image, (rep, r, flip))
+
     pi0 = maximal_pattern(n)
-    entries: dict[LinkPattern, MultiPoly] = {pi0: base_mdeg(n)}
+    new_orbit(pi0, base_mdeg(n))
+    place = {pi0: orbit[pi0]}
     edges: dict[LinkPattern, tuple[int, LinkPattern] | None] = {pi0: None}
     work = deque([pi0])
     while work:
         rho = work.popleft()
         for i, sigma in _moves(rho):
-            if sigma not in entries:
-                entries[sigma] = recursion_step(entries[rho], rho, i)
-                edges[sigma] = (i, rho)
-                work.append(sigma)
-    missing = [pi for pi in enumerate_patterns(n) if pi not in entries]
+            if sigma in edges:
+                continue
+            if sigma not in orbit:
+                new_orbit(sigma, recursion_step(_derived(reps, place[rho]), rho, i))
+            place[sigma] = orbit[sigma]
+            edges[sigma] = (i, rho)
+            work.append(sigma)
+    missing = [pi for pi in enumerate_patterns(n) if pi not in edges]
     if missing:
         raise ChainInconsistency(f"unreached patterns: {missing}")
-    return MdegTable(n, entries, edges)
+    return OrbitTable(n, reps, place, edges)
+
+
+def compute_table(n: int) -> MdegTable:
+    """The full table of the orbit build, orbit_table(n).expand().
+
+    Every entry is listed, in the order the sweep reached it, with its
+    first-move edge: the persisted form does not record the orbits.
+    """
+    return orbit_table(n).expand()
+
+
+def stabilizer_check(table: OrbitTable) -> dict:
+    """Every symmetry that fixes a representative fixes its entry.
+
+    The build places each pattern by one symmetry only, so this is what
+    covariance asserts of an orbit table beyond its construction: with a
+    nontrivial stabilizer, the entry must be invariant under it.  Raises
+    ChainInconsistency naming the representative, r and flip.
+    """
+    checked = 0
+    for rep, entry in table.reps.items():
+        for r, flip, image in _symmetries(rep):
+            if image != rep or not (r or flip):
+                continue
+            if entry.dihedral(r, flip) != entry:
+                raise ChainInconsistency(
+                    f"symmetry r={r}, flip={flip} fixes {rep} but not its entry")
+            checked += 1
+    return {"symmetries": checked}
 
 
 def verify_edges(table: MdegTable) -> dict:

@@ -99,6 +99,40 @@ def test_variable_operators_match_reference(p, data):
     assert ref.subs_z(i, TuplePoly.of(MultiPoly.const(v, p.nz))).matches(p.subs_z(i, v))
 
 
+@st.composite
+def edge_polys(draw):
+    """Polynomials whose fields sit near 0 or at the top, MAX_EXPONENT."""
+    nz = draw(st.integers(1, 4))
+    field = st.integers(0, 3) | st.integers(MAX_EXPONENT - 2, MAX_EXPONENT)
+    key = st.tuples(*[field] * (nz + 1))
+    return MultiPoly(nz, draw(st.dictionaries(key, st.integers(-5, 5), max_size=6)))
+
+
+@checked
+@hypothesis.given(edge_polys())
+def test_theta_matches_composed_form(p):
+    # the composed form's product raises where a nonzero ddiff_i term has A^MAX_EXPONENT
+    for i in range(1, p.nz + 1):
+        try:
+            want = MultiPoly.gen_a(p.nz) * p.ddiff(i) * (-2) - p.tau(i)
+        except ExponentOverflow:
+            with pytest.raises(ExponentOverflow):
+                p.theta(i)
+        else:
+            assert p.theta(i) == want
+
+
+@checked
+@hypothesis.given(edge_polys(), st.data())
+def test_dihedral_is_map_z_then_negate_z(p, data):
+    nz = p.nz
+    r = data.draw(st.integers(-nz, 2 * nz))
+    shift = [(k + r - 1) % nz + 1 for k in range(1, nz + 1)]
+    reverse = list(range(nz, 0, -1))
+    assert p.dihedral(r) == p.map_z(nz, shift)
+    assert p.dihedral(r, flip=True) == p.map_z(nz, reverse).negate_z().map_z(nz, shift)
+
+
 @checked
 @hypothesis.given(polys(max_size=6), st.data())
 def test_exact_divide_matches_reference(p, data):

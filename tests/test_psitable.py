@@ -3,6 +3,7 @@ tables with their invariants, and the identities they satisfy."""
 
 import random
 import re
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
@@ -17,13 +18,15 @@ from brauerloop.errors import (
 from brauerloop.exactpoly import MultiPoly
 from brauerloop import psitable
 from brauerloop.linkpat import LinkPattern, _wrap, apply_e, apply_f, maximal_pattern, reflect
-from brauerloop.pfdet import d0_multiplicity_check
+from brauerloop.pfdet import d0_multiplicity_check, degree_determinant
 from brauerloop.psitable import (
     MdegTable,
+    OrbitTable,
     base_mdeg,
     compute_table,
     exchange_residuals,
     integer_image,
+    orbit_table,
     positivity_spot_check,
     random_point,
     recursion_step,
@@ -31,6 +34,7 @@ from brauerloop.psitable import (
     rotation_check,
     smallarch_check,
     specialize_check,
+    stabilizer_check,
     sum_rule_sector,
     sum_rule_total,
     target_degree,
@@ -190,7 +194,36 @@ def test_edge_order_does_not_matter(tables):
     assert sum(verify_edges(tables(n))["edges"] for n in (3, 4, 5)) == 74
 
 
-def test_build_takes_one_step_per_pattern(monkeypatch):
+def tree_build(n):
+    """The sweep with one recursion step per pattern: the oracle of the orbit build.
+
+    The same popleft sweep over _moves; the first move into a pattern
+    computes its entry and is its edge.
+    """
+    pi0 = maximal_pattern(n)
+    entries = {pi0: base_mdeg(n)}
+    edges = {pi0: None}
+    work = deque([pi0])
+    while work:
+        rho = work.popleft()
+        for i, sigma in psitable._moves(rho):
+            if sigma not in entries:
+                entries[sigma] = recursion_step(entries[rho], rho, i)
+                edges[sigma] = (i, rho)
+                work.append(sigma)
+    return entries, edges
+
+
+def test_orbit_build_matches_tree_build(tables):
+    for n in range(2, 7):
+        entries, edges = tree_build(n)
+        table = tables(n)
+        # the same patterns in the same order, with equal entries and edges
+        assert list(table.entries.items()) == list(entries.items())
+        assert list(table.edges.items()) == list(edges.items())
+
+
+def test_build_takes_one_step_per_orbit(monkeypatch):
     calls = []
     exact = recursion_step
 
@@ -199,12 +232,36 @@ def test_build_takes_one_step_per_pattern(monkeypatch):
         return exact(mdeg, rho, i)
 
     monkeypatch.setattr(psitable, "recursion_step", counted)
-    for n in (5, 6):
+    for n, steps in ((5, 2), (6, 4)):
         calls.clear()
+        orbits = orbit_table(n)
+        assert len(calls) == len(orbits.reps) - 1 == steps
+        assert list(orbits.reps)[1:] == [apply_f(rho, i) for rho, i in calls]
         table = compute_table(n)
-        assert len(calls) == len(table.patterns()) - 1 == 14
         assert table.content_hash() == TABLE_HASHES[n]
         store_table(table)
+
+
+def test_stabilizer_check_catches_tampering():
+    orbits = orbit_table(4)
+    assert stabilizer_check(orbits) == {"symmetries": 10}
+    base = maximal_pattern(4)  # (1 3)(2 4): every rotation and reflection fixes it
+    bad = orbits.reps[base] + MultiPoly.gen_z(4, 1) ** target_degree(4)
+    with pytest.raises(ChainInconsistency) as err:
+        stabilizer_check(OrbitTable(4, {**orbits.reps, base: bad}, orbits.place, orbits.edges))
+    assert str(err.value) == f"symmetry r=1, flip=False fixes {base} but not its entry"
+
+
+def test_orbit_table_seven():
+    orbits = orbit_table(7)
+    assert len(orbits.place) == 105 and len(orbits.reps) == 11
+    sizes = Counter(rep for rep, _, _ in orbits.place.values())
+    assert sum(sizes[rep] * entry.z_free_sum() for rep, entry in orbits.reps.items()) \
+        == degree_determinant(7) == 6153
+    assert stabilizer_check(orbits) == {"symmetries": 7}
+    assert sum(len(entry.terms) for entry in orbits.reps.values()) == 1417564
+    for entry in orbits.reps.values():
+        assert entry.homogeneous_degree() == target_degree(7)
 
 
 def test_verify_edges_compares_non_tree_edges(tables, monkeypatch):

@@ -223,13 +223,16 @@ def tables() -> dict:
     Every hashing or writing row starts from a new MdegTable over the
     entries of a table built beforehand, so a table that keeps its
     serialized text pays for it in each call as a fresh one would.  Rows:
-    compute_table_n5; content_hash_n5; write_table_n5 and write_table_n6,
-    to an absent file; store_load_n5 and store_load_n6, TableStore.load from
-    a file written beforehand; and cmd_table_n6_cold and cmd_table_n6_warm,
-    the whole `brauerloop table --n 6` command with no file in the table
-    directory and with the file it wrote there, its stdout discarded.
-    Rows with a cheap call take REPEATS samples, the cmd_table rows
-    E2E_REPEATS, all of one call.
+    compute_table_n5 and compute_table_n6; representatives_n7,
+    psitable.orbit_table(7), the N=7 orbit representatives alone (absent
+    from a run on sources without orbit_table); content_hash_n5;
+    write_table_n5 and write_table_n6, to an absent file; store_load_n5 and
+    store_load_n6, TableStore.load from a file written beforehand; and
+    cmd_table_n6_cold and cmd_table_n6_warm, the whole `brauerloop table
+    --n 6` command with no file in the table directory and with the file it
+    wrote there, its stdout discarded.
+    Rows with a cheap call take REPEATS samples, the cmd_table rows and
+    representatives_n7 E2E_REPEATS, all of one call.
     """
     def fresh(table: MdegTable) -> MdegTable:
         return MdegTable(table.n, table.entries, table.edges)
@@ -253,8 +256,9 @@ def tables() -> dict:
         out = root / "out.json"
         cold, warm = root / "cold", root / "warm"
         cmd_table(warm, cold=False)  # writes the file the warm row keeps
-        return {
+        rows = {
             "compute_table_n5": timed(lambda: psitable.compute_table(5)),
+            "compute_table_n6": timed(lambda: psitable.compute_table(6)),
             "content_hash_n5": timed(lambda: fresh(built[5]).content_hash()),
             "write_table_n5": timed(lambda: write_absent(built[5], out)),
             "write_table_n6": timed(lambda: write_absent(built[6], out)),
@@ -263,6 +267,9 @@ def tables() -> dict:
             "cmd_table_n6_cold": timed(lambda: cmd_table(cold, cold=True), E2E_REPEATS),
             "cmd_table_n6_warm": timed(lambda: cmd_table(warm, cold=False), E2E_REPEATS),
         }
+    if hasattr(psitable, "orbit_table"):
+        rows["representatives_n7"] = timed(lambda: psitable.orbit_table(7), E2E_REPEATS)
+    return rows
 
 
 GROUPS = {"exactpoly": exactpoly, "exchange": exchange,
