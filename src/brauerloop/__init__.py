@@ -41,6 +41,7 @@ from .escheme import (
     is_in_E,
     random_sample,
     sample_point,
+    southwest_ranks,
     stabilizer_codim,
     tangent_dimension,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "s_mul",
     "sample_point",
     "skew_sum",
+    "southwest_ranks",
     "stabilizer_codim",
     "stationary",
     "tangent_dimension",

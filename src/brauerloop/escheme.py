@@ -15,13 +15,15 @@ each component:
   - diagonal pairing: the ordinary square's diagonal is (t_i t_{pi(i)}),
     so its nonzero values come in equal pairs and identify the pattern;
   - rank bounds: the southwest triangle at each strip position has rank
-    at most the pattern's count of strip entries in that triangle.  The
-    triangles that start at one strip row are the leading blocks of the
-    largest one, so one elimination per strip row gives all their ranks;
+    at most the pattern's count of strip entries in that triangle.  Every
+    triangle is a block of rows from one row down and columns up to one
+    column of a single (2N-1) x (2N-1) strip block, so one leftmost-pivot
+    reduction of that block, bottom row first, gives all N^2 ranks
+    (southwest_ranks);
   - tangent and stabilizer dimensions: the ranks of the linear maps
     P -> P o M + M o P and P -> (pi t) o P - P o (pi t) on the
     zero-diagonal matrices, whose rows on the basis E_ij are written in
-    closed form (circular_map_rows) and eliminated once.
+    closed form (circular_map_rows) and reduced once.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable
 
 from .circlealg import ExactMatrix, Rational, cp_inv, cp_mul
 from .errors import AmbiguousPairing, DegenerateParameters
-from .linalg import prefix_ranks, rank
+from .linalg import pivots, rank
 from .linkpat import LinkPattern, RankTable
 
 
@@ -205,30 +207,61 @@ def strip_rank(m: ExactMatrix, i: int, d: int) -> int:
     """Rank of the southwest triangle (i, d), by its own elimination.
 
     Nothing in the package calls it: it is kept public as the plain
-    reference that the tests compare prefix_ranks and check_rank_bounds
-    against.
+    reference that the tests compare southwest_ranks against.
     """
     return rank(strip_triangle(m, i, d))
+
+
+def southwest_ranks(m: ExactMatrix) -> dict[tuple[int, int], int]:
+    """The rank of every southwest triangle, keyed (i, d) as RankTable.ranks.
+
+    Take the strip block with rows and columns 0..2N-2 (0-based),
+    strip(a, c) = M[a mod N][c mod N] for 0 <= c - a < N and zero
+    elsewhere.  Triangle (i, d) is its block of rows and columns
+    i-1..i-1+d.  Widen it to all rows a >= i-1 and all columns
+    c <= i-1+d: the rows below i-1+d vanish left of their own index, and
+    no row a >= i-1 has an entry left of i-1, so the rank is unchanged.
+
+    linalg.pivots reduces the rows once, from a = 2N-2 up to 0.  Once the
+    rows a..2N-2 are read, its kept rows are an echelon basis of their
+    span with distinct leading columns, so restricting to the columns
+    <= b keeps exactly the basis rows whose pivot is <= b.  Hence
+    triangle (i, d) has rank #{pivots (a, c) : a >= i-1, c <= i-1+d}.
+    Every row read so far is zero left of a, so a pivot (a, c) has c >= a.
+    """
+    n, rows = m.n, m.rows
+    size = 2 * n - 1
+    block = []
+    for a in range(size - 1, -1, -1):
+        s = a % n
+        band = (rows[s][s:] + rows[s][:s])[:size - a]  # columns a.. of row a
+        block.append([0] * a + band + [0] * (size - a - len(band)))
+    found = [(size - 1 - k, c) for k, c in pivots(block)]  # (a, c), a decreasing
+    ranks: dict[tuple[int, int], int] = {}
+    per_column = [0] * size  # pivots (a, c) with a >= i-1, by column c
+    k = 0
+    for i in range(n, 0, -1):
+        while k < len(found) and found[k][0] >= i - 1:
+            per_column[found[k][1]] += 1
+            k += 1
+        r = 0
+        for d in range(n):
+            r += per_column[i - 1 + d]
+            ranks[i, d] = r
+    return ranks
 
 
 def check_rank_bounds(m: ExactMatrix, bounds: RankTable) -> bool:
     """Does every southwest-triangle rank respect the pattern's bound?
 
-    bounds is the pattern's rank_table, read by its (row, offset) keys.
-    Every entry of a triangle below its diagonal vanishes, so triangle
-    (i, d) is the leading block of the first d+1 columns of triangle
-    (i, N-1), and its rank is the rank of those columns: one elimination
-    per strip row i gives all N ranks.
+    bounds is the pattern's rank_table, read by its (row, offset) keys;
+    the ranks are southwest_ranks(m), from one reduction of the strip
+    block.  Raises ValueError when the sizes differ.
     """
-    n = m.n
-    if n != bounds.n:
+    if m.n != bounds.n:
         raise ValueError("size mismatch")
     ranks = bounds.ranks
-    for i in range(1, n + 1):
-        for d, r in enumerate(prefix_ranks(strip_triangle(m, i, n - 1))):
-            if r > ranks[i, d]:
-                return False
-    return True
+    return all(r <= ranks[key] for key, r in southwest_ranks(m).items())
 
 
 # --------------------------------------------------------------------- dimensions

@@ -196,6 +196,19 @@ def reflect(pi: LinkPattern) -> LinkPattern:
     return LinkPattern._of(tuple(n + 1 - pi(n + 1 - i) for i in range(1, n + 1)))
 
 
+def symmetries(pi: LinkPattern) -> Iterator[tuple[int, bool, LinkPattern]]:
+    """(r, flip, rotate(reflect(pi) if flip else pi, r)) over the dihedral group.
+
+    The identity comes first, then the other rotations, then the
+    reflections, so the first symmetry that reaches a pattern is a fixed
+    choice that orbit builds and orbit numberings can rely on.
+    """
+    for flip in (False, True):
+        mirrored = reflect(pi) if flip else pi
+        for r in range(pi.n):
+            yield r, flip, rotate(mirrored, r)
+
+
 def chords_cross(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
     """Do two chords on the circle interleave?  Endpoints must be distinct."""
     a, b = sorted(c1)

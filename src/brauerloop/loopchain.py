@@ -26,7 +26,7 @@ from math import lcm
 
 from .errors import IdentityViolation, Mismatch, NonUniqueStationary
 from .linalg import rank, solve
-from .linkpat import LinkPattern, apply_e, apply_f, enumerate_patterns, reflect, rotate
+from .linkpat import LinkPattern, apply_e, apply_f, enumerate_patterns, symmetries
 
 
 def transition_matrix(n: int) -> tuple[tuple[LinkPattern, ...], list[dict[int, int]]]:
@@ -67,9 +67,8 @@ def _dihedral_orbits(pats: tuple[LinkPattern, ...]) -> tuple[list[int], list[int
     reps: list[int] = []
     for k, pi in enumerate(pats):
         if orbit[k] < 0:
-            for r in range(pi.n):
-                turned = rotate(pi, r)
-                orbit[index[turned]] = orbit[index[reflect(turned)]] = len(reps)
+            for _, _, image in symmetries(pi):
+                orbit[index[image]] = len(reps)
             reps.append(k)
     return orbit, reps
 

@@ -48,7 +48,7 @@ from .errors import ChainInconsistency, ChordPresent, IdentityViolation
 from .exactpoly import MultiPoly
 from .linkpat import (LinkPattern, apply_e, apply_f, enumerate_patterns,
                       in_permutation_sector, maximal_pattern, reflect,
-                      restrict_pattern, rotate, strands_cross_at, _wrap)
+                      restrict_pattern, rotate, strands_cross_at, symmetries, _wrap)
 
 
 def target_degree(n: int) -> int:
@@ -215,17 +215,6 @@ def _moves(rho: LinkPattern) -> Iterator[tuple[int, LinkPattern]]:
             yield i, apply_f(rho, i)
 
 
-def _symmetries(pi: LinkPattern) -> Iterator[tuple[int, bool, LinkPattern]]:
-    """(r, flip, rotate(reflect(pi) if flip else pi, r)) over the dihedral group.
-
-    The identity comes first, then the other rotations, then the reflections.
-    """
-    for flip in (False, True):
-        mirrored = reflect(pi) if flip else pi
-        for r in range(pi.n):
-            yield r, flip, rotate(mirrored, r)
-
-
 def _derived(reps: Mapping[LinkPattern, MultiPoly],
              place: tuple[LinkPattern, int, bool]) -> MultiPoly:
     """The entry at place = (rep, r, flip), from its representative's entry."""
@@ -239,7 +228,7 @@ class OrbitTable:
 
     reps maps each orbit representative to its multidegree.  place maps
     every pattern pi to (rep, r, flip) with pi = rotate(reflect(rep) if flip
-    else rep, r), the first such symmetry in _symmetries' order, so that
+    else rep, r), the first such symmetry in linkpat.symmetries' order, so that
     mdeg(pi) = mdeg(rep).dihedral(r, flip).  edges is the build's first-move
     tree, as in MdegTable.  place and edges list the patterns in the order
     the build reached them.
@@ -274,7 +263,7 @@ def orbit_table(n: int) -> OrbitTable:
 
     def new_orbit(rep: LinkPattern, entry: MultiPoly) -> None:
         reps[rep] = entry
-        for r, flip, image in _symmetries(rep):
+        for r, flip, image in symmetries(rep):
             orbit.setdefault(image, (rep, r, flip))
 
     pi0 = maximal_pattern(n)
@@ -317,7 +306,7 @@ def stabilizer_check(table: OrbitTable) -> dict:
     """
     checked = 0
     for rep, entry in table.reps.items():
-        for r, flip, image in _symmetries(rep):
+        for r, flip, image in symmetries(rep):
             if image != rep or not (r or flip):
                 continue
             if entry.dihedral(r, flip) != entry:

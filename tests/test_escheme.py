@@ -17,14 +17,16 @@ from brauerloop.escheme import (
     is_in_E,
     pattern_matrix,
     random_sample,
+    random_t,
     sample_point,
+    southwest_ranks,
     square_diag,
     stabilizer_codim,
     strip_rank,
     strip_triangle,
     tangent_dimension,
 )
-from brauerloop.linalg import prefix_ranks
+from brauerloop.linalg import _pivot_rows
 from brauerloop.linkpat import LinkPattern, enumerate_patterns, maximal_pattern, rank_table
 
 
@@ -109,31 +111,62 @@ def test_rank_bounds_separate_components():
     assert strip_rank(sp.matrix, 1, 1) == 1
 
 
-def rank_bounds_by_position(m, pi):
-    """Reference: one rank per strip position (i, i+d)."""
-    table = rank_table(pi)
-    return all(strip_rank(m, i, d) <= table.value(i, i + d)
-               for i in range(1, m.n + 1) for d in range(m.n))
-
-
 def test_rank_bounds_match_one_rank_per_position():
     rng = random.Random(43)
     verdicts = []
-    for n in range(3, 7):
+    for n in range(1, 9):
         patterns = list(enumerate_patterns(n))
+        tables = {rho: rank_table(rho) for rho in patterns}
         points = [random_sample(pi, rng).matrix for pi in patterns for _ in range(2)]
         points += [ExactMatrix.build(n, lambda i, j: rng.choice([0, 0, 1, -2, Fraction(1, 3)]))
                    for _ in range(4)]
         for m in points:
-            for i in range(1, n + 1):
-                # triangle (i, d) is the leading block of triangle (i, N-1)
-                assert prefix_ranks(strip_triangle(m, i, n - 1)) == \
-                    [strip_rank(m, i, d) for d in range(n)]
-            for rho in patterns:
-                got = check_rank_bounds(m, rank_table(rho))
-                assert got == rank_bounds_by_position(m, rho)
+            ranks = {(i, d): strip_rank(m, i, d) for i in range(1, n + 1) for d in range(n)}
+            assert southwest_ranks(m) == ranks
+            # every bound against every point up to N=6; beyond, a few drawn bounds
+            for rho in patterns if n <= 6 else rng.sample(patterns, 4):
+                got = check_rank_bounds(m, tables[rho])
+                assert got == all(r <= tables[rho].ranks[key] for key, r in ranks.items())
                 verdicts.append(got)
     assert True in verdicts and False in verdicts
+
+
+def test_southwest_ranks_are_the_rank_table():
+    # the combinatorial count of strip entries and the linear algebra of a
+    # point of the component are two routes to one set of ranks
+    rng = random.Random(47)
+    for n in range(1, 9):
+        for pi in enumerate_patterns(n):
+            want = rank_table(pi).ranks
+            assert southwest_ranks(pattern_matrix(pi, random_t(pi, rng))) == want
+            for _ in range(3):
+                assert southwest_ranks(random_sample(pi, rng).matrix) == want
+
+
+def strip_block(m):
+    """The rows 2N-2 down to 0 of the strip, columns 0..2N-2, as southwest_ranks reduces them."""
+    n, size = m.n, 2 * m.n - 1
+    return [[m.rows[a % n][c % n] if 0 <= c - a < n else 0 for c in range(size)]
+            for a in range(size - 1, -1, -1)]
+
+
+def kept_bits(rows):
+    return max((abs(x).bit_length() for _, _, row in _pivot_rows(rows) for x in row), default=0)
+
+
+def test_pivot_rows_stay_small():
+    # without Bareiss's exact division only the content division bounds
+    # the entries of the kept rows; these bounds hold with room to spare
+    # (here at most 6 bits on the strip blocks and 15 on the maps; without
+    # the content division the strip blocks reach 39)
+    rng = random.Random(53)
+    for pi in enumerate_patterns(8):
+        assert kept_bits(strip_block(random_sample(pi, rng).matrix)) <= 16
+    for pi in enumerate_patterns(6):
+        sp = random_sample(pi, rng)
+        mt = pattern_matrix(pi, sp.t)
+        assert kept_bits(circular_map_rows(sp.matrix, sp.matrix)) <= 32
+        assert kept_bits(circular_map_rows(-mt, mt)) <= 32
 
 
 def test_strip_triangle_is_upper_triangular():

@@ -1,12 +1,14 @@
-"""The fraction-free elimination behind rank, prefix_ranks, det and
-solve, checked against sympy and against rank on small exact matrices."""
+"""The two eliminations: the leftmost-pivot reduction behind pivots and
+rank, and the fraction-free (Bareiss) one behind det and solve, checked
+against sympy, against each other and against rank on small exact
+matrices."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from brauerloop.linalg import det, prefix_ranks, rank, solve
+from brauerloop.linalg import _echelon, _pivot_rows, det, pivots, rank, solve
 
 sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
@@ -154,6 +156,12 @@ def row_sets(draw):
     return draw(st.permutations(rows))
 
 
+def prefix_ranks(rows):
+    """Entry c is the rank of columns 0..c: the pivots in those columns."""
+    cols = [c for _, c in pivots(rows)]
+    return [sum(1 for p in cols if p <= c) for c in range(len(rows[0]) if rows else 0)]
+
+
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(row_sets())
 def test_prefix_ranks_are_ranks_of_leading_column_blocks(rows):
@@ -167,3 +175,29 @@ def test_prefix_ranks_edges():
     # more columns than rows: the ranks stop growing at the row count
     assert prefix_ranks([[0, 1, 0, 5], [0, 2, 1, 0]]) == [0, 1, 2, 2]
     assert prefix_ranks([[Fraction(1, 2), 1], [1, 2]]) == [1, 1]
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(row_sets())
+def test_rank_agrees_with_bareiss(rows):
+    assert rank(rows) == len(_echelon(rows)[1])
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(row_sets())
+def test_pivots_give_the_rank_of_every_leading_block(rows):
+    # rows 0..a and columns 0..b: the pivots (k, c) with k <= a and c <= b
+    found = pivots(rows)
+    for a in range(len(rows)):
+        for b in range(len(rows[0])):
+            want = rank([r[:b + 1] for r in rows[:a + 1]])
+            assert sum(1 for k, c in found if k <= a and c <= b) == want
+
+
+def test_pivots_are_leftmost_and_rows_are_reduced():
+    assert pivots([[0, 2, 4], [0, 1, 2], [3, 0, 0], [0, 0, 5]]) == [(0, 1), (2, 0), (3, 2)]
+    assert pivots([]) == [] and pivots([[0, 0]]) == []
+    kept = _pivot_rows([[0, 4, 6, 8], [2, 4, 0, 0], [0, 6, 9, 13]])
+    # each kept row is divided by its content: row 1 minus 2 (row 0 / 2) is
+    # (2, 0, -6, -8), and row 2 minus 3 (row 0 / 2) leaves (0, 0, 0, 1)
+    assert kept == [(0, 1, [0, 2, 3, 4]), (1, 0, [1, 0, -3, -4]), (2, 3, [0, 0, 0, 1])]

@@ -23,6 +23,7 @@ from brauerloop.linkpat import (
     restrict_pattern,
     rotate,
     strands_cross_at,
+    symmetries,
 )
 
 
@@ -183,6 +184,21 @@ def test_reflect():
         for q in enumerate_patterns(n):
             assert reflect(reflect(q)) == q
             assert crossings(reflect(q)) == crossings(q)
+
+
+def test_symmetries_enumerate_the_dihedral_group_in_order():
+    pi = LinkPattern((3, 4, 1, 2, 5))
+    images = list(symmetries(pi))
+    assert [(r, flip) for r, flip, _ in images] == \
+        [(r, False) for r in range(5)] + [(r, True) for r in range(5)]
+    assert images[0] == (0, False, pi)
+    for n in range(1, 7):
+        for q in enumerate_patterns(n):
+            got = [image for _, _, image in symmetries(q)]
+            # rotate-then-reflect and reflect-then-rotate reach one orbit
+            assert set(got) == {g for r in range(n) for g in (rotate(q, r), reflect(rotate(q, r)))}
+            assert got == [rotate(reflect(q) if flip else q, r)
+                           for flip in (False, True) for r in range(n)]
 
 
 @pytest.mark.parametrize("n", range(1, 9))

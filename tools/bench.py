@@ -37,7 +37,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import brauerloop
-from brauerloop import cli, commvar, escheme, loopchain, pfdet, psitable
+from brauerloop import cli, commvar, escheme, linalg, loopchain, pfdet, psitable
 from brauerloop.circlealg import ExactMatrix, cp_inv, s_mul
 from brauerloop.exactpoly import MultiPoly
 from brauerloop.linkpat import enumerate_patterns, maximal_pattern, rank_table
@@ -161,6 +161,9 @@ def chainsuites() -> dict:
 
     Layer rows: check_rank_bounds_n6, on one N=6 sample of the maximal
     pattern with its rank table, as the geometry suite calls it;
+    rank_dense_n30, linalg.rank of one fixed dense 30 x 30 integer matrix
+    (entries -9..9, drawn from its own seed 30), a shape no library path
+    ranks but which costs the leftmost-pivot reduction the most;
     cp_inv_n8_unit_diagonal and cp_inv_n8_integer_diagonal, an N=8
     unit-diagonal conjugator and the same matrix with an integer diagonal;
     s_mul_n8_s0 and s_mul_n8_s_minus_3_2, two N=8 integer matrices at s = 0
@@ -190,6 +193,8 @@ def chainsuites() -> dict:
     samples6 = [escheme.random_sample(pi, rng) for pi in enumerate_patterns(6)]
     conjugators6 = [escheme.random_conjugator(6, rng) for _ in range(20)]
     jobs = dict(cli.algebra_jobs([8], seed=1, count=100))
+    dense_rng = random.Random(30)
+    dense30 = [[dense_rng.randint(-9, 9) for _ in range(30)] for _ in range(30)]
     return {
         "sfamily_check_n8_100": timed(jobs["algebra/sfamily/N8"]),
         "strip_check_n8_100": timed(jobs["algebra/strip/N8"]),
@@ -200,6 +205,7 @@ def chainsuites() -> dict:
         "cp_inv_n6_unit_diagonal_20": timed(lambda: [cp_inv(p6) for p6 in conjugators6]),
         "check_rank_bounds_n6": timed(
             lambda: escheme.check_rank_bounds(sample6, bounds6), number=LAYER_CALLS),
+        "rank_dense_n30": timed(lambda: linalg.rank(dense30), number=LAYER_CALLS),
         "cp_inv_n8_unit_diagonal": timed(lambda: cp_inv(unit), number=LAYER_CALLS),
         "cp_inv_n8_integer_diagonal": timed(lambda: cp_inv(scaled), number=LAYER_CALLS),
         "s_mul_n8_s0": timed(lambda: s_mul(p, q, 0), number=LAYER_CALLS),
