@@ -190,28 +190,6 @@ def identify_pattern(m: ExactMatrix) -> LinkPattern:
 # --------------------------------------------------------------------- rank bounds
 
 
-def strip_triangle(m: ExactMatrix, i: int, d: int) -> list[list[Rational]]:
-    """The southwest triangle at strip position (i, i+d), 0 <= d < N.
-
-    Row a, column c of the strip for i <= a <= c <= i+d, as a dense
-    (d+1) x (d+1) array; entries below the diagonal are outside the
-    band and vanish.
-    """
-    n, rows = m.n, m.rows
-    idx = [(i + a - 1) % n for a in range(d + 1)]
-    return [[rows[ia][idx[c]] if c >= a else 0 for c in range(d + 1)]
-            for a, ia in enumerate(idx)]
-
-
-def strip_rank(m: ExactMatrix, i: int, d: int) -> int:
-    """Rank of the southwest triangle (i, d), by its own elimination.
-
-    Nothing in the package calls it: it is kept public as the plain
-    reference that the tests compare southwest_ranks against.
-    """
-    return rank(strip_triangle(m, i, d))
-
-
 def southwest_ranks(m: ExactMatrix) -> dict[tuple[int, int], int]:
     """The rank of every southwest triangle, keyed (i, d) as RankTable.ranks.
 

@@ -2,118 +2,81 @@
 
 Everything works on plain lists of lists whose entries are ints or
 fractions.Fraction.  Each row is first scaled to integers, so no Fraction
-is formed inside an elimination.  Two eliminations share that step:
+is formed inside the elimination, and one elimination serves every
+question: _pivot_rows reduces the rows one at a time, in the given
+order, against the pivot rows kept so far, and keeps each row's leftmost
+nonzero entry as its pivot.  The kept rows have distinct leading columns,
+so they are an echelon basis up to order:
 
-  - pivots() reduces the rows one at a time, in the given order, against
-    the pivot rows kept so far, and keeps each row's leftmost nonzero
-    entry as its pivot.  The kept rows have distinct leading columns, so
-    the pivots answer every rank question about a leading set of rows
-    and a leading set of columns at once (the rank profile of
-    Dumas-Pernet-Sultan).  rank() counts them.  Each step touches only
-    the row being reduced, which suits the sparse map matrices of the
-    geometry suite (30 by 36 at N=6) and the strip blocks of the rank
-    bounds (11 by 11 at N=6).  On dense input, where its entries grow
-    without an exact division to hold them back, it is the slower of the
-    two; no library path ranks dense input.
-  - _echelon() is the fraction-free (Bareiss) elimination.  Every
-    division in it is exact, so row k holds (k+1)-minors of the matrix:
-    det() reads the last pivot, and solve() back-substitutes from the
-    echelon form of the augmented matrix, dividing by that determinant
-    exactly (the chain's orbit system has 80 rows and 79 unknowns at
-    N=10).  pivots() keeps no such invariant, so it cannot serve them.
+  - pivots() and rank() read the pivots, which answer every rank
+    question about a leading set of rows and a leading set of columns at
+    once (the rank profile of Dumas-Pernet-Sultan).  Each step touches
+    only the row being reduced, which suits the sparse map matrices of
+    the geometry suite (30 by 36 at N=6) and the strip blocks of the rank
+    bounds (11 by 11 at N=6);
+  - solve() sorts the kept rows of the augmented matrix by pivot column
+    into a triangular system and back-substitutes exactly (the chain's
+    orbit system has 80 rows and 79 unknowns at N=10);
+  - det() reads the triangular form too, undoing the row multipliers and
+    content divisions that the reduction applied.
 
-Sizes here are small, so no pivot strategy beyond "first nonzero" is
-needed in either.
+Without the exact division of fraction-free (Bareiss) elimination, only
+the division of each kept row by its content holds back the growth of
+its entries, so dense input is reduced more slowly than by Bareiss; the
+library's systems are sparse.  Sizes here are small, so no pivot strategy
+beyond "leftmost nonzero" is needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Sequence
 
 Rational = int | Fraction
 
 
-def _cleared(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[int]], int]:
-    """Fresh integer copies of the rows, each scaled by the lcm of its
-    denominators, and the product of those scales."""
-    m, scale = [], 1
-    for r in rows:
+def _pivot_rows(rows: Sequence[Sequence[Rational]]) -> list[tuple[int, int, list[int], int, int]]:
+    """(row index, pivot column, reduced row, multiplier, content) of each
+    row that adds to the span.
+
+    Each row is first scaled by the lcm of its denominators.  Then it is
+    reduced, in the given order, against the rows kept so far at their
+    pivot columns: v <- (lead/g) v - (f/g) p, where lead is p's entry and
+    f is v's entry at p's pivot column and g = gcd(lead, f).  A kept row p
+    is zero at the pivot column of every row kept before it, so each step
+    clears one more pivot column of v and leaves the earlier ones clear.
+    What is left of v is zero at every kept pivot column; if it is
+    nonzero, its leftmost nonzero entry is its pivot, and it is kept
+    divided by its content (the gcd of its entries), which holds back the
+    growth of the entries.
+
+    The multiplier is the product of the row's scale and of every lead/g
+    that multiplied it, so multiplier * (row k) = content * (kept row)
+    plus a combination of the rows before k.
+    """
+    kept: list[tuple[int, int, list[int], int, int]] = []
+    for k, r in enumerate(rows):
         # a sum of ints is an int, and one Fraction term makes it a Fraction
         if type(sum(r)) is int:
-            m.append(list(r))
-            continue
-        den = lcm(*(x.denominator for x in r if isinstance(x, Fraction)))
-        m.append([int(x * den) for x in r])
-        scale *= den
-    return m, scale
-
-
-def _echelon(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[int]], list[int], int, int]:
-    """Fraction-free echelon form of the integer-scaled rows.
-
-    Returns (rows, pivot columns, sign of the row swaps, product of the
-    row scales).  Row k of the result holds pivot k, and its entries are
-    (k+1)-minors of the scaled matrix, so the last pivot of a square
-    matrix of full rank is its determinant up to the swap sign.
-    """
-    m, scale = _cleared(rows)
-    nrows, ncols = len(m), len(m[0]) if m else 0
-    cols: list[int] = []
-    sign = prev = 1
-    for col in range(ncols):
-        r = len(cols)
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if m[i][col]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            sign = -sign
-        top = m[r]
-        lead = top[col]
-        for i in range(r + 1, nrows):
-            row = m[i]
-            f = row[col]
-            for j in range(col + 1, ncols):
-                row[j] = (lead * row[j] - f * top[j]) // prev
-            row[col] = 0
-        prev = lead
-        cols.append(col)
-    return m, cols, sign, scale
-
-
-def _pivot_rows(rows: Sequence[Sequence[Rational]]) -> list[tuple[int, int, list[int]]]:
-    """(row index, pivot column, reduced row) of each row that adds to the span.
-
-    Each row v is reduced, in the given order, against the rows kept so
-    far at their pivot columns: v <- (lead/g) v - (f/g) p, where lead is
-    p's entry and f is v's entry at p's pivot column and g = gcd(lead, f).
-    A kept row p is zero at the pivot column of every row kept before it,
-    so each step clears one more pivot column of v and leaves the earlier
-    ones clear.  What is left of v is zero at every kept pivot column; if
-    it is nonzero, its leftmost nonzero entry is its pivot, and it is kept
-    divided by its content (the gcd of its entries), which holds back the
-    growth that the missing exact division of Bareiss would otherwise let
-    through.
-    """
-    kept: list[tuple[int, int, list[int]]] = []
-    for k, v in enumerate(_cleared(rows)[0]):
-        for _, c, p in kept:
+            v, mult = list(r), 1
+        else:
+            mult = lcm(*(x.denominator for x in r if isinstance(x, Fraction)))
+            v = [int(x * mult) for x in r]
+        for _, c, p, _, _ in kept:
             f = v[c]
             if f:
                 lead = p[c]
                 g = gcd(lead, f)
                 a, b = lead // g, f // g
                 v = [a * x - b * y for x, y in zip(v, p)]
+                mult *= a
         g = gcd(*v)
         if not g:
             continue  # v is zero: the row lies in the span of the kept rows
         # the entries before the first nonzero one are zero, so index() finds it
         col = v.index(next(filter(None, v)))
-        kept.append((k, col, v if g == 1 else [x // g for x in v]))
+        kept.append((k, col, v if g == 1 else [x // g for x in v], mult, g))
     return kept
 
 
@@ -128,7 +91,7 @@ def pivots(rows: Sequence[Sequence[Rational]]) -> list[tuple[int, int]]:
     rank of the block of rows 0..a and columns 0..b is the number of
     pivots (k, c) with k <= a and c <= b, for every a and b at once.
     """
-    return [(k, c) for k, c, _ in _pivot_rows(rows)]
+    return [(k, c) for k, c, _, _, _ in _pivot_rows(rows)]
 
 
 def rank(rows: Sequence[Sequence[Rational]]) -> int:
@@ -139,34 +102,48 @@ def rank(rows: Sequence[Sequence[Rational]]) -> int:
 def solve(rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) -> list[Fraction] | None:
     """The unique solution of rows * x = rhs, or None if there is none or many.
 
-    The augmented matrix is eliminated once.  The system has exactly one
-    solution when every unknown's column holds a pivot and the rhs column
-    does not; then the last pivot d is the determinant of the pivot rows,
-    so d * x is an integer vector (Cramer) and back-substitution divides
-    exactly.
+    The augmented matrix is reduced once.  The system has exactly one
+    solution when the pivot columns are those of the unknowns and the rhs
+    column holds none; then the kept rows, sorted by pivot column, are an
+    upper-triangular system.  Back-substitution keeps x = y / d with
+    integers y and one common denominator d, so every division is exact.
     """
+    if len(rows) != len(rhs):
+        raise ValueError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
     ncols = len(rows[0]) if rows else 0
-    m, cols, _, _ = _echelon([list(r) + [b] for r, b in zip(rows, rhs)])
-    if cols != list(range(ncols)):
+    kept = sorted(_pivot_rows([list(r) + [b] for r, b in zip(rows, rhs)]),
+                  key=lambda t: t[1])
+    if [c for _, c, _, _, _ in kept] != list(range(ncols)):
         return None  # a free unknown, or a pivot in the rhs column
-    d = m[ncols - 1][ncols - 1] if ncols else 1
-    y = [0] * ncols
-    for k in range(ncols - 1, -1, -1):
-        row = m[k]
-        acc = d * row[ncols] - sum(row[j] * y[j] for j in range(k + 1, ncols))
-        y[k] = acc // row[k]
+    y, d = [0] * ncols, 1
+    for _, k, row, _, _ in reversed(kept):
+        # with x_j = y_j / d for j > k, row[k] * x_k = num / d
+        num = d * row[ncols] - sum(row[j] * y[j] for j in range(k + 1, ncols))
+        lead = row[k]
+        q = abs(lead) // gcd(num, lead)  # x_k = (num / (lead / q)) / (q d)
+        y = [v * q for v in y]
+        d *= q
+        y[k] = num // (lead // q)
     return [Fraction(v, d) for v in y]
 
 
 def det(rows: Sequence[Sequence[Rational]]) -> Rational:
-    """Determinant: the sign times the last pivot (integer inputs stay integers)."""
+    """Determinant, an int whenever it is integral.
+
+    Sorted by pivot column, the kept rows of a square matrix of full rank
+    form an upper-triangular matrix.  Row k of the input times its
+    multiplier is content times kept row k, plus earlier rows, so
+    det = sign(pivot columns) * prod(pivot * content) / prod(multiplier).
+    """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    m, cols, sign, scale = _echelon(rows)
-    if len(cols) < n:
+    kept = _pivot_rows(rows)
+    if len(kept) < n:
         return 0
-    value = sign * m[n - 1][n - 1]
-    return value if scale == 1 else Fraction(value, scale)
+    cols = [c for _, c, _, _, _ in kept]
+    inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+    num = (-1) ** inversions * prod(p[c] * g for _, c, p, _, g in kept)
+    den = prod(mult for _, _, _, mult, _ in kept)
+    value, rest = divmod(num, den)
+    return Fraction(num, den) if rest else value

@@ -22,11 +22,9 @@ from brauerloop.escheme import (
     southwest_ranks,
     square_diag,
     stabilizer_codim,
-    strip_rank,
-    strip_triangle,
     tangent_dimension,
 )
-from brauerloop.linalg import _pivot_rows
+from brauerloop.linalg import _pivot_rows, rank
 from brauerloop.linkpat import LinkPattern, enumerate_patterns, maximal_pattern, rank_table
 
 
@@ -101,6 +99,24 @@ def test_identify_pattern_ambiguous():
         identify_pattern(flat)
 
 
+def strip_triangle(m, i, d):
+    """The southwest triangle at strip position (i, i+d), 0 <= d < N.
+
+    Row a, column c of the strip for i <= a <= c <= i+d, as a dense
+    (d+1) x (d+1) array; entries below the diagonal are outside the
+    band and vanish.
+    """
+    n, rows = m.n, m.rows
+    idx = [(i + a - 1) % n for a in range(d + 1)]
+    return [[rows[ia][idx[c]] if c >= a else 0 for c in range(d + 1)]
+            for a, ia in enumerate(idx)]
+
+
+def strip_rank(m, i, d):
+    """Reference: the rank of the southwest triangle (i, d), by its own reduction."""
+    return rank(strip_triangle(m, i, d))
+
+
 def test_rank_bounds_separate_components():
     # a point of the little-arc component violates the crossing pattern's
     # zero conditions on the first offset
@@ -151,7 +167,7 @@ def strip_block(m):
 
 
 def kept_bits(rows):
-    return max((abs(x).bit_length() for _, _, row in _pivot_rows(rows) for x in row), default=0)
+    return max((abs(x).bit_length() for _, _, row, _, _ in _pivot_rows(rows) for x in row), default=0)
 
 
 def test_pivot_rows_stay_small():

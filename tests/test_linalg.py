@@ -1,18 +1,111 @@
-"""The two eliminations: the leftmost-pivot reduction behind pivots and
-rank, and the fraction-free (Bareiss) one behind det and solve, checked
-against sympy, against each other and against rank on small exact
-matrices."""
+"""The one row reduction behind pivots, rank, solve and det, checked
+against sympy, against the fraction-free (Bareiss) elimination kept here
+as an oracle, and against rank on small exact matrices."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from brauerloop.linalg import _echelon, _pivot_rows, det, pivots, rank, solve
+from brauerloop.linalg import _pivot_rows, det, pivots, rank, solve
 
 sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
+
+
+# ---------------------------------------------------------------- Bareiss oracle
+# The fraction-free elimination keeps minors in its rows, an invariant the
+# leftmost-pivot reduction does not share, so it is an independent route
+# to rank, det and solve.
+
+
+def _cleared(rows):
+    """Fresh integer copies of the rows, each scaled by the lcm of its
+    denominators, and the product of those scales."""
+    m, scale = [], 1
+    for r in rows:
+        # a sum of ints is an int, and one Fraction term makes it a Fraction
+        if type(sum(r)) is int:
+            m.append(list(r))
+            continue
+        den = lcm(*(x.denominator for x in r if isinstance(x, Fraction)))
+        m.append([int(x * den) for x in r])
+        scale *= den
+    return m, scale
+
+
+def _echelon(rows):
+    """Fraction-free echelon form of the integer-scaled rows.
+
+    Returns (rows, pivot columns, sign of the row swaps, product of the
+    row scales).  Row k of the result holds pivot k, and its entries are
+    (k+1)-minors of the scaled matrix, so the last pivot of a square
+    matrix of full rank is its determinant up to the swap sign.
+    """
+    m, scale = _cleared(rows)
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    cols = []
+    sign = prev = 1
+    for col in range(ncols):
+        r = len(cols)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        top = m[r]
+        lead = top[col]
+        for i in range(r + 1, nrows):
+            row = m[i]
+            f = row[col]
+            for j in range(col + 1, ncols):
+                row[j] = (lead * row[j] - f * top[j]) // prev
+            row[col] = 0
+        prev = lead
+        cols.append(col)
+    return m, cols, sign, scale
+
+
+def bareiss_solve(rows, rhs):
+    """The unique solution of rows * x = rhs, or None if there is none or many.
+
+    The augmented matrix is eliminated once.  The system has exactly one
+    solution when every unknown's column holds a pivot and the rhs column
+    does not; then the last pivot d is the determinant of the pivot rows,
+    so d * x is an integer vector (Cramer) and back-substitution divides
+    exactly.
+    """
+    ncols = len(rows[0]) if rows else 0
+    m, cols, _, _ = _echelon([list(r) + [b] for r, b in zip(rows, rhs)])
+    if cols != list(range(ncols)):
+        return None  # a free unknown, or a pivot in the rhs column
+    d = m[ncols - 1][ncols - 1] if ncols else 1
+    y = [0] * ncols
+    for k in range(ncols - 1, -1, -1):
+        row = m[k]
+        acc = d * row[ncols] - sum(row[j] * y[j] for j in range(k + 1, ncols))
+        y[k] = acc // row[k]
+    return [Fraction(v, d) for v in y]
+
+
+def bareiss_det(rows):
+    """Determinant: the sign times the last pivot (integer inputs stay integers)."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant needs a square matrix")
+    if n == 0:
+        return 1
+    m, cols, sign, scale = _echelon(rows)
+    if len(cols) < n:
+        return 0
+    value = sign * m[n - 1][n - 1]
+    return value if scale == 1 else Fraction(value, scale)
+
 
 
 def to_sympy(rows):
@@ -87,6 +180,8 @@ def test_det_row_swaps_and_edges():
     assert det([[Fraction(1, 2), 1], [1, Fraction(1, 3)]]) == Fraction(-5, 6)
     value = det([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
     assert value == 4 and type(value) is int
+    value = det([[Fraction(1, 2), 0], [0, 2]])
+    assert value == 1 and type(value) is int
     with pytest.raises(ValueError):
         det([[1, 2, 3], [4, 5, 6]])
 
@@ -118,6 +213,11 @@ def test_solve_returns_none_unless_unique():
     assert solve([[1, 1], [1, 1]], [1, 2]) is None
     assert solve([[1, 0], [0, 1], [1, 1]], [1, 1, 3]) is None
     assert solve([[0, 0]], [1]) is None
+    # one right-hand side per row, or no answer at all
+    with pytest.raises(ValueError):
+        solve([[1]], [1, 2])
+    with pytest.raises(ValueError):
+        solve([[1], [2]], [1])
     # underdetermined: consistent with a free unknown
     assert solve([[1, 1]], [2]) is None
     assert solve([[1, 2], [2, 4]], [3, 6]) is None
@@ -178,9 +278,20 @@ def test_prefix_ranks_edges():
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
-@hypothesis.given(row_sets())
-def test_rank_agrees_with_bareiss(rows):
+@hypothesis.given(row_sets(), st.data())
+def test_rank_agrees_with_bareiss(rows, data):
     assert rank(rows) == len(_echelon(rows)[1])
+    # det on the leading square block, so that every draw has one
+    size = min(len(rows), len(rows[0]))
+    square = [r[:size] for r in rows[:size]]
+    assert det(square) == bareiss_det(square)
+    # solve with a drawn right-hand side, mostly inconsistent once rows
+    # repeat, and with one consistent by construction
+    drawn = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    x = data.draw(st.lists(entries, min_size=len(rows[0]), max_size=len(rows[0])))
+    image = [sum(a * b for a, b in zip(r, x)) for r in rows]
+    for rhs in (drawn, image):
+        assert solve(rows, rhs) == bareiss_solve(rows, rhs)
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
@@ -200,4 +311,10 @@ def test_pivots_are_leftmost_and_rows_are_reduced():
     kept = _pivot_rows([[0, 4, 6, 8], [2, 4, 0, 0], [0, 6, 9, 13]])
     # each kept row is divided by its content: row 1 minus 2 (row 0 / 2) is
     # (2, 0, -6, -8), and row 2 minus 3 (row 0 / 2) leaves (0, 0, 0, 1)
-    assert kept == [(0, 1, [0, 2, 3, 4]), (1, 0, [1, 0, -3, -4]), (2, 3, [0, 0, 0, 1])]
+    assert kept == [(0, 1, [0, 2, 3, 4], 1, 2), (1, 0, [1, 0, -3, -4], 1, 2),
+                    (2, 3, [0, 0, 0, 1], 1, 1)]
+    # row 1 is scaled by 2 to (3, 0), then multiplied by lead/g = 2 before
+    # row 0 times 3 is taken off: (0, -3), kept as content 3 times (0, -1)
+    kept = _pivot_rows([[2, 1], [Fraction(3, 2), 0]])
+    assert kept == [(0, 0, [2, 1], 1, 1), (1, 1, [0, -1], 4, 3)]
+    assert det([[2, 1], [Fraction(3, 2), 0]]) == Fraction(-3, 2)
