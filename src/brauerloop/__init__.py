@@ -28,7 +28,6 @@ from .circlealg import (
     StripWindow,
     cp_inv,
     cp_mul,
-    cyc_ordered,
     cycle,
     s_mul,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "compute_table",
     "cp_inv",
     "cp_mul",
-    "cyc_ordered",
     "cycle",
     "degree_determinant",
     "degree_sequence",

@@ -169,11 +169,6 @@ def _divided(m: ExactMatrix, d: int) -> ExactMatrix:
 # --------------------------------------------------------------------- cyclic order
 
 
-def cyc_ordered(i: int, j: int, k: int, n: int) -> bool:
-    """Does j lie on the cyclic arc from i to k?  For i == k only j == i does."""
-    return (j - i) % n + (k - j) % n == (k - i) % n
-
-
 @lru_cache(maxsize=None)
 def _arcs(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """_arcs(n)[i][k]: the 0-based indices on the cyclic arc from i to k, in arc order."""

@@ -20,9 +20,12 @@ sweep reaches every pattern; the first move into each one is its edge, and
 these edges form a spanning tree rooted at the base.  The first pattern
 reached in an orbit is the orbit's representative, and its entry is one
 recursion step along its edge; every other entry is its representative's
-under one symmetry.  verify_edges checks every move exactly, tree edge or
-not, and stabilizer_check that every symmetry fixing a representative
-fixes its entry; both run apart from the build.
+under one symmetry.  The table stores the representatives' entries only
+and derives each other one when it is read (MdegTable.mdeg); its persisted
+form lists every entry, and a loaded table stores them all.
+verify_edges checks every move exactly, tree edge or not, and
+stabilizer_check that every symmetry fixing a stored pattern fixes its
+entry; both run apart from the build.
 
 The remaining functions verify, symbolically or at exact rational
 points, the identities these polynomials satisfy: the exchange
@@ -107,39 +110,60 @@ def recursion_step(mdeg_rho: MultiPoly, rho: LinkPattern, i: int) -> MultiPoly:
 
 @dataclass(frozen=True)
 class MdegTable:
-    """All multidegrees at one size, with the first-move tree of the build.
+    """All multidegrees at one size, each dihedral orbit stored once.
 
-    edges maps each pattern to the first move (i, rho) into it in the
-    build's breadth-first sweep, None at the base.  compute_table takes a
-    recursion step along the edges of the orbit representatives only;
-    verify_edges checks every move, edge or not.
+    stored maps the patterns whose entries the table keeps to their
+    multidegrees.  place maps every pattern pi to (rep, r, flip), rep a
+    stored pattern and pi = rotate(reflect(rep) if flip else rep, r), so
+    that mdeg(pi) = stored[rep].dihedral(r, flip); with no place, every
+    stored pattern is placed on itself.  edges maps each pattern to the
+    first move (i, rho) into it in the build's breadth-first sweep, None at
+    the base; verify_edges checks every move, edge or not.  A built table
+    lists place and edges in the order the sweep reached the patterns, a
+    loaded one stores every entry.
 
-    The table is read-only: entries and edges are copied into read-only
-    views, so its canonical text, serialized at most once, and the content
-    hash of that text can never go stale.
+    The table is read-only: stored, place and edges are copied into
+    read-only views, so its canonical text, serialized at most once, and
+    the content hash of that text can never go stale.
     """
 
     n: int
-    entries: Mapping[LinkPattern, MultiPoly]
-    edges: Mapping[LinkPattern, tuple[int, LinkPattern] | None] = field(default_factory=dict)
+    stored: Mapping[LinkPattern, MultiPoly]
+    edges: Mapping[LinkPattern, tuple[int, LinkPattern] | None]
+    place: Mapping[LinkPattern, tuple[LinkPattern, int, bool]] | None = None
     _text: str | None = field(default=None, init=False, repr=False, compare=False)
     _hash: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        place = {pi: (pi, 0, False) for pi in self.stored} if self.place is None else self.place
+        object.__setattr__(self, "stored", MappingProxyType(dict(self.stored)))
+        object.__setattr__(self, "place", MappingProxyType(dict(place)))
         object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
+
+    def __eq__(self, other: object) -> bool:
+        """Equal size, entries and edges, however the entries are stored."""
+        if not isinstance(other, MdegTable):
+            return NotImplemented
+        return (self.n == other.n and self.edges == other.edges
+                and self.entries == other.entries)
+
+    @property
+    def entries(self) -> Mapping[LinkPattern, MultiPoly]:
+        """Every placed pattern's entry, in place order, derived on each access."""
+        return MappingProxyType({pi: self.mdeg(pi) for pi in self.place})
 
     def patterns(self) -> tuple[LinkPattern, ...]:
         return enumerate_patterns(self.n)
 
     def mdeg(self, pi: LinkPattern) -> MultiPoly:
-        return self.entries[pi]
+        """The entry of pi: its representative's, under one key permutation."""
+        return _placed(self.stored, self.place[pi])
 
     def psi(self, pi: LinkPattern) -> MultiPoly:
-        return self.entries[pi].specialize_a(1)
+        return self.mdeg(pi).specialize_a(1)
 
     def degree(self, pi: LinkPattern) -> int:
-        return self.entries[pi].z_free_sum()
+        return self.mdeg(pi).z_free_sum()
 
     def degrees(self) -> dict[LinkPattern, int]:
         return {pi: self.degree(pi) for pi in self.patterns()}
@@ -150,31 +174,39 @@ class MdegTable:
     def mdeg_sum(self) -> MultiPoly:
         total = MultiPoly.zero(self.n)
         for pi in self.patterns():
-            total = total + self.entries[pi]
+            total = total + self.mdeg(pi)
         return total
 
     def validate(self) -> None:
-        """Homogeneity, the base entry, and the family GCD."""
+        """Every pattern placed, homogeneity, the base entry, and the family GCD.
+
+        A symmetry keeps an entry's degree and the absolute values of its
+        coefficients, at A = 1 too, so the stored entries stand for all.
+        """
+        missing = [pi for pi in self.patterns() if pi not in self.place]
+        if missing:
+            raise ChainInconsistency(f"no entry for patterns {missing}")
         want = target_degree(self.n)
-        for pi, p in self.entries.items():
+        for pi, p in self.stored.items():
             if p.homogeneous_degree() != want:
                 raise ChainInconsistency(
                     f"entry {pi} has degree {p.homogeneous_degree()}, want {want}")
-        if self.entries[maximal_pattern(self.n)] != base_mdeg(self.n):
+        if self.mdeg(maximal_pattern(self.n)) != base_mdeg(self.n):
             raise ChainInconsistency("base entry does not match the base product")
         g = 0
-        for pi in self.patterns():
-            g = math.gcd(g, *self.psi(pi).terms.values())
+        for p in self.stored.values():
+            g = math.gcd(g, *p.specialize_a(1).terms.values())
         if g != 1:
             raise ChainInconsistency(f"family GCD is {g}, want 1")
 
     # ------------------------------------------------------------- persistence
 
     def to_obj(self) -> dict:
-        pats = sorted(self.entries, key=lambda p: p.pairing)
+        """Every placed pattern's entry and edge, sorted by pairing: no orbits."""
+        pats = sorted(self.place, key=lambda p: p.pairing)
         return {
             "n": self.n,
-            "entries": [[list(pi.pairing), self.entries[pi].to_obj()] for pi in pats],
+            "entries": [[list(pi.pairing), self.mdeg(pi).to_obj()] for pi in pats],
             "edges": [[list(pi.pairing),
                        None if self.edges.get(pi) is None else
                        [self.edges[pi][0], list(self.edges[pi][1].pairing)]]
@@ -215,54 +247,29 @@ def _moves(rho: LinkPattern) -> Iterator[tuple[int, LinkPattern]]:
             yield i, apply_f(rho, i)
 
 
-def _derived(reps: Mapping[LinkPattern, MultiPoly],
-             place: tuple[LinkPattern, int, bool]) -> MultiPoly:
-    """The entry at place = (rep, r, flip), from its representative's entry."""
-    rep, r, flip = place
-    return reps[rep].dihedral(r, flip) if r or flip else reps[rep]
+def _placed(stored: Mapping[LinkPattern, MultiPoly],
+            at: tuple[LinkPattern, int, bool]) -> MultiPoly:
+    """The entry placed at = (rep, r, flip): stored[rep], or its image under one symmetry."""
+    rep, r, flip = at
+    return stored[rep].dihedral(r, flip) if r or flip else stored[rep]
 
 
-@dataclass(frozen=True)
-class OrbitTable:
-    """The multidegrees at one size, computed once per dihedral orbit.
-
-    reps maps each orbit representative to its multidegree.  place maps
-    every pattern pi to (rep, r, flip) with pi = rotate(reflect(rep) if flip
-    else rep, r), the first such symmetry in linkpat.symmetries' order, so that
-    mdeg(pi) = mdeg(rep).dihedral(r, flip).  edges is the build's first-move
-    tree, as in MdegTable.  place and edges list the patterns in the order
-    the build reached them.
-    """
-
-    n: int
-    reps: Mapping[LinkPattern, MultiPoly]
-    place: Mapping[LinkPattern, tuple[LinkPattern, int, bool]]
-    edges: Mapping[LinkPattern, tuple[int, LinkPattern] | None]
-
-    def mdeg(self, pi: LinkPattern) -> MultiPoly:
-        """The entry of any pattern: its representative's, under one key permutation."""
-        return _derived(self.reps, self.place[pi])
-
-    def expand(self) -> MdegTable:
-        """The full table, its entries in the order the build reached them."""
-        return MdegTable(self.n, {pi: self.mdeg(pi) for pi in self.place}, self.edges)
-
-
-def orbit_table(n: int) -> OrbitTable:
+def compute_table(n: int) -> MdegTable:
     """The breadth-first transposition sweep from the base, one step per orbit.
 
     The moves out of each pattern are taken in the order of _moves, and the
     first move into a pattern is recorded in edges.  When that pattern's
-    orbit was not reached before, the pattern becomes its representative,
-    with one recursion step along the move; every pattern of the orbit is
-    then placed by the first symmetry that carries the representative to
-    it.  So the build makes one recursion step per orbit besides the base's.
+    orbit was not reached before, the pattern becomes its representative
+    and is stored, with one recursion step along the move; every pattern of
+    the orbit is then placed by the first symmetry that carries the
+    representative to it.  So the build makes one recursion step per orbit
+    besides the base's, and derives no entry but those of the moves' sources.
     """
-    reps: dict[LinkPattern, MultiPoly] = {}
+    stored: dict[LinkPattern, MultiPoly] = {}
     orbit: dict[LinkPattern, tuple[LinkPattern, int, bool]] = {}
 
     def new_orbit(rep: LinkPattern, entry: MultiPoly) -> None:
-        reps[rep] = entry
+        stored[rep] = entry
         for r, flip, image in symmetries(rep):
             orbit.setdefault(image, (rep, r, flip))
 
@@ -277,35 +284,27 @@ def orbit_table(n: int) -> OrbitTable:
             if sigma in edges:
                 continue
             if sigma not in orbit:
-                new_orbit(sigma, recursion_step(_derived(reps, place[rho]), rho, i))
+                new_orbit(sigma, recursion_step(_placed(stored, place[rho]), rho, i))
             place[sigma] = orbit[sigma]
             edges[sigma] = (i, rho)
             work.append(sigma)
     missing = [pi for pi in enumerate_patterns(n) if pi not in edges]
     if missing:
         raise ChainInconsistency(f"unreached patterns: {missing}")
-    return OrbitTable(n, reps, place, edges)
+    return MdegTable(n, stored, edges, place)
 
 
-def compute_table(n: int) -> MdegTable:
-    """The full table of the orbit build, orbit_table(n).expand().
-
-    Every entry is listed, in the order the sweep reached it, with its
-    first-move edge: the persisted form does not record the orbits.
-    """
-    return orbit_table(n).expand()
-
-
-def stabilizer_check(table: OrbitTable) -> dict:
-    """Every symmetry that fixes a representative fixes its entry.
+def stabilizer_check(table: MdegTable) -> dict:
+    """Every symmetry that fixes a stored pattern fixes its entry.
 
     The build places each pattern by one symmetry only, so this is what
-    covariance asserts of an orbit table beyond its construction: with a
-    nontrivial stabilizer, the entry must be invariant under it.  Raises
-    ChainInconsistency naming the representative, r and flip.
+    covariance asserts of a built table beyond its construction: with a
+    nontrivial stabilizer, the entry must be invariant under it.  A loaded
+    table stores every entry, so there every pattern's stabilizer is
+    checked.  Raises ChainInconsistency naming the pattern, r and flip.
     """
     checked = 0
-    for rep, entry in table.reps.items():
+    for rep, entry in table.stored.items():
         for r, flip, image in symmetries(rep):
             if image != rep or not (r or flip):
                 continue

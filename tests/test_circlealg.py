@@ -12,7 +12,6 @@ from brauerloop.circlealg import (
     clear_denominators,
     cp_inv,
     cp_mul,
-    cyc_ordered,
     cycle,
     from_semidirect,
     s_mul,
@@ -22,6 +21,11 @@ from brauerloop.circlealg import (
     to_semidirect,
 )
 from brauerloop.errors import NotInvertible
+
+
+def cyc_ordered(i: int, j: int, k: int, n: int) -> bool:
+    """Does j lie on the cyclic arc from i to k?  For i == k only j == i does."""
+    return (j - i) % n + (k - j) % n == (k - i) % n
 
 
 def arc_points(i: int, k: int, n: int) -> list[int]:

@@ -12,6 +12,7 @@ from brauerloop import cli
 from brauerloop.circlealg import _divided
 from brauerloop.errors import ExponentOverflow, IdentityViolation
 from brauerloop.exactpoly import MAX_EXPONENT
+from brauerloop.linkpat import maximal_pattern
 from brauerloop.psitable import MdegTable
 
 
@@ -164,6 +165,15 @@ def test_table_with_overflowing_size_is_recomputed(tmp_path, tables):
     # the size sets each entry's field count, so it is checked before any entry
     obj = tables(3).to_obj()
     obj["n"] = 2 ** 70
+    tampered_table_is_recomputed(tmp_path, tables, obj)
+
+
+def test_table_missing_an_entry_is_recomputed(tmp_path, tables):
+    # a well-formed file whose hash matches, with one non-base entry and its edge gone
+    obj = tables(3).to_obj()
+    base = list(maximal_pattern(3).pairing)
+    k = next(k for k, (pairing, _) in enumerate(obj["entries"]) if pairing != base)
+    del obj["entries"][k], obj["edges"][k]
     tampered_table_is_recomputed(tmp_path, tables, obj)
 
 

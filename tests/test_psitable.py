@@ -21,12 +21,10 @@ from brauerloop.linkpat import LinkPattern, _wrap, apply_e, apply_f, maximal_pat
 from brauerloop.pfdet import d0_multiplicity_check, degree_determinant
 from brauerloop.psitable import (
     MdegTable,
-    OrbitTable,
     base_mdeg,
     compute_table,
     exchange_residuals,
     integer_image,
-    orbit_table,
     positivity_spot_check,
     random_point,
     recursion_step,
@@ -153,6 +151,13 @@ def test_validate_catches_tampering(tables):
     doubled = {pi: p * 2 for pi, p in t3.entries.items()}
     with pytest.raises(ChainInconsistency):
         MdegTable(3, doubled, t3.edges).validate()
+    # a pattern with no entry: the build stores one orbit of three patterns,
+    # so only the coverage check can tell the two left from a whole table
+    assert len(t3.stored) == 1 and pats[-1] != maximal_pattern(3)
+    partial = dict(t3.entries)
+    del partial[pats[-1]]
+    with pytest.raises(ChainInconsistency, match=re.escape(f"no entry for patterns {[pats[-1]]}")):
+        MdegTable(3, partial, t3.edges).validate()
 
 
 def test_degree_rejects_non_integer_value():
@@ -181,6 +186,10 @@ def test_table_is_read_only(tables):
         t3.entries[pi] = MultiPoly.one(3)
     with pytest.raises(TypeError):
         t3.edges[pi] = None
+    with pytest.raises(TypeError):
+        t3.stored[pi] = MultiPoly.one(3)
+    with pytest.raises(TypeError):
+        t3.place[pi] = (pi, 0, False)
     # the table copies what it is given, so its hash cannot go stale
     entries = dict(t3.entries)
     twin = MdegTable(3, entries, t3.edges)
@@ -224,43 +233,62 @@ def test_orbit_build_matches_tree_build(tables):
 
 
 def test_build_takes_one_step_per_orbit(monkeypatch):
-    calls = []
-    exact = recursion_step
+    calls, derived = [], []
+    exact, dihedral = recursion_step, MultiPoly.dihedral
 
     def counted(mdeg, rho, i):
         calls.append((rho, i))
         return exact(mdeg, rho, i)
 
+    def counted_dihedral(self, r, flip=False):
+        derived.append((r, flip))
+        return dihedral(self, r, flip)
+
     monkeypatch.setattr(psitable, "recursion_step", counted)
+    monkeypatch.setattr(MultiPoly, "dihedral", counted_dihedral)
     for n, steps in ((5, 2), (6, 4)):
         calls.clear()
-        orbits = orbit_table(n)
-        assert len(calls) == len(orbits.reps) - 1 == steps
-        assert list(orbits.reps)[1:] == [apply_f(rho, i) for rho, i in calls]
+        derived.clear()
         table = compute_table(n)
+        assert len(calls) == len(table.stored) - 1 == steps
+        assert list(table.stored)[1:] == [apply_f(rho, i) for rho, i in calls]
+        # no entry is derived but the sources of the steps
+        assert len(derived) <= steps
         assert table.content_hash() == TABLE_HASHES[n]
         store_table(table)
 
 
 def test_stabilizer_check_catches_tampering():
-    orbits = orbit_table(4)
-    assert stabilizer_check(orbits) == {"symmetries": 10}
+    table = compute_table(4)
+    assert stabilizer_check(table) == {"symmetries": 10}
     base = maximal_pattern(4)  # (1 3)(2 4): every rotation and reflection fixes it
-    bad = orbits.reps[base] + MultiPoly.gen_z(4, 1) ** target_degree(4)
-    with pytest.raises(ChainInconsistency) as err:
-        stabilizer_check(OrbitTable(4, {**orbits.reps, base: bad}, orbits.place, orbits.edges))
-    assert str(err.value) == f"symmetry r=1, flip=False fixes {base} but not its entry"
+    bad = table.stored[base] + MultiPoly.gen_z(4, 1) ** target_degree(4)
+    loaded = MdegTable.from_obj(table.to_obj())
+    for t in (table, loaded):
+        with pytest.raises(ChainInconsistency) as err:
+            stabilizer_check(MdegTable(4, {**t.stored, base: bad}, t.edges, t.place))
+        assert str(err.value) == f"symmetry r=1, flip=False fixes {base} but not its entry"
+
+
+def test_loaded_table_equals_built_and_passes_stabilizer_check(tables):
+    # a loaded table stores every entry, so every pattern's stabilizer is checked
+    for n, symmetries in zip(range(2, 7), (3, 3, 13, 15, 45)):
+        built = tables(n)
+        loaded = MdegTable.from_obj(built.to_obj())
+        assert len(loaded.stored) == len(loaded.place) == len(built.place)
+        assert loaded == built
+        assert stabilizer_check(loaded) == {"symmetries": symmetries}
 
 
 def test_orbit_table_seven():
-    orbits = orbit_table(7)
-    assert len(orbits.place) == 105 and len(orbits.reps) == 11
-    sizes = Counter(rep for rep, _, _ in orbits.place.values())
-    assert sum(sizes[rep] * entry.z_free_sum() for rep, entry in orbits.reps.items()) \
+    table = compute_table(7)
+    assert len(table.place) == 105 and len(table.stored) == 11
+    sizes = Counter(rep for rep, _, _ in table.place.values())
+    assert sum(sizes[rep] * entry.z_free_sum() for rep, entry in table.stored.items()) \
         == degree_determinant(7) == 6153
-    assert stabilizer_check(orbits) == {"symmetries": 7}
-    assert sum(len(entry.terms) for entry in orbits.reps.values()) == 1417564
-    for entry in orbits.reps.values():
+    assert stabilizer_check(table) == {"symmetries": 7}
+    assert sum(len(entry.terms) for entry in table.stored.values()) == 1417564
+    for entry in table.stored.values():
         assert entry.homogeneous_degree() == target_degree(7)
 
 
