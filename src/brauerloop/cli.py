@@ -152,7 +152,8 @@ def write_table(table: MdegTable, path: Path, force: bool = False) -> bool:
     and parsed only when it differs: one naming the same hash is kept, any
     other is replaced only under force.  A temporary file beside the
     target replaces it atomically, so a failed write leaves the old file
-    intact.
+    intact.  The temporary file is given the mode open() would create the
+    file with, 0o666 less the umask, before it replaces the target.
     """
     digest = table.content_hash()
     data = ('{"hash":"%s","n":%d,"table":%s}\n'
@@ -176,6 +177,9 @@ def write_table(table: MdegTable, path: Path, force: bool = False) -> bool:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        umask = os.umask(0)  # read by setting it, and restored at once
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

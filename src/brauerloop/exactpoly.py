@@ -26,7 +26,9 @@ not an int here).  And as every field is below 256, the packed ints sort
 exactly as their exponent vectors sort lexicographically, so to_obj, the
 printed form and every table hash are those of tuple keys.  Exponent
 tuples appear only at the edges: the constructor, from_obj, to_obj,
-__str__ and monomials().
+__str__ and monomials().  to_json writes the JSON text of to_obj straight
+from the sorted keys, each monomial's text unpacked once per shared cache;
+a table's canonical text is built from it.
 
 Divided differences use the convention
 
@@ -561,6 +563,25 @@ class MultiPoly:
             fields = key.to_bytes(width, "big")
             out.append([str(terms[key]), fields[0], list(fields[1:])])
         return out
+
+    def to_json(self, suffixes: dict[int, str]) -> str:
+        """to_obj() as compact JSON, [["c",a,[e_1,...,e_m]],...], written from the keys.
+
+        The text of a term after its coefficient, '",a,[e_1,...,e_m]]',
+        depends on its key alone; suffixes caches it per key and is filled
+        on a miss, so polynomials in the same variables that share it, the
+        entries of one table, unpack each monomial once.  A term then costs
+        one str of its coefficient, one lookup and its share of one join.
+        """
+        terms, get, width = self.terms, suffixes.get, self.nz + 1
+
+        def fill(key: int) -> str:
+            fields = key.to_bytes(width, "big")
+            text = suffixes[key] = '",%d,[%s]]' % (fields[0], ",".join(map(str, fields[1:])))
+            return text
+
+        return "[" + ",".join(['["' + str(terms[k]) + (get(k) or fill(k))
+                               for k in sorted(terms)]) + "]"
 
     @classmethod
     def from_obj(cls, nz: int, obj: Iterable[Sequence]) -> "MultiPoly":

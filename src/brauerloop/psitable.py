@@ -22,7 +22,11 @@ reached in an orbit is the orbit's representative, and its entry is one
 recursion step along its edge; every other entry is its representative's
 under one symmetry.  The table stores the representatives' entries only
 and derives each other one when it is read (MdegTable.mdeg); its persisted
-form lists every entry, and a loaded table stores them all.
+form lists every entry, and a loaded table stores them all.  That form is
+the table's canonical text, compact JSON with sorted keys, written
+straight from the entries' packed keys (MultiPoly.to_json) with one term
+suffix per monomial cached across the table; its sha256 is the table's
+content hash.
 verify_edges checks every move exactly, tree edge or not, and
 stabilizer_check that every symmetry fixing a stored pattern fixes its
 entry; both run apart from the build.
@@ -202,16 +206,8 @@ class MdegTable:
     # ------------------------------------------------------------- persistence
 
     def to_obj(self) -> dict:
-        """Every placed pattern's entry and edge, sorted by pairing: no orbits."""
-        pats = sorted(self.place, key=lambda p: p.pairing)
-        return {
-            "n": self.n,
-            "entries": [[list(pi.pairing), self.mdeg(pi).to_obj()] for pi in pats],
-            "edges": [[list(pi.pairing),
-                       None if self.edges.get(pi) is None else
-                       [self.edges[pi][0], list(self.edges[pi][1].pairing)]]
-                      for pi in pats],
-        }
+        """Every placed pattern's entry and edge, sorted by pairing: the canonical text parsed."""
+        return json.loads(self.canonical_text())
 
     @classmethod
     def from_obj(cls, obj: dict) -> "MdegTable":
@@ -225,9 +221,23 @@ class MdegTable:
         return cls(n, entries, edges)
 
     def canonical_text(self) -> str:
-        """to_obj() as compact JSON with sorted keys, serialized once per table."""
+        """The table as compact JSON with sorted keys, serialized once per table.
+
+        {"edges":[[pairing,edge],...],"entries":[[pairing,terms],...],"n":n}
+        with the patterns sorted by pairing, each edge [i,pairing] or null
+        at the base, and each entry's terms as MultiPoly.to_json writes
+        them, from one suffix cache shared by all entries.  It is the text
+        json.dumps(..., sort_keys=True, separators=(",", ":")) gives for
+        that object, which to_obj parses back.
+        """
         if self._text is None:
-            text = json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
+            pats = sorted(self.place, key=lambda p: p.pairing)
+            suffixes: dict[int, str] = {}
+            entries = ",".join(["[%s,%s]" % (_ints(pi.pairing), self.mdeg(pi).to_json(suffixes))
+                                for pi in pats])
+            edges = ",".join(["[%s,%s]" % (_ints(pi.pairing), _edge(self.edges.get(pi)))
+                              for pi in pats])
+            text = '{"edges":[%s],"entries":[%s],"n":%d}' % (edges, entries, self.n)
             object.__setattr__(self, "_text", text)
         return self._text
 
@@ -237,6 +247,16 @@ class MdegTable:
             digest = hashlib.sha256(self.canonical_text().encode()).hexdigest()
             object.__setattr__(self, "_hash", digest)
         return self._hash
+
+
+def _ints(values: tuple[int, ...]) -> str:
+    """A JSON list of ints."""
+    return "[" + ",".join(map(str, values)) + "]"
+
+
+def _edge(edge: tuple[int, LinkPattern] | None) -> str:
+    """An edge (i, rho) as the JSON [i,pairing], null at the base."""
+    return "null" if edge is None else "[%d,%s]" % (edge[0], _ints(edge[1].pairing))
 
 
 def _moves(rho: LinkPattern) -> Iterator[tuple[int, LinkPattern]]:

@@ -10,7 +10,9 @@ equations of a stored table are checked by the library's own
 `TuplePoly`, a tuple-keyed sparse polynomial, is the oracle for the
 packed monomial keys of `MultiPoly`, and `literal_horner`, a sum of
 powers of z_i - z_{i+1} built by the generic ring operations, the
-oracle for `MultiPoly.horner_u`.  `with_vanishing_term` tampers a
+oracle for `MultiPoly.horner_u`.  `table_tree` builds a table's
+persisted object term by term, and its `json.dumps` is the oracle for
+`MdegTable.canonical_text`.  `with_vanishing_term` tampers a
 table so that only the pointwise checks can see it.  `verify_all` is one
 run of `brauerloop verify all` over those tables, reloaded from their
 files; the acceptance criteria and the report pin read it.  The `ci`
@@ -20,6 +22,7 @@ hypothesis profile draws the same examples on every run.
 import contextlib
 import heapq
 import io
+import json
 import re
 from fractions import Fraction
 from operator import add, index
@@ -60,6 +63,24 @@ def with_vanishing_term(table: MdegTable) -> MdegTable:
     term = MultiPoly(n, {(d - 1, 1) + (0,) * (n - 1): 1, (d - 1, 0, 1) + (0,) * (n - 2): -1})
     pi = table.patterns()[0]
     return MdegTable(n, {**table.entries, pi: table.mdeg(pi) + term}, table.edges)
+
+
+def table_tree(table: MdegTable) -> dict:
+    """Every placed pattern's entry and edge, sorted by pairing, as nested lists."""
+    pats = sorted(table.place, key=lambda p: p.pairing)
+    return {
+        "n": table.n,
+        "entries": [[list(pi.pairing), table.mdeg(pi).to_obj()] for pi in pats],
+        "edges": [[list(pi.pairing),
+                   None if table.edges.get(pi) is None else
+                   [table.edges[pi][0], list(table.edges[pi][1].pairing)]]
+                  for pi in pats],
+    }
+
+
+def tree_text(table: MdegTable) -> str:
+    """The canonical text as json.dumps writes table_tree: compact, sorted keys."""
+    return json.dumps(table_tree(table), sort_keys=True, separators=(",", ":"))
 
 
 def store_table(table: MdegTable) -> None:

@@ -1,7 +1,9 @@
 """tools/bench.py keeps every run, and the checked-in BENCH files are its output.
 
 The script is loaded by path, as it is run, with one fast fake group in
-place of the timed ones and its output in a temporary directory.
+place of the timed ones and its output in a temporary directory.  The
+paired mode runs a fake script in child interpreters, each on the sources
+of one of two fake trees.
 """
 
 import importlib.util
@@ -13,6 +15,24 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "tools" / "bench.py"
 RUN_KEYS = {"label", "date", "machine", "source_sha256", "rows"}
+PAIRED_KEYS = {"command", "date", "machine", "pairs", "before_sha256", "after_sha256", "rows"}
+PAIRED_ROW_KEYS = {"field", "before", "after", "ratios", "median", "min", "max"}
+
+# a stand-in for tools/bench.py in a child: one group whose rows read the
+# tree's own module, and a log of the order in which the trees ran
+FAKE_SCRIPT = """
+import os
+import fakemod
+
+def fake():
+    with open(os.environ["FAKE_LOG"], "a") as fh:
+        fh.write(fakemod.NAME + "\\n")
+    return {"row": {"unit": "s", "median": fakemod.VALUE},
+            "bytes": {"unit": "bytes", "dict_and_keys": 1000},
+            "count": {"unit": "terms", "g": 7}}
+
+GROUPS = {"fake": fake}
+"""
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +83,59 @@ def test_timer_keeps_four_significant_figures(bench, monkeypatch):
     assert row["median"] == row["min"] == 4.988e-05
 
 
+def fake_tree(root, name, value):
+    """A tree whose src holds fakemod, and a brauerloop module that names it."""
+    src = root / name / "src"
+    (src / "brauerloop").mkdir(parents=True)
+    (src / "fakemod.py").write_text(f"NAME = {name!r}\nVALUE = {value!r}\n")
+    (src / "brauerloop" / "__init__.py").write_text(f"# tree {name}\n")
+    return root / name
+
+
+@pytest.fixture
+def fake_script(tmp_path, monkeypatch):
+    script = tmp_path / "fake_bench.py"
+    script.write_text(FAKE_SCRIPT)
+    log = tmp_path / "order.log"
+    monkeypatch.setenv("FAKE_LOG", str(log))
+    return script, log
+
+
+def test_identical_trees_give_a_spread_that_includes_one(bench, tmp_path, fake_script):
+    script, log = fake_script
+    before, after = fake_tree(tmp_path, "a", 2.5), fake_tree(tmp_path, "b", 2.5)
+    record = bench.paired("fake", before, after, script, pairs=3)
+    assert log.read_text().split() == ["a", "b"] * 3  # alternating, before first
+    assert set(record) == PAIRED_KEYS and record["pairs"] == 3
+    assert sorted(record["rows"]) == ["bytes", "row"]  # a count has no ratio
+    for row in record["rows"].values():
+        assert set(row) == PAIRED_ROW_KEYS
+        assert row["ratios"] == [1.0] * 3
+        assert row["min"] <= 1 <= row["max"]
+    assert record["rows"]["row"]["before"] == record["rows"]["row"]["after"] == [2.5] * 3
+    assert record["before_sha256"] != record["after_sha256"]  # the trees' own sources
+
+
+def test_paired_rows_read_each_tree(bench, tmp_path, fake_script, monkeypatch):
+    script, log = fake_script
+    before, after = fake_tree(tmp_path, "a", 4.0), fake_tree(tmp_path, "b", 3.0)
+    monkeypatch.setattr(bench, "SCRIPT", script)
+    monkeypatch.setattr(bench, "ROOT", after)
+    monkeypatch.setattr(bench, "GROUPS", {"fake": None})
+    for _ in range(2):
+        assert bench.main(["fake", "--before", str(before)]) == 0
+    stored = json.loads((after / "BENCH_fake.json").read_text())
+    assert stored["runs"] == [] and stored["after_over_before"] == {}
+    assert len(stored["paired"]) == 2
+    for record in stored["paired"]:
+        assert record["command"] == "PYTHONPATH=src python3 tools/bench.py fake --before <checkout>"
+        row = record["rows"]["row"]
+        assert row["ratios"] == [0.75] * bench.PAIRS
+        assert row["median"] == row["min"] == row["max"] == 0.75
+    with pytest.raises(SystemExit):  # one side at a time
+        bench.main(["fake", "--before", str(before), "--label", "after"])
+
+
 def test_checked_in_files_are_the_writers_format(bench):
     files = {path.stem.removeprefix("BENCH_"): path for path in ROOT.glob("BENCH_*.json")}
     assert sorted(files) == sorted(bench.GROUPS)
@@ -71,3 +144,11 @@ def test_checked_in_files_are_the_writers_format(bench):
         assert stored["command"] == command(group)
         assert stored["runs"] and all(set(run) == RUN_KEYS for run in stored["runs"])
         assert stored["after_over_before"] == bench.ratios(stored["runs"])
+        for record in stored.get("paired", []):
+            assert set(record) == PAIRED_KEYS
+            assert record["command"] == \
+                f"PYTHONPATH=src python3 tools/bench.py {group} --before <checkout>"
+            for row in record["rows"].values():
+                assert set(row) == PAIRED_ROW_KEYS
+                assert len(row["ratios"]) == record["pairs"] >= 3
+                assert row["min"] <= row["median"] <= row["max"]

@@ -3,16 +3,19 @@ and byte-stable output."""
 
 import hashlib
 import json
+import os
+import stat
 from argparse import Namespace
 from fractions import Fraction
 
 import pytest
+from conftest import table_tree
 
 from brauerloop import cli
 from brauerloop.circlealg import _divided
 from brauerloop.errors import ExponentOverflow, IdentityViolation
-from brauerloop.exactpoly import MAX_EXPONENT
-from brauerloop.linkpat import maximal_pattern
+from brauerloop.exactpoly import MAX_EXPONENT, MultiPoly
+from brauerloop.linkpat import enumerate_patterns, maximal_pattern
 from brauerloop.psitable import MdegTable
 
 
@@ -56,7 +59,7 @@ def test_table_refuses_foreign_overwrite(tmp_path, capsys):
 
 def canonical_file(table: MdegTable) -> str:
     """The table file as a json.dumps of the whole payload would write it."""
-    obj = table.to_obj()
+    obj = table_tree(table)
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(blob.encode()).hexdigest()
     payload = {"n": table.n, "hash": digest, "table": obj}
@@ -74,20 +77,21 @@ def test_written_file_is_the_canonical_payload(tmp_path, tables, n):
 
 
 def test_table_command_serializes_once(tmp_path, capsys, monkeypatch):
+    # the table's text is written entry by entry, each entry once
     calls = []
-    to_obj = MdegTable.to_obj
+    to_json = MultiPoly.to_json
 
-    def counted(self):
-        calls.append(self.n)
-        return to_obj(self)
+    def counted(self, suffixes):
+        calls.append(self.nz)
+        return to_json(self, suffixes)
 
-    monkeypatch.setattr(MdegTable, "to_obj", counted)
+    monkeypatch.setattr(MultiPoly, "to_json", counted)
     args = ["table", "--n", "3", "--table-dir", str(tmp_path)]
     for word in ("wrote", "kept"):  # computed, then reloaded
         calls.clear()
         code, out = run(args, capsys)
         assert code == 0 and out.splitlines()[-1].startswith(word)
-        assert calls == [3]
+        assert calls == [3] * len(enumerate_patterns(3))
 
 
 def test_identical_file_is_kept_unparsed(tmp_path, monkeypatch, tables):
@@ -212,6 +216,20 @@ def test_write_table_is_atomic(tmp_path, monkeypatch, tables):
         cli.write_table(tables(3), path, force=True)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["mdeg.json"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_written_file_has_the_mode_open_gives(tmp_path, tables, umask, mode):
+    path = tmp_path / "mdeg.json"
+    old = os.umask(umask)
+    try:
+        assert cli.write_table(tables(2), path)
+        with open(tmp_path / "opened", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert stat.S_IMODE((tmp_path / "opened").stat().st_mode) == mode
 
 
 def test_table_write_failure_is_reported(tmp_path):

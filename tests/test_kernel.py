@@ -2,8 +2,10 @@
 difference against the general lexicographic division of f - tau_i f by
 z_i - z_{i+1} and against sympy's cancel, every operator on packed
 monomial keys against the tuple-keyed reference TuplePoly, and the Horner
-sum in u = z_i - z_{i+1} against literal_horner."""
+sum in u = z_i - z_{i+1} against literal_horner, and the JSON writer
+to_json against json.dumps of to_obj."""
 
+import json
 import random
 
 import pytest
@@ -243,3 +245,33 @@ def test_horner_u_overflows_exactly_past_the_field(case):
                 MultiPoly.horner_u(nz, i, layers)
         else:
             assert want.matches(MultiPoly.horner_u(nz, i, layers))
+
+
+# coefficients of one machine word and of several, of either sign
+coefficients = st.one_of(st.integers(-9, 9), st.integers(-2 ** 200, 2 ** 200))
+
+
+@st.composite
+def wide_polys(draw, nz=None):
+    """Polynomials in 0..8 z variables, empty or not, with exponents up to MAX_EXPONENT."""
+    if nz is None:
+        nz = draw(st.integers(0, 8))
+    key = st.tuples(*[st.integers(0, MAX_EXPONENT)] * (nz + 1))
+    return MultiPoly(nz, draw(st.dictionaries(key, coefficients, max_size=12)))
+
+
+@checked
+@hypothesis.given(wide_polys(), st.data())
+def test_to_json_is_json_dumps_of_to_obj(p, data):
+    def oracle(q):
+        return json.dumps(q.to_obj(), separators=(",", ":"))
+
+    assert p.to_json({}) == oracle(p)
+    # a cache shared with another polynomial in the same variables, filled
+    # by it first and then read by p, gives the same text
+    other = MultiPoly(p.nz, {**p.monomials(),
+                             **data.draw(wide_polys(p.nz)).monomials()})
+    suffixes: dict[int, str] = {}
+    assert other.to_json(suffixes) == oracle(other)
+    assert p.to_json(suffixes) == oracle(p)
+    assert set(suffixes) == set(other.terms) | set(p.terms)

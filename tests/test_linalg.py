@@ -2,12 +2,14 @@
 against sympy, against the fraction-free (Bareiss) elimination kept here
 as an oracle, and against rank on small exact matrices."""
 
+import math
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
+from brauerloop import linalg, loopchain
 from brauerloop.linalg import _pivot_rows, det, pivots, rank, solve
 
 sympy = pytest.importorskip("sympy")
@@ -318,3 +320,59 @@ def test_pivots_are_leftmost_and_rows_are_reduced():
     kept = _pivot_rows([[2, 1], [Fraction(3, 2), 0]])
     assert kept == [(0, 0, [2, 1], 1, 1), (1, 1, [0, -1], 4, 3)]
     assert det([[2, 1], [Fraction(3, 2), 0]]) == Fraction(-3, 2)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(row_sets())
+def test_divisions_on_the_way_keep_rows_and_det(rows):
+    # at GROWTH_BITS = 0 a row is divided by its content after every step
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "GROWTH_BITS", 0)
+        eager = _pivot_rows(rows)
+        size = min(len(rows), len(rows[0]))
+        square = [r[:size] for r in rows[:size]]
+        assert det(square) == bareiss_det(square)
+    assert [t[:3] for t in eager] == [t[:3] for t in _pivot_rows(rows)]
+
+
+def orbit_system(n):
+    """The augmented orbit balance system that loopchain.stationary(n) solves."""
+    systems = []
+
+    def capture(rows, rhs):
+        systems.append([list(r) + [b] for r, b in zip(rows, rhs)])
+        return solve(rows, rhs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(loopchain, "solve", capture)
+        loopchain.stationary(n)
+    return systems[0]
+
+
+def test_multipliers_stay_near_the_kept_rows():
+    # the orbit system at N=10, 80 rows in 79 unknowns: with the content divided out
+    # only at the end of each row, its multiplier reached 11 049 bits while
+    # the kept rows held at most 278
+    system = orbit_system(10)
+    widths = []
+
+    def content(*values):
+        # a row's content (not the gcd of two numbers) sees every entry of the row
+        if len(values) > 2:
+            widths.append(max(abs(x).bit_length() for x in values))
+        return math.gcd(*values)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "gcd", content)
+        kept = _pivot_rows(system)
+    assert len(kept) == 79
+    # the rows under reduction grew to 11 076 bits; now each is divided on the way
+    assert max(widths) <= 1000
+    assert max(abs(x).bit_length() for _, _, row, _, _ in kept for x in row) <= 300
+    assert max(mult.bit_length() for _, _, _, mult, _ in kept) <= 300
+    assert max(content.bit_length() for *_, content in kept) <= 300
+    # the divisions on the way keep det and solve: a nonsingular square block
+    square = [row[:79] for row in system[1:]]
+    assert det(square) == bareiss_det(square) != 0
+    rows, rhs = [row[:79] for row in system], [row[79] for row in system]
+    assert solve(rows, rhs) == bareiss_solve(rows, rhs)

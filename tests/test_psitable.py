@@ -1,13 +1,15 @@
 """The multidegree recursion: base case, transposition steps, the filled
 tables with their invariants, and the identities they satisfy."""
 
+import dataclasses
+import json
 import random
 import re
 from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
-from conftest import lex_divide, store_table, with_vanishing_term
+from conftest import lex_divide, store_table, tree_text, with_vanishing_term
 
 from brauerloop.errors import (
     ChainInconsistency,
@@ -16,7 +18,7 @@ from brauerloop.errors import (
     InexactDivision,
 )
 from brauerloop.exactpoly import MultiPoly
-from brauerloop import psitable
+from brauerloop import cli, psitable
 from brauerloop.linkpat import LinkPattern, _wrap, apply_e, apply_f, maximal_pattern, reflect
 from brauerloop.pfdet import d0_multiplicity_check, degree_determinant
 from brauerloop.psitable import (
@@ -177,6 +179,30 @@ TABLE_HASHES = {
 
 def test_table_content_hashes_are_pinned(tables):
     assert {n: tables(n).content_hash() for n in TABLE_HASHES} == TABLE_HASHES
+
+
+def test_canonical_text_is_json_dumps_of_the_tree(tables, tmp_path):
+    # built tables store one entry per orbit, loaded ones every entry
+    # (equal tables have one tree, so the built table's serves all three)
+    for n in range(2, 7):
+        built = tables(n)
+        want = tree_text(built)
+        store = cli.TableStore(tmp_path)
+        cli.write_table(built, store.path(n))
+        for table in (dataclasses.replace(built), store.load(n),
+                      MdegTable.from_obj(json.loads(want))):
+            assert table == built
+            assert table.canonical_text() == want
+        assert built.to_obj() == json.loads(want)
+    # hand-built tables: every stored entry placed on itself, edges null or absent
+    t = tables(4)
+    base = maximal_pattern(4)
+    for table in (MdegTable(4, dict(t.entries), {}),
+                  MdegTable(4, dict(t.entries), {pi: None for pi in t.place}),
+                  MdegTable(4, {base: t.mdeg(base)}, {base: None}),
+                  MdegTable(4, {base: MultiPoly.zero(4)}, dict(t.edges)),
+                  with_vanishing_term(t)):
+        assert table.canonical_text() == tree_text(table)
 
 
 def test_table_is_read_only(tables):

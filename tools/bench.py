@@ -1,13 +1,24 @@
 """Before/after timings of the library, as rows of the BENCH_<group>.json files.
 
-Run it once per checkout, on the same machine, with that checkout's sources
-first on the path:
+Paired, from this checkout, against the sources of another checkout:
+
+    PYTHONPATH=src python3 tools/bench.py <group> --before <checkout>
+
+runs the group PAIRS times in each source tree, in child interpreters that
+alternate the trees (before, after, before, after, ...), and appends one
+record {command, date, machine, pairs, before_sha256, after_sha256, rows}
+to the file's paired list: per row, the before and after value of each
+pair, the after/before ratio of each pair, and their median, min and max.
+Both trees are timed by the rows of this script, in alternation and
+minutes apart, so a host that slows for a stretch slows both sides of a
+pair, and the spread of the ratios shows how far the pairs disagree.
+Or once per checkout, with that checkout's sources first on the path:
 
     PYTHONPATH=<checkout>/src python3 tools/bench.py <group> --label before
     PYTHONPATH=src python3 tools/bench.py <group> --label after
 
 The groups are exactpoly, exchange, chainsuites and tables; group g writes
-BENCH_g.json at the repository root.  Each run appends one entry
+BENCH_g.json at the repository root.  Each labelled run appends one entry
 {label, date, machine, source_sha256, rows} to the file's runs, so the file
 keeps every run, and after_over_before holds the ratio of every row of the
 latest after run to the latest before run recorded before it.
@@ -31,6 +42,7 @@ import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -44,10 +56,12 @@ from brauerloop.exactpoly import MultiPoly
 from brauerloop.linkpat import enumerate_patterns, maximal_pattern, rank_table
 from brauerloop.psitable import MdegTable
 
-ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = Path(__file__).resolve()
+ROOT = SCRIPT.parent.parent
 LAYER_CALLS = 20
 REPEATS = 7
 E2E_REPEATS = 3
+PAIRS = 3
 
 
 def timed(fn, repeats: int = REPEATS, number: int = 1) -> dict:
@@ -62,8 +76,9 @@ def timed(fn, repeats: int = REPEATS, number: int = 1) -> dict:
             "min": float(f"{min(runs):.4g}"), "repeats": repeats, "calls_per_sample": number}
 
 
-def source_digest() -> str:
-    src = Path(brauerloop.__file__).parent
+def source_digest(src: Path | None = None) -> str:
+    """The sha256 of the package's modules, by default of the imported package."""
+    src = Path(brauerloop.__file__).parent if src is None else src
     digest = hashlib.sha256()
     for path in sorted(src.glob("*.py")):
         digest.update(path.read_bytes())
@@ -290,6 +305,61 @@ GROUPS = {"exactpoly": exactpoly, "exchange": exchange,
 # ------------------------------------------------------------------ recording
 
 
+def value_field(row: dict) -> str | None:
+    """The field of a row that a ratio compares: a timed median or the stored bytes."""
+    return "median" if "median" in row else "dict_and_keys" if "dict_and_keys" in row else None
+
+
+# a child interpreter: load the script by path, run one group, write its rows
+_CHILD = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("bench_child", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+rows = module.GROUPS[sys.argv[2]]()
+with open(sys.argv[3], "w") as fh:
+    json.dump(rows, fh)
+"""
+
+
+def child_rows(group: str, tree: Path, script: Path) -> dict:
+    """The rows of one run of the group in a fresh interpreter on tree/src alone."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "rows.json"
+        subprocess.run([sys.executable, "-c", _CHILD, str(script), group, str(out)],
+                       cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")},
+                       check=True, stdout=subprocess.DEVNULL)
+        return json.loads(out.read_text())
+
+
+def paired(group: str, before: Path, after: Path, script: Path,
+           pairs: int = PAIRS) -> dict:
+    """pairs alternating runs of the group per tree, and each row's after/before ratios."""
+    samples: dict[str, list[dict]] = {"before": [], "after": []}
+    for _ in range(pairs):
+        for label, tree in (("before", before), ("after", after)):
+            samples[label].append(child_rows(group, tree, script))
+    rows = {}
+    for name, row in samples["after"][0].items():
+        field = value_field(row)
+        if field is None or name not in samples["before"][0]:
+            continue
+        b = [run[name][field] for run in samples["before"]]
+        a = [run[name][field] for run in samples["after"]]
+        r = [round(x / y, 3) for x, y in zip(a, b)]
+        rows[name] = {"field": field, "before": b, "after": a, "ratios": r,
+                      "median": statistics.median(r), "min": min(r), "max": max(r)}
+    return {
+        "command": f"PYTHONPATH=src python3 tools/bench.py {group} --before <checkout>",
+        "date": time.strftime("%Y-%m-%d", time.gmtime()),
+        "machine": machine(),
+        "pairs": pairs,
+        "before_sha256": source_digest(before / "src" / "brauerloop"),
+        "after_sha256": source_digest(after / "src" / "brauerloop"),
+        "rows": rows,
+    }
+
+
 def ratios(runs: list[dict]) -> dict:
     """after / before of every timed median and of the stored bytes.
 
@@ -307,7 +377,7 @@ def ratios(runs: list[dict]) -> dict:
     before, after = pair
     out = {}
     for name, row in after.items():
-        field = "median" if "median" in row else "dict_and_keys" if "dict_and_keys" in row else None
+        field = value_field(row)
         if field and name in before:
             out[name] = round(row[field] / before[name][field], 3)
     return out
@@ -316,19 +386,26 @@ def ratios(runs: list[dict]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("group", choices=sorted(GROUPS))
-    parser.add_argument("--label", required=True, choices=("before", "after"))
+    side = parser.add_mutually_exclusive_group(required=True)
+    side.add_argument("--label", choices=("before", "after"))
+    side.add_argument("--before", type=Path, metavar="CHECKOUT",
+                      help="time this checkout's sources against CHECKOUT's, in alternating pairs")
     args = parser.parse_args(argv)
     out = ROOT / f"BENCH_{args.group}.json"
     bench = json.loads(out.read_text()) if out.is_file() else {"runs": []}
     bench["command"] = (f"PYTHONPATH=<checkout>/src python3 tools/bench.py "
                         f"{args.group} --label <before|after>")
-    bench["runs"].append({
-        "label": args.label,
-        "date": time.strftime("%Y-%m-%d", time.gmtime()),
-        "machine": machine(),
-        "source_sha256": source_digest(),
-        "rows": GROUPS[args.group](),
-    })
+    if args.before is not None:
+        record = paired(args.group, args.before.resolve(), ROOT, SCRIPT)
+        bench.setdefault("paired", []).append(record)
+    else:
+        bench["runs"].append({
+            "label": args.label,
+            "date": time.strftime("%Y-%m-%d", time.gmtime()),
+            "machine": machine(),
+            "source_sha256": source_digest(),
+            "rows": GROUPS[args.group](),
+        })
     bench["after_over_before"] = ratios(bench["runs"])
     out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
     return 0
