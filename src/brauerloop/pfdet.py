@@ -1,16 +1,18 @@
 """Pfaffians, degree determinants, and the square-zero-cone formulas.
 
-The Pfaffian is computed by skew Gaussian elimination (Parlett and Reid
-1970), exactly over ints and Fractions.  Odd size borders the matrix with
-one point joined to all others, with the sign of the permutation
-(a1 b1 ... an bn k); the odd-N total multidegree uses it, oriented z_j - z_i.
+The Pfaffian is computed by fraction-free skew elimination over the
+integers (Parlett and Reid 1970, with the exact divisions of Sylvester's
+identity); `Fraction` entries are cleared by one common denominator first.
+Odd size borders the matrix with one point joined to all others, with the
+sign of the permutation (a1 b1 ... an bn k); the odd-N total multidegree
+uses it, oriented z_j - z_i.
 
 The cone D1 of square-zero N x N matrices has a multidegree with two
 closed forms: a localization sum over n-element subsets, and a Pfaffian
 product.  Both are rational-function identities, so they are checked by
-exact evaluation at admissible points, never with floating point.  The
-localization form is homogeneous, so it is evaluated at the integer image
-of the point, its subset terms summed over one Vandermonde denominator.
+exact evaluation at admissible points, never with floating point.  Both
+forms are homogeneous, so each is evaluated at the integer image of the
+point and divided by one power of its common denominator at the end.
 They tie the whole table together: D1 degenerates onto the loop scheme
 with multiplicity 2^(n+r) on every component, so
 
@@ -28,7 +30,7 @@ from .linalg import det
 
 
 class SkewMatrix:
-    """Antisymmetric square matrix over a field (ints and `Fraction`s)."""
+    """Antisymmetric square matrix with int and `Fraction` entries."""
 
     __slots__ = ("n", "rows")
 
@@ -60,45 +62,70 @@ class SkewMatrix:
         return self.rows[i - 1][j - 1]
 
 
-def pfaffian(m: SkewMatrix) -> Fraction:
-    """The canonical square root of the determinant, by skew elimination:
-    step k swaps a nonzero a[k][j] into column k+1 (negating the value),
-    multiplies the value by the pivot p = a[k][k+1], and replaces the
-    trailing block by a[i][j] + (a[k+1][i] a[k][j] - a[k][i] a[k+1][j]) / p.
+def pfaffian(m: SkewMatrix) -> int | Fraction:
+    """The canonical square root of the determinant, by fraction-free skew
+    elimination; an `int` whenever the value is integral.
+
+    `Fraction` entries are first multiplied by their common denominator c,
+    and the Pfaffian of the integer matrix is divided by c^(N/2).  Step k
+    swaps a nonzero a[k][j] into column k+1 (negating the value) and, with
+    p = a[k][k+1] its pivot and p' the pivot of step k-2 (1 at step 0),
+    replaces the trailing block by
+
+        (p a[i][j] + a[k+1][i] a[k][j] - a[k][i] a[k+1][j]) // p'.
+
+    The division is exact.  By induction the entry (i, j) after step k is
+    the Pfaffian of the swapped matrix on the points 1..k+2, i, j, and the
+    Pfaffian form of Sylvester's identity (Knuth, "Overlapping Pfaffians",
+    Electron. J. Combin. 3(2), 1996) says that the numerator is p' times
+    it.  So every pivot is a leading sub-Pfaffian, and the last one is the
+    Pfaffian of the swapped matrix.  Each step drops its two points from
+    the matrix and computes the upper half of the trailing block only; the
+    lower half is its negated mirror, which the next swap needs.
     """
     n = m.n
     if n % 2:
         raise ValueError("even size required")
-    a = [[Fraction(x) for x in row] for row in m.rows]
-    value = Fraction(1)
-    for k in range(0, n, 2):
-        pivot = next((j for j in range(k + 1, n) if a[k][j]), None)
+    c = lcm(*(x.denominator for row in m.rows for x in row))
+    a = [[x.numerator * (c // x.denominator) for x in row] for row in m.rows]
+    sign = prev = 1
+    while a:
+        pivot = next((j for j in range(1, len(a)) if a[0][j]), None)
         if pivot is None:
-            return Fraction(0)
-        a[k + 1], a[pivot] = a[pivot], a[k + 1]
-        for row in a:
-            row[k + 1], row[pivot] = row[pivot], row[k + 1]
-        top, nxt, p = a[k], a[k + 1], a[k][k + 1]
-        value *= p if pivot == k + 1 else -p
-        for i in range(k + 2, n):
-            s, t = top[i] / p, nxt[i] / p
-            for j in range(i + 1, n):
-                a[i][j] += t * top[j] - s * nxt[j]
-                a[j][i] = -a[i][j]
-    return value
+            return 0
+        if pivot != 1:
+            a[1], a[pivot] = a[pivot], a[1]
+            for row in a:
+                row[1], row[pivot] = row[pivot], row[1]
+            sign = -sign
+        top, nxt = a[0], a[1]
+        p = top[1]
+        block: list[list[int]] = []
+        for i in range(2, len(a)):
+            s, t = top[i], nxt[i]
+            upper = [(p * x + t * u - s * w) // prev
+                     for x, u, w in zip(a[i][i + 1:], top[i + 1:], nxt[i + 1:])]
+            block.append([-row[i - 2] for row in block] + [0] + upper)
+        a = block
+        prev = p
+    value = Fraction(sign * prev, c ** (n // 2))
+    return value.numerator if value.denominator == 1 else value
 
 
-def skew_sum(m: SkewMatrix):
+def skew_sum(m: SkewMatrix, border: Sequence | None = None):
     """The Pfaffian, extended to odd size by bordering.
 
-    An odd-size matrix gains one extra last point joined to every other
-    point with weight 1.  Expanding that Pfaffian along the extra point
-    gives the matching sum that leaves one point k out, each term signed
-    by the permutation (a1 b1 ... an bn k); for size 1 the value is 1.
+    An odd-size matrix gains one extra last point joined to every point i
+    with weight border[i], by default 1.  Expanding that Pfaffian along
+    the extra point gives the matching sum that leaves one point k out,
+    each term signed by the permutation (a1 b1 ... an bn k) and weighted
+    by border[k]; for size 1 the value is border[0].
     """
     if m.n % 2 == 0:
         return pfaffian(m)
-    return pfaffian(SkewMatrix([row + [1] for row in m.rows] + [[-1] * m.n + [0]]))
+    weights = [1] * m.n if border is None else list(border)
+    return pfaffian(SkewMatrix([row + [w] for row, w in zip(m.rows, weights)]
+                               + [[-w for w in weights] + [0]]))
 
 
 # ---------------------------------------------------------------- degree counts
@@ -126,23 +153,33 @@ def degree_determinant(n: int) -> int:
 Rational = int | Fraction
 
 
-def _require_admissible(n: int, a: Rational, z: Sequence[Rational]) -> None:
+def _integer_point(n: int, a: Rational, z: Sequence[Rational]) -> tuple[int, int, list[int]]:
+    """(D, D a, D z) for the least D > 0 that makes an admissible point integral.
+
+    Raises PoleHit, naming the first pole in the order (i, j), where two z
+    coincide or A + z_i - z_j vanishes; scaling by D keeps both.
+    """
     if len(z) != n:
         raise ValueError("point size mismatch")
+    scale = lcm(a.denominator, *(x.denominator for x in z))
+    ai = a.numerator * (scale // a.denominator)
+    zi = [x.numerator * (scale // x.denominator) for x in z]
     for i in range(n):
         for j in range(n):
-            if i != j and z[i] == z[j]:
+            if i != j and zi[i] == zi[j]:
                 raise PoleHit(f"z_{i + 1} = z_{j + 1}")
-            if i != j and a + z[i] - z[j] == 0:
+            if i != j and ai + zi[i] - zi[j] == 0:
                 raise PoleHit(f"A + z_{i + 1} - z_{j + 1} = 0")
+    return scale, ai, zi
 
 
-def total_mdeg_pfaffian_value(n: int, a: Rational, z: Sequence[Rational]) -> Fraction:
+def total_mdeg_pfaffian_value(n: int, a: Rational, z: Sequence[Rational]) -> Rational:
     """The Pfaffian product formula for the total multidegree, at a point.
 
     Entries u/((A+u)(A-u)), i < j, with u = z_i - z_j at even N and the
-    opposite orientation u = z_j - z_i at odd N; the prefactor clears
-    every denominator, so the value is polynomial in (a, z).
+    opposite orientation u = z_j - z_i at odd N; the prefactor
+    prod_{i<j} (A+z_i-z_j)(A+z_j-z_i)/(z_i-z_j) clears every denominator,
+    so the value is polynomial in (a, z).
 
     At odd N the matrix is bordered (skew_sum), and every matching of the
     bordered matrix has one border pair and (N-1)/2 inner pairs.  Turning
@@ -151,18 +188,34 @@ def total_mdeg_pfaffian_value(n: int, a: Rational, z: Sequence[Rational]) -> Fra
     oriented z_j - z_i is (-1)^((N-1)/2) times the value oriented
     z_i - z_j.  It is this sign that makes the limit at A = 1, z -> 0
     the degree determinant (tested at N = 1..13).
+
+    The form is homogeneous of degree ceil(N^2/2) - N, so it is evaluated
+    at the integer image (D a, D z) and divided by D^deg once, with
+    integers only.  There row and column i of the matrix are multiplied
+    by d_i = lcm_{j != i} (A+u_ij).  Since u_ji = -u_ij, d_i d_j is a
+    multiple of (A+u_ij)(A-u_ij), so every entry becomes an integer, and
+    d_i has about half the bits of the lcm of the whole denominators,
+    which the elimination's cost follows.  At odd N the border entry of
+    point i is d_i instead of 1, so the matrix is D' B D' with
+    D' = diag(d_1, ..., d_N, 1) and B the bordered matrix.  Either way its
+    Pfaffian is prod d_i times that of the entries above, and one exact
+    division at the end gives the value: an int at an integer point, a
+    Fraction only at a rational one.
     """
-    _require_admissible(n, a, z)
-
-    def entry(i: int, j: int) -> Fraction:
-        u = z[j - 1] - z[i - 1] if n % 2 else z[i - 1] - z[j - 1]
-        return Fraction(u) / ((a + u) * (a - u))
-
-    value = Fraction(skew_sum(SkewMatrix.build(n, entry)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = value * ((a + z[i] - z[j]) * (a + z[j] - z[i])) / (z[i] - z[j])
-    return value
+    scale, ai, zi = _integer_point(n, a, z)
+    sign = -1 if n % 2 else 1
+    # A + u of the pair (i, j); (A+u)(A-u) is plus[i][j] * plus[j][i]
+    plus = [[ai + sign * (zi[i] - zi[j]) for j in range(n)] for i in range(n)]
+    d = [lcm(*(plus[i][j] for j in range(n) if j != i)) for i in range(n)]
+    cof = [[d[i] // plus[i][j] if j != i else 0 for j in range(n)] for i in range(n)]
+    rows = [[cof[i][j] * cof[j][i] * sign * (zi[i] - zi[j]) for j in range(n)]
+            for i in range(n)]
+    pf = skew_sum(SkewMatrix(rows), d)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    num = pf * prod(plus[i][j] * plus[j][i] for i, j in pairs)
+    den = prod(d) * prod(zi[i] - zi[j] for i, j in pairs) * scale ** ((n * n + 1) // 2 - n)
+    whole, rest = divmod(num, den)
+    return Fraction(num, den) if rest else whole
 
 
 def d1_mdeg_localization(n: int, a: Rational, z: Sequence[Rational]) -> Fraction:
@@ -182,13 +235,10 @@ def d1_mdeg_localization(n: int, a: Rational, z: Sequence[Rational]) -> Fraction
     walk over the points, each put inside or outside, shares the product
     of every prefix of choices between the subsets that extend it.
     """
-    _require_admissible(n, a, z)
+    scale, ai, zi = _integer_point(n, a, z)
     if a == 0:
         raise PoleHit("A = 0")
     half, r = n // 2, n % 2
-    scale = lcm(*(Fraction(x).denominator for x in (a, *z)))
-    ai = int(a * scale)
-    zi = [int(x * scale) for x in z]
     # factor of the pair j < k, by the sides of j and k: same side,
     # k inside and j outside (one inversion), k outside and j inside
     same = [[(ai + zi[j] - zi[k]) * (ai + zi[k] - zi[j]) * (zi[k] - zi[j])
@@ -215,11 +265,10 @@ def d1_mdeg_localization(n: int, a: Rational, z: Sequence[Rational]) -> Fraction
                     vandermonde * scale ** ((n * n + 1) // 2))
 
 
-def d1_mdeg_pfaffian_form(n: int, a: Rational, z: Sequence[Rational]) -> Fraction:
+def d1_mdeg_pfaffian_form(n: int, a: Rational, z: Sequence[Rational]) -> Rational:
     """Pfaffian form: 2^(n+r) A^N times the total-multidegree product."""
     half, r = n // 2, n % 2
-    return (Fraction(2) ** (half + r) * Fraction(a) ** n
-            * total_mdeg_pfaffian_value(n, a, z))
+    return 2 ** (half + r) * a ** n * total_mdeg_pfaffian_value(n, a, z)
 
 
 def d0_multiplicity_check(table, points: int = 20, seed: int = 4093) -> dict:

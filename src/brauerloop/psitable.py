@@ -430,16 +430,29 @@ def sum_rule_sector(table: MdegTable) -> dict:
     return {"patterns": count}
 
 
+# a common multiple of every denominator random_point draws, 1..20
+_POINT_DENOMINATORS = math.lcm(*range(1, 21))
+
+
 def random_point(n: int, rng: random.Random) -> tuple[Fraction, list[Fraction]]:
-    """An exact evaluation point (a, z), distinct z, avoiding the usual denominators."""
+    """An exact evaluation point (a, z), distinct z, avoiding the usual denominators.
+
+    A candidate is a = p/q, p in 1..60 and q in 1..20, and each z_i = s/t,
+    s in -40..40 and t in 1..12, drawn in that order.  It is screened on
+    its image under the common multiple L of all possible denominators:
+    the z must be distinct, and no z_j - z_i may equal a (a > 0, so i != j).
+    Only an accepted candidate becomes Fractions.
+    """
     while True:
-        a = Fraction(rng.randint(1, 60), rng.randint(1, 20))
-        z = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(n)]
-        if len(set(z)) != n:
+        p, q = rng.randint(1, 60), rng.randint(1, 20)
+        z = [(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(n)]
+        zs = {s * (_POINT_DENOMINATORS // t) for s, t in z}
+        if len(zs) != n:
             continue
-        if any(a + zi - zj == 0 for zi in z for zj in z):
+        shift = p * (_POINT_DENOMINATORS // q)
+        if any(x + shift in zs for x in zs):
             continue
-        return a, z
+        return Fraction(p, q), [Fraction(s, t) for s, t in z]
 
 
 def integer_image(a: Fraction, z: list[Fraction]) -> tuple[int, list[int]]:

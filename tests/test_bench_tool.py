@@ -3,7 +3,8 @@
 The script is loaded by path, as it is run, with one fast fake group in
 place of the timed ones and its output in a temporary directory.  The
 paired mode runs a fake script in child interpreters, each on the sources
-of one of two fake trees.
+of one of two fake trees.  The host yardstick is checked on a fake clock
+that runs at two speeds.
 """
 
 import importlib.util
@@ -17,6 +18,8 @@ BENCH = ROOT / "tools" / "bench.py"
 RUN_KEYS = {"label", "date", "machine", "source_sha256", "rows"}
 PAIRED_KEYS = {"command", "date", "machine", "pairs", "before_sha256", "after_sha256", "rows"}
 PAIRED_ROW_KEYS = {"field", "before", "after", "ratios", "median", "min", "max"}
+# a timed row's host-scaled values, in records taken since the yardstick
+SCALED_KEYS = {f"scaled_{key}" for key in PAIRED_ROW_KEYS - {"field"}}
 
 # a stand-in for tools/bench.py in a child: one group whose rows read the
 # tree's own module, and a log of the order in which the trees ran
@@ -79,8 +82,33 @@ def test_ratios_pair_the_last_after_with_an_earlier_before(bench):
 def test_timer_keeps_four_significant_figures(bench, monkeypatch):
     clock = iter([0.0, 0.000049876])
     monkeypatch.setattr(bench.time, "process_time", lambda: next(clock))
+    monkeypatch.setattr(bench, "host_readings", lambda: [0.0030003])
     row = bench.timed(lambda: None, repeats=1)
     assert row["median"] == row["min"] == 4.988e-05
+    assert row["yardstick_s"] == 0.003 and row["scaled_median"] == 0.01662
+
+
+def test_yardstick_scales_out_two_host_speeds(bench, monkeypatch):
+    # a fake clock on which the yardstick and the row both run 1.7 times
+    # slower in a slow child, with the yardstick's readings jittering by 2 %
+    clock, speed = [0.0], [1.0]
+    jitter = iter([1.0, 1.02, 0.98] * 12)
+
+    def tick(seconds: float) -> None:
+        clock[0] += seconds * speed[0]
+
+    monkeypatch.setattr(bench.time, "process_time", lambda: clock[0])
+    monkeypatch.setattr(bench, "yardstick", lambda: tick(0.004 * next(jitter)))
+    runs: dict[str, list[dict]] = {"before": [], "after": []}
+    for slow_before, slow_after in ((False, True), (True, False), (True, True)):
+        for label, slow in (("before", slow_before), ("after", slow_after)):
+            speed[0] = 1.7 if slow else 1.0
+            runs[label].append({"row": bench.timed(lambda: tick(0.25), repeats=3)})
+    row = bench.compare(runs["before"], runs["after"])["row"]
+    assert set(row) == PAIRED_ROW_KEYS | SCALED_KEYS
+    assert row["ratios"] == [1.7, 0.588, 1.0]
+    assert row["scaled_ratios"] == pytest.approx([1.0] * 3, abs=0.03)
+    assert runs["after"][0]["row"]["yardstick_s"] == pytest.approx(0.004 * 1.7 * 0.98)
 
 
 def fake_tree(root, name, value):
@@ -149,6 +177,9 @@ def test_checked_in_files_are_the_writers_format(bench):
             assert record["command"] == \
                 f"PYTHONPATH=src python3 tools/bench.py {group} --before <checkout>"
             for row in record["rows"].values():
-                assert set(row) == PAIRED_ROW_KEYS
+                assert set(row) in (PAIRED_ROW_KEYS, PAIRED_ROW_KEYS | SCALED_KEYS)
                 assert len(row["ratios"]) == record["pairs"] >= 3
                 assert row["min"] <= row["median"] <= row["max"]
+                if "scaled_ratios" in row:
+                    assert len(row["scaled_ratios"]) == record["pairs"]
+                    assert row["scaled_min"] <= row["scaled_median"] <= row["scaled_max"]

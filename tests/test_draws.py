@@ -5,6 +5,8 @@ escheme._below on a generator's getrandbits.  The references below draw
 them as the suites drew them through randrange, randint and choice.  For
 seeds 0..199 and N = 2..8 both must give equal values and leave the
 generator in the same state, so every check keeps its points and trials.
+The sum-rule and D1 points are screened on integers; their reference
+screens the same candidates as Fractions, at N = 1..8.
 """
 
 import random
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from brauerloop import cli, escheme
+from brauerloop import cli, escheme, psitable
 from brauerloop.circlealg import ExactMatrix, _divided, clear_denominators
 from brauerloop.errors import DegenerateParameters
 from brauerloop.escheme import _below
@@ -54,6 +56,17 @@ def reference_t(pi, rng: random.Random) -> tuple[int, ...]:
         return t
 
 
+def reference_point(n: int, rng: random.Random):
+    while True:
+        a = Fraction(rng.randint(1, 60), rng.randint(1, 20))
+        z = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(n)]
+        if len(set(z)) != n:
+            continue
+        if any(a + zi - zj == 0 for zi in z for zj in z):
+            continue
+        return a, z
+
+
 def pair(seed: int) -> tuple[random.Random, random.Random]:
     return random.Random(seed), random.Random(seed)
 
@@ -66,6 +79,15 @@ def test_below_is_randrange_randint_and_choice():
             assert _below(bits, n) == old.randrange(n)
             assert -3 + _below(bits, 7) == old.randint(-3, 3)
             assert NONZERO[_below(bits, 6)] == old.choice(NONZERO)
+        assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_evaluation_points_are_the_reference(n):
+    for seed in SEEDS:
+        old, new = pair(seed)
+        for _ in range(3):
+            assert psitable.random_point(n, new) == reference_point(n, old)
         assert new.getstate() == old.getstate()
 
 

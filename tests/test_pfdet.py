@@ -1,5 +1,6 @@
 """Pfaffians and the closed degree formulas, checked against naive
-expansions, determinants and the recursion tables."""
+expansions, determinants, the recursion tables, and the skew elimination
+over Fractions kept here as an oracle."""
 
 import itertools
 import random
@@ -22,6 +23,9 @@ from brauerloop.pfdet import (
     total_mdeg_pfaffian_value,
 )
 from brauerloop.psitable import integer_image, random_point, target_degree
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
 
 
 def pfaffian_naive(rows):
@@ -69,6 +73,54 @@ def perm_sign(perm):
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+# ---------------------------------------------------------------- Fraction oracles
+# The skew elimination over Fractions that pfaffian replaced.  Its entries
+# are ratios of sub-Pfaffians, where the fraction-free elimination keeps
+# the sub-Pfaffians themselves, so it is an independent route to the value.
+
+
+def parlett_reid(rows):
+    """Step k swaps a nonzero a[k][j] into column k+1 (negating the value),
+    multiplies the value by the pivot p = a[k][k+1], and replaces the
+    trailing block by a[i][j] + (a[k+1][i] a[k][j] - a[k][i] a[k+1][j]) / p."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    value = Fraction(1)
+    for k in range(0, n, 2):
+        pivot = next((j for j in range(k + 1, n) if a[k][j]), None)
+        if pivot is None:
+            return Fraction(0)
+        a[k + 1], a[pivot] = a[pivot], a[k + 1]
+        for row in a:
+            row[k + 1], row[pivot] = row[pivot], row[k + 1]
+        top, nxt, p = a[k], a[k + 1], a[k][k + 1]
+        value *= p if pivot == k + 1 else -p
+        for i in range(k + 2, n):
+            s, t = top[i] / p, nxt[i] / p
+            for j in range(i + 1, n):
+                a[i][j] += t * top[j] - s * nxt[j]
+                a[j][i] = -a[i][j]
+    return value
+
+
+def total_mdeg_by_fractions(n, a, z):
+    """The Pfaffian product formula with Fraction entries u/((A+u)(A-u)),
+    u = z_i - z_j at even N and z_j - z_i at odd N, bordered with weight 1
+    at odd N, times prod_{i<j} (A+z_i-z_j)(A+z_j-z_i)/(z_i-z_j)."""
+    def entry(i, j):
+        u = z[j - 1] - z[i - 1] if n % 2 else z[i - 1] - z[j - 1]
+        return Fraction(u) / ((a + u) * (a - u))
+
+    rows = SkewMatrix.build(n, entry).rows
+    if n % 2:
+        rows = [row + [1] for row in rows] + [[-1] * n + [0]]
+    value = parlett_reid(rows)
+    for i in range(n):
+        for j in range(i + 1, n):
+            value = value * ((a + z[i] - z[j]) * (a + z[j] - z[i])) / (z[i] - z[j])
+    return value
 
 
 def rand_skew(n: int, rng: random.Random) -> SkewMatrix:
@@ -285,3 +337,103 @@ def test_square_zero_cone_pole():
 def test_multiplicity_check(tables):
     for n in (2, 3, 4):
         assert d0_multiplicity_check(tables(n), points=5) == {"points": 5}
+
+
+# ---------------------------------------------------------------- against the oracles
+
+fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+ENTRIES = {
+    "int": st.integers(-5, 5),
+    "fraction": fractions,
+    "mixed": st.one_of(st.integers(-5, 5), fractions),
+    # mostly zero, so that later steps meet zero pivots too
+    "sparse": st.sampled_from((0, 0, 0, 1, -2, Fraction(3, 2))),
+}
+
+
+@st.composite
+def skew_matrices(draw):
+    """An even skew matrix of size at most 10 whose first row starts with
+    a drawn number of zeros, so that the first step must swap."""
+    n = draw(st.sampled_from((0, 2, 4, 6, 8, 10)))
+    upper = iter(draw(st.lists(ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))],
+                               min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)))
+    zeros = draw(st.integers(0, max(n - 1, 0)))
+    return SkewMatrix.build(n, lambda i, j: 0 if i == 1 and j <= zeros + 1 else next(upper))
+
+
+@st.composite
+def singular_skew_matrices(draw):
+    """sum_k u_k v_k^T - v_k u_k^T over fewer than N/2 pairs: rank below N."""
+    n = draw(st.sampled_from((2, 4, 6, 8, 10)))
+    vectors = st.lists(st.one_of(st.integers(-4, 4), fractions), min_size=n, max_size=n)
+    pairs = draw(st.lists(st.tuples(vectors, vectors), max_size=n // 2 - 1))
+    return SkewMatrix.build(n, lambda i, j: sum(
+        (u[i - 1] * v[j - 1] - v[i - 1] * u[j - 1] for u, v in pairs), 0))
+
+
+def integral(value) -> bool:
+    return type(value) is int if value.denominator == 1 else type(value) is Fraction
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(skew_matrices())
+def test_pfaffian_is_the_fraction_elimination_and_the_expansion(m):
+    pf = pfaffian(m)
+    assert pf == parlett_reid(m.rows) == pfaffian_naive(m.rows)
+    assert integral(pf)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(singular_skew_matrices())
+def test_pfaffian_of_a_singular_matrix_is_zero(m):
+    assert pfaffian(m) == 0 == parlett_reid(m.rows) == pfaffian_naive(m.rows)
+
+
+def test_pfaffian_swaps_at_a_later_step():
+    # the step on points 3, 4 meets a[3][4] = 0 after the first update and
+    # must swap point 5 in; the swap negates the value
+    rows = [[0, 1, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 2, 1],
+            [0, 0, 0, 0, 3, 5], [0, 0, -2, -3, 0, 7], [0, 0, -1, -5, -7, 0]]
+    assert pfaffian(SkewMatrix(rows)) == parlett_reid(rows) == pfaffian_naive(rows) == -7
+    half = [[Fraction(x, 2) for x in row] for row in rows]
+    assert pfaffian(SkewMatrix(half)) == Fraction(-7, 8) == pfaffian_naive(half)
+
+
+@st.composite
+def points(draw, sizes=range(1, 13), integer=False):
+    """An admissible point (n, a, z) with a of either sign, z unsorted."""
+    n = draw(st.sampled_from(sizes))
+    coord = st.integers(-60, 60) if integer else st.builds(
+        Fraction, st.integers(-60, 60), st.integers(1, 7))
+    a = draw(coord)
+    z = draw(st.lists(coord, min_size=n, max_size=n, unique=True))
+    hypothesis.assume(all(a + x - y != 0 for x in z for y in z if x != y))
+    return n, a, z
+
+
+@hypothesis.settings(max_examples=120, deadline=None)
+@hypothesis.given(st.one_of(points(integer=True), points()))
+def test_total_mdeg_value_is_the_fraction_form(point):
+    n, a, z = point
+    value = total_mdeg_pfaffian_value(n, a, z)
+    assert value == total_mdeg_by_fractions(n, a, z)
+    assert integral(value)
+    if all(type(x) is int for x in (a, *z)):
+        assert type(value) is int
+
+
+def test_total_mdeg_value_at_the_seeded_points():
+    # the sum-rule and D1 points, and their integer images, at both parities
+    rng = random.Random(31)
+    for n in range(1, 13):
+        for _ in range(3):
+            a, z = random_point(n, rng)
+            assert total_mdeg_pfaffian_value(n, a, z) == total_mdeg_by_fractions(n, a, z)
+            ai, zi = integer_image(a, z)
+            value = total_mdeg_pfaffian_value(n, ai, zi)
+            assert type(value) is int and value == total_mdeg_by_fractions(n, ai, zi)
+    # A = 0 is admissible: the entries are -1/u
+    for n in (3, 4):
+        z = [0, 2, -5, 7][:n]
+        assert total_mdeg_pfaffian_value(n, 0, z) == total_mdeg_by_fractions(n, 0, z)

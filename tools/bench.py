@@ -17,17 +17,28 @@ Or once per checkout, with that checkout's sources first on the path:
     PYTHONPATH=<checkout>/src python3 tools/bench.py <group> --label before
     PYTHONPATH=src python3 tools/bench.py <group> --label after
 
-The groups are exactpoly, exchange, chainsuites and tables; group g writes
-BENCH_g.json at the repository root.  Each labelled run appends one entry
-{label, date, machine, source_sha256, rows} to the file's runs, so the file
-keeps every run, and after_over_before holds the ratio of every row of the
-latest after run to the latest before run recorded before it.
+The groups are exactpoly, exchange, chainsuites, tables and sumrules;
+group g writes BENCH_g.json at the repository root.  Each labelled run
+appends one entry {label, date, machine, source_sha256, rows} to the
+file's runs, so the file keeps every run, and after_over_before holds the
+ratio of every row of the latest after run to the latest before run
+recorded before it.
 
 A timed row is the median of REPEATS (E2E_REPEATS for the end-to-end rows)
 single-threaded samples in CPU seconds per call (time.process_time), with
 the minimum beside it, both to 4 significant figures; a layer row's sample
 is LAYER_CALLS calls.  The settings are fixed so that both labels are
 always taken alike.  Each group's docstring lists its rows.
+
+A shared host can run the same code at different speeds from one process
+to the next, so each timed row also times yardstick(), fixed pure-Python work
+that calls no brauerloop code, YARDSTICK_RUNS times before its samples and
+as often after them.  The row keeps the least of those readings as
+yardstick_s and its median over it as scaled_median, in yardstick runs
+per call.  A paired record gives the scaled medians and their ratios
+beside the raw ones (the scaled_ fields), so a row whose code did not
+change reads near 1 there even when the host changed speed between the
+two children.
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -62,18 +74,62 @@ LAYER_CALLS = 20
 REPEATS = 7
 E2E_REPEATS = 3
 PAIRS = 3
+YARDSTICK_RUNS = 3
+# a fixed strictly diagonally dominant matrix: no leading minor vanishes
+_YARDSTICK_MATRIX = [[60 if i == j else (i * j) % 7 - 3 for j in range(16)] for i in range(16)]
+
+
+def yardstick() -> int:
+    """Fixed pure-Python work that calls no brauerloop code, of the kinds the
+    rows time: dict updates with tuple keys and big-integer values, and a
+    fraction-free integer elimination whose entries grow."""
+    terms: dict = {}
+    for i in range(10000):
+        key = (i % 97, i % 89)
+        terms[key] = terms.get(key, 0) + i * 12345678901234567
+    m = [row[:] for row in _YARDSTICK_MATRIX]
+    prev = 1
+    for k in range(len(m) - 1):
+        for i in range(k + 1, len(m)):
+            m[i] = [(m[k][k] * x - m[i][k] * y) // prev for x, y in zip(m[i], m[k])]
+        prev = m[k][k]
+    return len(terms) + m[-1][-1]
+
+
+def host_readings() -> list[float]:
+    """CPU seconds of YARDSTICK_RUNS runs of yardstick(), each with the
+    garbage collector off, so that no collection of the rows' objects
+    lands in a reading."""
+    runs = []
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(YARDSTICK_RUNS):
+            start = time.process_time()
+            yardstick()
+            runs.append(time.process_time() - start)
+    finally:
+        if collecting:
+            gc.enable()
+    return runs
 
 
 def timed(fn, repeats: int = REPEATS, number: int = 1) -> dict:
-    """CPU seconds per call: median and minimum of repeats samples of number calls."""
+    """CPU seconds per call: median and minimum of repeats samples of number
+    calls, and the median over the least yardstick reading taken before
+    and after them."""
+    readings = host_readings()
     runs = []
     for _ in range(repeats):
         start = time.process_time()
         for _ in range(number):
             fn()
         runs.append((time.process_time() - start) / number)
-    return {"unit": "s", "median": float(f"{statistics.median(runs):.4g}"),
-            "min": float(f"{min(runs):.4g}"), "repeats": repeats, "calls_per_sample": number}
+    host = min(readings + host_readings())
+    median = statistics.median(runs)
+    return {"unit": "s", "median": float(f"{median:.4g}"),
+            "min": float(f"{min(runs):.4g}"), "repeats": repeats, "calls_per_sample": number,
+            "yardstick_s": float(f"{host:.4g}"), "scaled_median": float(f"{median / host:.4g}")}
 
 
 def source_digest(src: Path | None = None) -> str:
@@ -298,8 +354,42 @@ def tables() -> dict:
     return rows
 
 
+def sumrules() -> dict:
+    """Timings of the Pfaffian sum rule and the square-zero cone checks.
+
+    Layer row: total_mdeg_pfaffian_value_n5_points, one pass of
+    total_mdeg_pfaffian_value over the integer images of the 20 points
+    that sum_rule_total draws for N=5 in `brauerloop verify sumrules`
+    (seed 0).  Check rows, on the N=5 table at that suite's points:
+    sum_rule_total_n5, and d0_multiplicity_n5, the check of the d1 suite.
+    CLI-point row: d1_pfaffian_form_n20_cli_point, d1_mdeg_pfaffian_form at
+    the point that `brauerloop degrees --scheme D1 --n 20` draws (seed 0).
+    End-to-end rows, on tables N=2..6 built beforehand: criterion_05 and
+    criterion_07, the sumrules and d1 suites at their defaults, which those
+    acceptance criteria read.
+    """
+    store = cli.TableStore(None)
+    table5 = store.get(5)
+    for n in (2, 3, 4, 6):
+        store.get(n)
+    total_seed, d1_seed = cli._int_seed(0, "total/5"), cli._int_seed(0, "d1/5")
+    rng = random.Random(total_seed)
+    points5 = [psitable.integer_image(*psitable.random_point(5, rng)) for _ in range(20)]
+    a20, z20 = psitable.random_point(20, cli._rng(0, "d1point/20"))
+    return {
+        "total_mdeg_pfaffian_value_n5_points": timed(
+            lambda: [pfdet.total_mdeg_pfaffian_value(5, a, z) for a, z in points5]),
+        "sum_rule_total_n5": timed(lambda: psitable.sum_rule_total(table5, seed=total_seed)),
+        "d0_multiplicity_n5": timed(lambda: pfdet.d0_multiplicity_check(table5, seed=d1_seed)),
+        "d1_pfaffian_form_n20_cli_point": timed(
+            lambda: pfdet.d1_mdeg_pfaffian_form(20, a20, z20)),
+        "criterion_05": timed(lambda: suite("sumrules", store=store), E2E_REPEATS),
+        "criterion_07": timed(lambda: suite("d1", store=store), E2E_REPEATS),
+    }
+
+
 GROUPS = {"exactpoly": exactpoly, "exchange": exchange,
-          "chainsuites": chainsuites, "tables": tables}
+          "chainsuites": chainsuites, "tables": tables, "sumrules": sumrules}
 
 
 # ------------------------------------------------------------------ recording
@@ -332,6 +422,30 @@ def child_rows(group: str, tree: Path, script: Path) -> dict:
         return json.loads(out.read_text())
 
 
+def _spread(before: list[float], after: list[float]) -> dict:
+    r = [round(x / y, 3) for x, y in zip(after, before)]
+    return {"before": before, "after": after, "ratios": r,
+            "median": statistics.median(r), "min": min(r), "max": max(r)}
+
+
+def compare(before: list[dict], after: list[dict]) -> dict:
+    """Each row's per-pair values and after/before ratios, with their median,
+    min and max, over runs taken in pairs; for a timed row also those of
+    its host-scaled medians, as the scaled_ fields."""
+    rows = {}
+    for name, row in after[0].items():
+        field = value_field(row)
+        if field is None or name not in before[0]:
+            continue
+        rows[name] = {"field": field, **_spread([run[name][field] for run in before],
+                                                [run[name][field] for run in after])}
+        if "scaled_median" in row and "scaled_median" in before[0][name]:
+            scaled = _spread([run[name]["scaled_median"] for run in before],
+                             [run[name]["scaled_median"] for run in after])
+            rows[name].update({f"scaled_{key}": value for key, value in scaled.items()})
+    return rows
+
+
 def paired(group: str, before: Path, after: Path, script: Path,
            pairs: int = PAIRS) -> dict:
     """pairs alternating runs of the group per tree, and each row's after/before ratios."""
@@ -339,16 +453,6 @@ def paired(group: str, before: Path, after: Path, script: Path,
     for _ in range(pairs):
         for label, tree in (("before", before), ("after", after)):
             samples[label].append(child_rows(group, tree, script))
-    rows = {}
-    for name, row in samples["after"][0].items():
-        field = value_field(row)
-        if field is None or name not in samples["before"][0]:
-            continue
-        b = [run[name][field] for run in samples["before"]]
-        a = [run[name][field] for run in samples["after"]]
-        r = [round(x / y, 3) for x, y in zip(a, b)]
-        rows[name] = {"field": field, "before": b, "after": a, "ratios": r,
-                      "median": statistics.median(r), "min": min(r), "max": max(r)}
     return {
         "command": f"PYTHONPATH=src python3 tools/bench.py {group} --before <checkout>",
         "date": time.strftime("%Y-%m-%d", time.gmtime()),
@@ -356,7 +460,7 @@ def paired(group: str, before: Path, after: Path, script: Path,
         "pairs": pairs,
         "before_sha256": source_digest(before / "src" / "brauerloop"),
         "after_sha256": source_digest(after / "src" / "brauerloop"),
-        "rows": rows,
+        "rows": compare(samples["before"], samples["after"]),
     }
 
 
