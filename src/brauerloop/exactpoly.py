@@ -30,6 +30,13 @@ __str__ and monomials().  to_json writes the JSON text of to_obj straight
 from the sorted keys, each monomial's text unpacked once per shared cache;
 a table's canonical text is built from it.
 
+evaluate values a polynomial at a whole list of points in one call.  Once
+per call it splits every key into a high half (A, z_1, ...) and a low half
+(..., z_m) and indexes each term's halves among the distinct ones; at each
+point it values every distinct half once and sums c * (high * low) over
+the terms, two products per term.  The split is shared by the points of
+one call and kept by no polynomial.
+
 Divided differences use the convention
 
     ddiff(f, i) = (f - tau_i f) / (z_i - z_{i+1}),
@@ -54,8 +61,9 @@ from __future__ import annotations
 import numbers
 from fractions import Fraction
 from functools import reduce
+from itertools import repeat
 from math import prod
-from operator import index, or_
+from operator import and_, index, mul, or_, rshift
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ExponentOverflow, InexactDivision, NotHomogeneous
@@ -197,6 +205,18 @@ class MultiPoly:
         return MultiPoly._of(self.nz, _nonzero(out))
 
     __radd__ = __add__
+
+    @classmethod
+    def sum_of(cls, nz: int, polys: Iterable["MultiPoly"]) -> "MultiPoly":
+        """The sum of polys, each in nz z variables, accumulated in one dict."""
+        out: dict[int, int] = {}
+        get = out.get
+        for f in polys:
+            if f.nz != nz:
+                raise ValueError(f"mixed variable counts {nz} and {f.nz}")
+            for key, c in f.terms.items():
+                out[key] = get(key, 0) + c
+        return cls._of(nz, _nonzero(out))
 
     def __neg__(self) -> "MultiPoly":
         return MultiPoly._of(self.nz, {k: -c for k, c in self.terms.items()})
@@ -534,19 +554,44 @@ class MultiPoly:
 
     # ---------------------------------------------------------------- evaluation
 
-    def evaluate(self, a_value: int | Fraction,
-                 z_values: Sequence[int | Fraction]) -> int | Fraction:
-        """Exact value at A = a_value, z = z_values (integer or rational points).
+    def evaluate(self, points: Iterable[tuple[int | Fraction, Sequence[int | Fraction]]]
+                 ) -> list[int | Fraction]:
+        """Exact values at the points (a_value, z_values), in order; int points give ints.
 
-        Each variable gets a table of its powers up to a bound of its exponents.
+        The preparation is shared by all the points.  Each key is split into
+        its high fields (A, z_1, ...) and its width // 2 low fields
+        (..., z_m), and every term gets the index of its high half among the
+        distinct high halves and of its low half among the distinct low
+        ones.  At a point, every variable gets a table of its powers up to a
+        bound of its exponents, each distinct half is valued once from those
+        tables, and the value is the sum over the terms of c * (high value *
+        low value): the sum of c * x^key term by term, reassociated, so it is
+        exact at integer and at rational points alike.
         """
-        if len(z_values) != self.nz:
-            raise ValueError(f"need {self.nz} z values")
-        width = self.nz + 1
-        bounds = _span(self.terms).to_bytes(width, "big")
-        tables = [[x ** e for e in range(b + 1)] for x, b in zip((a_value, *z_values), bounds)]
-        return sum(c * prod(map(list.__getitem__, tables, k.to_bytes(width, "big")))
-                   for k, c in self.terms.items())
+        points = list(points)
+        for _, z_values in points:
+            if len(z_values) != self.nz:
+                raise ValueError(f"need {self.nz} z values")
+        terms, width = self.terms, self.nz + 1
+        high, lowbits = width - width // 2, FIELD_BITS * (width // 2)
+        his = list(map(rshift, terms, repeat(lowbits)))
+        los = list(map(and_, terms, repeat((1 << lowbits) - 1)))
+        hi_at = {k: i for i, k in enumerate(dict.fromkeys(his))}
+        lo_at = {k: i for i, k in enumerate(dict.fromkeys(los))}
+        hidx, lidx = list(map(hi_at.__getitem__, his)), list(map(lo_at.__getitem__, los))
+        hi_fields = [k.to_bytes(high, "big") for k in hi_at]
+        lo_fields = [k.to_bytes(width - high, "big") for k in lo_at]
+        coeffs = list(terms.values())
+        bounds = _span(terms).to_bytes(width, "big")
+        values = []
+        for a_value, z_values in points:
+            tables = [[x ** e for e in range(b + 1)] for x, b in zip((a_value, *z_values), bounds)]
+            hi_tables, lo_tables = tables[:high], tables[high:]
+            hv = [prod(map(list.__getitem__, hi_tables, f)) for f in hi_fields]
+            lv = [prod(map(list.__getitem__, lo_tables, f)) for f in lo_fields]
+            values.append(sum(map(mul, coeffs, map(mul, map(hv.__getitem__, hidx),
+                                                    map(lv.__getitem__, lidx)))))
+        return values
 
     def z_free_sum(self) -> int:
         """The value at A = 1, z = 0: the sum of the coefficients of the terms with no z factor."""

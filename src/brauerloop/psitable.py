@@ -127,8 +127,9 @@ class MdegTable:
     loaded one stores every entry.
 
     The table is read-only: stored, place and edges are copied into
-    read-only views, so its canonical text, serialized at most once, and
-    the content hash of that text can never go stale.
+    read-only views, so its canonical text, serialized at most once, the
+    content hash of that text and the sum of its entries, each computed at
+    most once, can never go stale.
     """
 
     n: int
@@ -137,6 +138,7 @@ class MdegTable:
     place: Mapping[LinkPattern, tuple[LinkPattern, int, bool]] | None = None
     _text: str | None = field(default=None, init=False, repr=False, compare=False)
     _hash: str | None = field(default=None, init=False, repr=False, compare=False)
+    _sum: MultiPoly | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         place = {pi: (pi, 0, False) for pi in self.stored} if self.place is None else self.place
@@ -176,10 +178,11 @@ class MdegTable:
         return sum(self.degrees().values())
 
     def mdeg_sum(self) -> MultiPoly:
-        total = MultiPoly.zero(self.n)
-        for pi in self.patterns():
-            total = total + self.mdeg(pi)
-        return total
+        """The sum of every pattern's entry, accumulated in one dict once per table."""
+        if self._sum is None:
+            total = MultiPoly.sum_of(self.n, map(self.mdeg, self.patterns()))
+            object.__setattr__(self, "_sum", total)
+        return self._sum
 
     def validate(self) -> None:
         """Every pattern placed, homogeneity, the base entry, and the family GCD.
@@ -414,12 +417,8 @@ def sum_rule_sector(table: MdegTable) -> dict:
     if n2 % 2:
         raise ValueError("the sector sum rule needs even size")
     n = n2 // 2
-    total = MultiPoly.zero(n2)
-    count = 0
-    for pi in table.patterns():
-        if in_permutation_sector(pi):
-            total = total + table.mdeg(pi)
-            count += 1
+    sector = [pi for pi in table.patterns() if in_permutation_sector(pi)]
+    total = MultiPoly.sum_of(n2, map(table.mdeg, sector))
     product = MultiPoly.one(n2)
     for lo, hi in ((1, n), (n + 1, n2)):
         for i in range(lo, hi + 1):
@@ -427,7 +426,7 @@ def sum_rule_sector(table: MdegTable) -> dict:
                 product = product * _lin(n2, 1, i, j) * _lin(n2, 2, j, i)
     if total != product:
         raise IdentityViolation("sector sum rule fails")
-    return {"patterns": count}
+    return {"patterns": len(sector)}
 
 
 # a common multiple of every denominator random_point draws, 1..20
@@ -473,7 +472,9 @@ def sum_rule_total(table: MdegTable, points: int = 20, seed: int = 2011) -> dict
     The Pfaffian form is checked by exact evaluation at the integer images
     of seeded rational points (both sides are homogeneous of degree
     ceil(N^2/2) - N); the inhomogeneous printed factor A - (z_i-z_j)^2 is
-    read as (A + z_i - z_j)(A + z_j - z_i).
+    read as (A + z_i - z_j)(A + z_j - z_i).  The points are drawn first,
+    the table's total is evaluated at all their images in one call, and
+    the Pfaffian side is compared point by point in the order drawn.
     """
     from .pfdet import degree_determinant, total_mdeg_pfaffian_value
 
@@ -484,14 +485,11 @@ def sum_rule_total(table: MdegTable, points: int = 20, seed: int = 2011) -> dict
     got = table.degree_sum()
     if got != want:
         raise IdentityViolation(f"degree sum {got} != determinant {want}")
-    total = table.mdeg_sum()
     rng = random.Random(seed)
-    for _ in range(points):
-        a, z = random_point(n, rng)
-        ai, zi = integer_image(a, z)
-        lhs = total.evaluate(ai, zi)
-        rhs = total_mdeg_pfaffian_value(n, ai, zi)
-        if lhs != rhs:
+    drawn = [random_point(n, rng) for _ in range(points)]
+    images = [integer_image(a, z) for a, z in drawn]
+    for (a, z), (ai, zi), lhs in zip(drawn, images, table.mdeg_sum().evaluate(images)):
+        if lhs != total_mdeg_pfaffian_value(n, ai, zi):
             raise IdentityViolation(
                 f"Pfaffian total multidegree fails at a={a}, z={z}")
     return {"degree_sum": got, "points": points}
@@ -572,18 +570,23 @@ def positivity_spot_check(table: MdegTable, trials: int = 100,
 
     At z = k/20, |k_i| <= 9, mdeg(20, k) = 20^d Psi(z) for an entry of
     homogeneous degree d (checked), so the integer value carries the sign.
+    The trials are drawn first and each entry is evaluated at all of them
+    in one call; the values are then read trial by trial, the patterns in
+    order within a trial, so the first failure is named as if each trial
+    were drawn and checked in turn.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, not {trials}")
     rng = random.Random(seed)
-    entries = [(pi, table.mdeg(pi), table.mdeg(pi).homogeneous_degree())
-               for pi in table.patterns()]
-    for _ in range(trials):
-        k = [rng.randint(-9, 9) for _ in range(table.n)]
-        for pi, p, d in entries:
-            v = p.evaluate(20, k)
-            if v <= 0:
-                raise IdentityViolation(f"{pi} evaluates to {Fraction(v, 20 ** d)} "
+    points = [(20, [rng.randint(-9, 9) for _ in range(table.n)]) for _ in range(trials)]
+    entries = []
+    for pi in table.patterns():
+        p = table.mdeg(pi)
+        entries.append((pi, p.homogeneous_degree(), p.evaluate(points)))
+    for t, (_, k) in enumerate(points):
+        for pi, d, values in entries:
+            if values[t] <= 0:
+                raise IdentityViolation(f"{pi} evaluates to {Fraction(values[t], 20 ** d)} "
                                         f"at z={[Fraction(x, 20) for x in k]}")
     return {"points": trials}
 

@@ -24,7 +24,6 @@ import heapq
 import io
 import json
 import re
-from fractions import Fraction
 from operator import add, index
 from typing import NamedTuple
 
@@ -53,14 +52,19 @@ def cached_table(n: int) -> MdegTable:
     return _TABLES[n]
 
 
-def with_vanishing_term(table: MdegTable) -> MdegTable:
-    """The table with A^(d-1) (z_1 - z_2) added to its first entry.
+def with_vanishing_term(table: MdegTable, zeros=()) -> MdegTable:
+    """The table with A^(d-1-k) (z_1 - z_2) L_1 ... L_k added to its first entry.
 
-    The entry stays homogeneous of degree d and keeps its value at z = 0,
-    so the degrees and their sum are unchanged.
+    zeros lists k integer points (a, y), and L_j = y_2 z_1 - y_1 z_2
+    vanishes at the j-th, so the term vanishes there and at every point
+    with z_1 = z_2.  The entry stays homogeneous of degree d and keeps its
+    value at z = 0, so the degrees and their sum are unchanged.
     """
     n, d = table.n, target_degree(table.n)
-    term = MultiPoly(n, {(d - 1, 1) + (0,) * (n - 1): 1, (d - 1, 0, 1) + (0,) * (n - 2): -1})
+    z1, z2 = MultiPoly.gen_z(n, 1), MultiPoly.gen_z(n, 2)
+    term = MultiPoly.gen_a(n) ** (d - 1 - len(zeros)) * (z1 - z2)
+    for _, y in zeros:
+        term = term * (z1 * y[1] - z2 * y[0])
     pi = table.patterns()[0]
     return MdegTable(n, {**table.entries, pi: table.mdeg(pi) + term}, table.edges)
 
@@ -289,15 +293,6 @@ class TuplePoly:
         """The quotient by lex_divide; den may be any divisor."""
         quo = lex_divide(MultiPoly(self.nz, self.terms), MultiPoly(den.nz, den.terms))
         return TuplePoly.of(quo)
-
-    def evaluate(self, a_value, z_values):
-        point = (a_value, *z_values)
-        total = 0
-        for key, c in self.terms.items():
-            for x, e in zip(point, key):
-                c = c * Fraction(x) ** e
-            total += c
-        return total
 
     def to_obj(self) -> list[list]:
         return [[str(self.terms[k]), k[0], list(k[1:])] for k in sorted(self.terms)]

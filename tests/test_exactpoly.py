@@ -31,12 +31,18 @@ def rand_point(nz: int, rng: random.Random):
     return a, z
 
 
+def value(p: MultiPoly, a, z):
+    """p at the one point (a, z)."""
+    [v] = p.evaluate([(a, z)])
+    return v
+
+
 def test_generators():
     a = MultiPoly.gen_a(2)
     z1 = MultiPoly.gen_z(2, 1)
     z2 = MultiPoly.gen_z(2, 2)
     p = (a + z1) * (a - z2)
-    assert p.evaluate(3, [1, 2]) == 4
+    assert p.evaluate([(3, [1, 2])]) == [4]
     assert p == a * a + z1 * a - a * z2 - z1 * z2
     for i in (0, 3):
         with pytest.raises(ValueError):
@@ -45,7 +51,7 @@ def test_generators():
 
 def test_linear_combines_coefficients():
     p = MultiPoly.linear(3, 2, {1: 1, 3: -1})
-    assert p.evaluate(1, [10, 0, 4]) == 2 + 10 - 4
+    assert p.evaluate([(1, [10, 0, 4])]) == [2 + 10 - 4]
     # z_coeffs may repeat an index through the dict, absent ones are zero
     assert MultiPoly.linear(3) == 0
     # a z index outside 1..nz is refused, never taken as A or the constant term
@@ -76,16 +82,31 @@ def test_ring_ops_match_evaluation():
         p = rand_poly(nz, rng)
         q = rand_poly(nz, rng)
         a, z = rand_point(nz, rng)
-        pv, qv = p.evaluate(a, z), q.evaluate(a, z)
-        assert (p + q).evaluate(a, z) == pv + qv
-        assert (p - q).evaluate(a, z) == pv - qv
-        assert (p * q).evaluate(a, z) == pv * qv
-        assert (-p).evaluate(a, z) == -pv
+        pv, qv = value(p, a, z), value(q, a, z)
+        assert value(p + q, a, z) == pv + qv
+        assert value(p - q, a, z) == pv - qv
+        assert value(p * q, a, z) == pv * qv
+        assert value(-p, a, z) == -pv
         c = rng.randint(-5, 5)
-        assert (c + p).evaluate(a, z) == c + pv
-        assert (c - p).evaluate(a, z) == c - pv
-        assert (p * c).evaluate(a, z) == pv * c
-        assert (c * p).evaluate(a, z) == c * pv
+        assert value(c + p, a, z) == c + pv
+        assert value(c - p, a, z) == c - pv
+        assert value(p * c, a, z) == pv * c
+        assert value(c * p, a, z) == c * pv
+
+
+def test_sum_of_is_the_fold_of_additions():
+    rng = random.Random(8)
+    for _ in range(50):
+        nz = rng.randint(0, 3)
+        ps = [rand_poly(nz, rng) for _ in range(rng.randint(0, 4))]
+        ps.append(-ps[0] if ps else MultiPoly.zero(nz))  # cancels every term of one
+        fold = MultiPoly.zero(nz)
+        for p in ps:
+            fold = fold + p
+        total = MultiPoly.sum_of(nz, iter(ps))
+        assert total == fold and 0 not in total.terms.values()
+    with pytest.raises(ValueError, match="mixed variable counts 2 and 3"):
+        MultiPoly.sum_of(2, [MultiPoly.gen_a(2), MultiPoly.gen_a(3)])
 
 
 def test_z_free_sum_is_the_value_at_a_one_z_zero():
@@ -93,7 +114,7 @@ def test_z_free_sum_is_the_value_at_a_one_z_zero():
     for _ in range(100):
         nz = rng.randint(1, 4)
         p = rand_poly(nz, rng) * MultiPoly.gen_a(nz) ** rng.randint(0, 2)
-        assert p.z_free_sum() == p.evaluate(1, [0] * nz)
+        assert p.z_free_sum() == value(p, 1, [0] * nz)
     assert MultiPoly.const(7, 0).z_free_sum() == 7
     assert MultiPoly.zero(3).z_free_sum() == 0
 
@@ -268,10 +289,10 @@ def test_subs_z():
         c = rng.randint(-4, 4)
         point = list(z)
         point[i - 1] = c
-        assert p.subs_z(i, c).evaluate(a, z) == p.evaluate(a, point)
+        assert value(p.subs_z(i, c), a, z) == value(p, a, point)
         q = rand_poly(nz, rng)
-        point[i - 1] = q.evaluate(a, z)
-        assert p.subs_z(i, q).evaluate(a, z) == p.evaluate(a, point)
+        point[i - 1] = value(q, a, z)
+        assert value(p.subs_z(i, q), a, z) == value(p, a, point)
 
 
 def test_specialize_a():
@@ -280,7 +301,7 @@ def test_specialize_a():
     p = a * a * 3 + a * z1 + 7
     q = p.specialize_a(2)
     assert q == z1 * 2 + 19
-    assert q.evaluate(100, [1, 0]) == 21
+    assert q.evaluate([(100, [1, 0])]) == [21]
 
 
 def test_horner_u_edge_cases():

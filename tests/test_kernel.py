@@ -7,6 +7,8 @@ to_json against json.dumps of to_obj."""
 
 import json
 import random
+from fractions import Fraction
+from math import prod
 
 import pytest
 from conftest import TuplePoly, lex_divide, literal_horner
@@ -151,14 +153,52 @@ def test_exact_divide_matches_reference(p, data):
             (num + rem).exact_divide(den)
 
 
+def term_by_term(p: MultiPoly, a, z):
+    """The sum of c * prod(x^e) over the terms of p at the point (a, z)."""
+    return sum(c * prod(x ** e for x, e in zip((a, *z), exps))
+               for exps, c in p.monomials().items())
+
+
+@st.composite
+def evaluation_cases(draw):
+    """A polynomial, nz = 0..4 and exponents up to 4 or MAX_EXPONENT, with
+    up to four int points and up to four rational points for it."""
+    nz = draw(st.integers(0, 4))
+    p = draw(polys(nz, draw(st.sampled_from([4, MAX_EXPONENT]))))
+
+    def points(values):
+        return st.lists(st.tuples(values, st.lists(values, min_size=nz, max_size=nz)),
+                        max_size=4)
+
+    return p, draw(points(st.integers(-9, 9))), draw(points(rationals))
+
+
 @checked
-@hypothesis.given(polys(), st.data())
-def test_evaluate_matches_reference(p, data):
-    ref = TuplePoly.of(p)
-    ints = data.draw(st.lists(st.integers(-9, 9), min_size=p.nz + 1, max_size=p.nz + 1))
-    assert p.evaluate(ints[0], ints[1:]) == ref.evaluate(ints[0], ints[1:])
-    point = data.draw(st.lists(rationals, min_size=p.nz + 1, max_size=p.nz + 1))
-    assert p.evaluate(point[0], point[1:]) == ref.evaluate(point[0], point[1:])
+@hypothesis.given(evaluation_cases())
+def test_evaluate_matches_reference(case):
+    p, ints, fractions = case
+    values = p.evaluate(ints)
+    assert values == [term_by_term(p, a, z) for a, z in ints]
+    assert all(type(v) is int for v in values)
+    assert p.evaluate(fractions) == [term_by_term(p, a, z) for a, z in fractions]
+
+
+def test_evaluate_edge_cases():
+    a, z1, z2 = MultiPoly.gen_a(2), MultiPoly.gen_z(2, 1), MultiPoly.gen_z(2, 2)
+    points = [(3, [1, 2]), (Fraction(1, 2), [0, Fraction(-3, 4)])]
+    assert MultiPoly.zero(2).evaluate(points) == [0, 0]
+    assert MultiPoly.const(-7, 2).evaluate(points) == [-7, -7]
+    assert MultiPoly.const(5, 0).evaluate([(2, []), (9, ())]) == [5, 5]
+    assert MultiPoly.linear(1, 2, {1: -1}).evaluate([(3, [4]), (0, [1])]) == [2, -1]
+    top = a ** MAX_EXPONENT * z2 ** MAX_EXPONENT - z1 ** MAX_EXPONENT
+    assert top.evaluate(points) == [3 ** MAX_EXPONENT * 2 ** MAX_EXPONENT - 1,
+                                    Fraction(-3, 8) ** MAX_EXPONENT]
+    assert ((a + z1) * (a - z2)).evaluate([]) == []
+    assert MultiPoly.zero(0).evaluate(iter([])) == []
+    # every point is checked before any is evaluated
+    for bad in ([(1, [1])], [(1, [1, 2]), (1, [1, 2, 3])]):
+        with pytest.raises(ValueError, match="need 2 z values"):
+            (a + z1).evaluate(bad)
 
 
 @checked

@@ -235,9 +235,8 @@ def test_total_mdeg_value_matches_tables(tables):
     rng = random.Random(13)
     for n in (2, 3, 4):
         total = tables(n).mdeg_sum()
-        for _ in range(5):
-            a, z = random_point(n, rng)
-            assert total_mdeg_pfaffian_value(n, a, z) == total.evaluate(a, z)
+        points = [random_point(n, rng) for _ in range(5)]
+        assert [total_mdeg_pfaffian_value(n, a, z) for a, z in points] == total.evaluate(points)
 
 
 def test_d0_multiplicity_names_the_failing_point(tables):
@@ -247,6 +246,31 @@ def test_d0_multiplicity_names_the_failing_point(tables):
     with pytest.raises(IdentityViolation,
                        match=re.escape(f"square-zero cone forms disagree at a={a}, z={z} ")):
         d0_multiplicity_check(bad)
+
+
+# the first failure when the added term vanishes at the first k points
+# that d0_multiplicity_check draws (seed 4093), k = 1, 2, 3
+LATER_CONE_FAILURES = [
+    "a=8/5, z=[Fraction(-23, 3), Fraction(-19, 3), Fraction(-10, 7), Fraction(-4, 3)] "
+    "(values at its integer image): 264264021256438038528, 264264021256438038528, "
+    "expected 171529098381147976777728",
+    "a=9/19, z=[Fraction(-25, 11), Fraction(12, 1), Fraction(-32, 7), Fraction(-5, 4)] "
+    "(values at its integer image): 437866692154630252946645338718208, "
+    "437866692154630252946645338718208, expected -5536984667710280091071565307896798216192",
+    "a=10/19, z=[Fraction(-23, 4), Fraction(-12, 11), Fraction(36, 7), Fraction(-1, 1)] "
+    "(values at its integer image): 330393193921776379622215680000000, "
+    "330393193921776379622215680000000, "
+    "expected -41798456513560371244741552058173894656000000",
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_d0_multiplicity_names_a_later_failing_point(tables, k):
+    rng = random.Random(4093)
+    zeros = [integer_image(*random_point(4, rng)) for _ in range(k)]
+    with pytest.raises(IdentityViolation) as err:
+        d0_multiplicity_check(with_vanishing_term(tables(4), zeros))
+    assert str(err.value) == "square-zero cone forms disagree at " + LATER_CONE_FAILURES[k - 1]
 
 
 def test_odd_sign_flip_limits_to_degree_determinant():

@@ -51,11 +51,11 @@ def test_base_mdeg():
     assert base_mdeg(2) == 1
     b3 = base_mdeg(3)
     assert b3.homogeneous_degree() == target_degree(3)
-    assert b3.evaluate(1, [0, 0, 0]) == 1
+    assert b3.evaluate([(1, [0, 0, 0])]) == [1]
     for n in (4, 5):
         b = base_mdeg(n)
         assert b.homogeneous_degree() == target_degree(n)
-        assert b.evaluate(1, [0] * n) == 1
+        assert b.evaluate([(1, [0] * n)]) == [1]
 
 
 def test_recursion_step_round_trip(tables):
@@ -432,6 +432,42 @@ def test_sum_rule_total_names_the_failing_point(tables):
         sum_rule_total(bad)
 
 
+# the message of the first failure when the added term vanishes at the
+# first k points that sum_rule_total draws (seed 2011), k = 1, 2, 3
+LATER_PFAFFIAN_FAILURES = [
+    "a=19/7, z=[Fraction(-1, 1), Fraction(-36, 1), Fraction(-3, 1), Fraction(11, 9)]",
+    "a=59/15, z=[Fraction(37, 1), Fraction(-26, 11), Fraction(-3, 11), Fraction(4, 5)]",
+    "a=9, z=[Fraction(3, 4), Fraction(10, 3), Fraction(-2, 11), Fraction(-1, 1)]",
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sum_rule_total_names_a_later_failing_point(tables, k):
+    rng = random.Random(2011)
+    zeros = [integer_image(*random_point(4, rng)) for _ in range(k)]
+    with pytest.raises(IdentityViolation) as err:
+        sum_rule_total(with_vanishing_term(tables(4), zeros))
+    assert str(err.value) == ("Pfaffian total multidegree fails at "
+                              + LATER_PFAFFIAN_FAILURES[k - 1])
+
+
+def fold_of_entries(table: MdegTable) -> MultiPoly:
+    """The sum of the entries by repeated addition, pattern by pattern."""
+    total = MultiPoly.zero(table.n)
+    for pi in table.patterns():
+        total = total + table.mdeg(pi)
+    return total
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_mdeg_sum_is_the_fold_once_per_table(tables, n):
+    built = tables(n)
+    for table in (built, MdegTable.from_obj(built.to_obj())):
+        total = table.mdeg_sum()
+        assert total == fold_of_entries(table)
+        assert table.mdeg_sum() is total
+
+
 def test_specialization(tables):
     t4, t2 = tables(4), tables(2)
     counts = [specialize_check(t4, t2, i)["patterns"] for i in (1, 2, 3)]
@@ -475,7 +511,8 @@ def test_positivity_at_integer_points_matches_psi(tables):
         p = t4.mdeg(pi)
         k = [rng.randint(-9, 9) for _ in range(4)]
         z = [Fraction(x, 20) for x in k]
-        assert p.evaluate(20, k) == 20 ** target_degree(4) * t4.psi(pi).evaluate(1, z)
+        [v], [psi] = p.evaluate([(20, k)]), t4.psi(pi).evaluate([(1, z)])
+        assert v == 20 ** target_degree(4) * psi
 
 
 def test_positivity_names_its_witness(tables):
@@ -485,6 +522,34 @@ def test_positivity_names_its_witness(tables):
     bad[pi] = -bad[pi]
     with pytest.raises(IdentityViolation, match=r"evaluates to -.* at z=\[Fraction"):
         positivity_spot_check(MdegTable(4, bad, t4.edges), trials=1)
+
+
+# at seed 97 the third trial is k = [-9, -1, 2, -9], the fourth [-7, 5, 6, -6]
+AT_THIRD = "at z=[Fraction(-9, 20), Fraction(-1, 20), Fraction(1, 10), Fraction(-9, 20)]"
+AT_FOURTH = "at z=[Fraction(-7, 20), Fraction(1, 4), Fraction(3, 10), Fraction(-3, 10)]"
+
+
+@pytest.mark.parametrize("factors, want", [
+    # the last pattern fails at the third trial, the second only at the fourth
+    ({1: "fourth", 2: "third"}, f"(1 4)(2 3) evaluates to -24459/200000 {AT_THIRD}"),
+    # both fail first at the third trial: the earlier pattern is named
+    ({1: "third", 2: "third"}, f"(1 3)(2 4) evaluates to -1581/40000 {AT_THIRD}"),
+    ({0: "fourth"}, f"(1 2)(3 4) evaluates to -535857/640000 {AT_FOURTH}"),
+    ({0: "fourth", 1: "fourth"}, f"(1 2)(3 4) evaluates to -535857/640000 {AT_FOURTH}"),
+])
+def test_positivity_names_the_first_failing_trial_then_pattern(tables, factors, want):
+    t4 = tables(4)
+    z1, z2, z3, z4 = (MultiPoly.gen_z(4, i) for i in range(1, 5))
+    # at the first five trials z1 + z2 - z4 reads 9, 8, -1, 4, 3 (times 20)
+    # and -(z2 + z3 + z4) reads 2, 9, 8, -5, 6
+    first_negative = {"third": z1 + z2 - z4, "fourth": -(z2 + z3 + z4)}
+    bad = dict(t4.entries)
+    for index, trial in factors.items():
+        pi = t4.patterns()[index]
+        bad[pi] = bad[pi] * first_negative[trial]
+    with pytest.raises(IdentityViolation) as err:
+        positivity_spot_check(MdegTable(4, bad, t4.edges), trials=5)
+    assert str(err.value) == want
 
 
 def prime_factors(m: int) -> list[int]:
@@ -512,7 +577,8 @@ def test_integer_image_is_the_least_integral_multiple(tables):
             for p in prime_factors(scale):
                 # the least integral multiple divides every other one
                 assert any((scale // p * x).denominator != 1 for x in [a, *z])
-            assert total.evaluate(ai, zi) == scale ** d * total.evaluate(a, z)
+            at_image, at_point = total.evaluate([(ai, zi), (a, z)])
+            assert at_image == scale ** d * at_point
 
 
 def test_random_point_avoids_poles():

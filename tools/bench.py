@@ -169,10 +169,11 @@ def exactpoly() -> dict:
     Fixtures: w = A + z_1 - z_2 and g = recursion_step(base_mdeg(6), maximal
     pattern, 1), the pinned N=6 step (6086 terms).  Layer rows: mul_w_g
     (w * g), tau_g, ddiff_g, exact_divide_wg_w ((w * g).exact_divide(w)),
-    evaluate_g_integer (g at an integer point).  Step rows: recursion_step_n6
-    and recursion_step_n7, the same step at N=6 and N=7.  Memory row:
-    base_mdeg7_term_bytes, the bytes of base_mdeg(7)'s term dict and its
-    keys (the coefficients are the same objects under any key layout).
+    evaluate_g_integer (g.evaluate at a list of one integer point).  Step
+    rows: recursion_step_n6 and recursion_step_n7, the same step at N=6 and
+    N=7.  Memory row: base_mdeg7_term_bytes, the bytes of base_mdeg(7)'s
+    term dict and its keys (the coefficients are the same objects under
+    any key layout).
     fixture_terms counts the terms of g and w * g.  End-to-end rows:
     verify_exchange_n6 on a prebuilt table, and delta_n7, commvar.delta(7).
     """
@@ -190,7 +191,7 @@ def exactpoly() -> dict:
         "tau_g": timed(lambda: g.tau(1), number=LAYER_CALLS),
         "ddiff_g": timed(lambda: g.ddiff(1), number=LAYER_CALLS),
         "exact_divide_wg_w": timed(lambda: wg.exact_divide(w), number=LAYER_CALLS),
-        "evaluate_g_integer": timed(lambda: g.evaluate(*point), number=LAYER_CALLS),
+        "evaluate_g_integer": timed(lambda: g.evaluate([point]), number=LAYER_CALLS),
         "recursion_step_n6": timed(
             lambda: psitable.recursion_step(base6, maximal_pattern(6), 1)),
         "recursion_step_n7": timed(
@@ -362,6 +363,7 @@ def sumrules() -> dict:
     that sum_rule_total draws for N=5 in `brauerloop verify sumrules`
     (seed 0).  Check rows, on the N=5 table at that suite's points:
     sum_rule_total_n5, and d0_multiplicity_n5, the check of the d1 suite.
+    positivity_n5: positivity_spot_check on the N=5 table, 5 trials at seed 1.
     CLI-point row: d1_pfaffian_form_n20_cli_point, d1_mdeg_pfaffian_form at
     the point that `brauerloop degrees --scheme D1 --n 20` draws (seed 0).
     End-to-end rows, on tables N=2..6 built beforehand: criterion_05 and
@@ -381,6 +383,7 @@ def sumrules() -> dict:
             lambda: [pfdet.total_mdeg_pfaffian_value(5, a, z) for a, z in points5]),
         "sum_rule_total_n5": timed(lambda: psitable.sum_rule_total(table5, seed=total_seed)),
         "d0_multiplicity_n5": timed(lambda: pfdet.d0_multiplicity_check(table5, seed=d1_seed)),
+        "positivity_n5": timed(lambda: psitable.positivity_spot_check(table5, trials=5, seed=1)),
         "d1_pfaffian_form_n20_cli_point": timed(
             lambda: pfdet.d1_mdeg_pfaffian_form(20, a20, z20)),
         "criterion_05": timed(lambda: suite("sumrules", store=store), E2E_REPEATS),
