@@ -18,13 +18,12 @@ rescaling M_{ij} -> s^{(j-i) mod N} M_{ij}.
 The semidirect model splits M into its weakly upper part R and the class
 of M modulo upper triangulars, represented by the strict lower part L;
 the product is (R, L)(V, W) = (R V, R W + L V) and the inverse of (R, L)
-is (R^-1, -R^-1 L R^-1), which is how cp_inv is computed, on integers:
-from the adjugate of R cleared of denominators and from L cleared of
-denominators, with one exact division per entry at the end.  The periodic
-strip embeds M as the infinite banded matrix strip(i, j) = M_{i mod N,
-j mod N} for 0 <= j - i < N, turning the circular product into ordinary
-(banded) matrix multiplication.  The strip is never materialized: its
-entries are read off M, in every row.
+is (R^-1, -R^-1 L R^-1).  The periodic strip embeds M as the infinite
+banded matrix strip(i, j) = M_{i mod N, j mod N} for 0 <= j - i < N,
+turning the circular product into ordinary (banded) matrix
+multiplication; strip(M) is upper triangular, and cp_inv is the band of
+its inverse, by back substitution along the strip on integers.  The strip
+is never materialized: its entries are read off M, in every row.
 
 Writing s = u/v with v > 0, the s-family runs on integers through two
 cleared maps: s_mul_cleared(P, Q, u, v) = v^N (P x_s Q), whose terms are
@@ -253,6 +252,40 @@ def cycle(m: ExactMatrix, k: int = 1) -> ExactMatrix:
     return ExactMatrix._of([row[k:] + row[:k] for row in m.rows[k:] + m.rows[:k]])
 
 
+def cp_inv(p: ExactMatrix) -> ExactMatrix:
+    """Circular-product inverse; exists iff every diagonal entry is nonzero.
+
+    strip(P o Q) is the band of strip(P) strip(Q), and strip(P) is upper
+    triangular with diagonal P_ii, so the inverse is the band of
+    Y = strip(P)^-1, which back substitution in strip(P) Y = I reaches
+    through band entries alone.  With P = S / c, S integral, and D the
+    product of the S_ii, y = D Y / c is integral on the band: Y_{ik} / c is
+    an entry of the inverse of S's block i..k, whose denominator divides
+    the product of S_jj over the distinct residues j on the arc, hence D.
+    Column k is y_{kk} = D / S_kk and, for e = 1..N-1 and i = k - e mod N,
+    y_{ik} = -(sum over t = 1..e of S_{i,i+t} y_{i+t,k}) / S_ii, exactly.
+    The inverse is c y / D, an int wherever the entry is integral; when
+    c = D = 1 (an integer P with unit diagonal) it is y and nothing is divided.
+    """
+    n = p.n
+    if not all(p.diagonal_entries()):
+        raise NotInvertible("zero diagonal entry")
+    cleared, c = clear_denominators(p)
+    band = [row[i:] + row[:i] for i, row in enumerate(cleared.rows)]  # band[i][t] = S_{i,i+t}
+    diag = [row[0] for row in band]
+    d = prod(diag)
+    cols = []
+    for k in range(n):
+        col = [d // diag[k]]  # y_{k-e,k} for e = 0, 1, ...
+        for e in range(1, n):
+            i = k - e  # row i mod N: band[-1] is band[n - 1]
+            col.append(-sum(map(mul, band[i][1:e + 1], reversed(col))) // diag[i])
+        cols.append(col[k::-1] + col[:k:-1])  # by row: y_{i,k} is col[(k - i) mod N]
+    if c == d == 1:
+        return ExactMatrix._of(list(map(list, zip(*cols))))
+    return ExactMatrix._of([[_ratio(c * y, d) for y in row] for row in zip(*cols)])
+
+
 # --------------------------------------------------------------------- semidirect model
 
 
@@ -272,63 +305,6 @@ def semidirect_mul(a: tuple[ExactMatrix, ExactMatrix],
     r, low = a
     v, w = b
     return r @ v, (r @ w + low @ v).strict_lower_part()
-
-
-def _upper_adjugate(r: ExactMatrix) -> tuple[list[list[int]], int, int]:
-    """(A, c, det S) for R = S / c, S integral, and A = det(S) S^-1.
-
-    The adjugate A is integral and upper triangular, so back substitution
-    of S A = det(S) I, one column at a time, divides exactly.
-    """
-    n = r.n
-    if any(not d for d in r.diagonal_entries()):
-        raise NotInvertible("zero diagonal entry")
-    cleared, c = clear_denominators(r)
-    s = cleared.rows
-    d = prod(s[i][i] for i in range(n))
-    cols = []
-    for j in range(n):
-        col = [0] * n
-        col[j] = d // s[j][j]
-        for i in range(j - 1, -1, -1):
-            col[i] = -sum(map(mul, s[i][i + 1:j + 1], col[i + 1:j + 1])) // s[i][i]
-        cols.append(col)
-    return [list(row) for row in zip(*cols)], c, d
-
-
-def cp_inv(p: ExactMatrix) -> ExactMatrix:
-    """Circular-product inverse; exists iff every diagonal entry is nonzero.
-
-    With R = S / c the upper part, A the integral adjugate of S and
-    L = T / e the cleared strict lower part, the inverse (R^-1, -R^-1 L R^-1)
-    is (c A / det S, -c^2 (A T A) / (e det(S)^2)): integer products and
-    one exact division per entry, an int wherever the entry is integral.
-    When c = det S = e = 1 (an integer P with unit diagonal) it is
-    (A, -A T A), all ints, and nothing is divided.
-
-    Only the strict lower part of A T A is kept, and only it is formed: A
-    is upper and T strictly lower triangular, so (A T A)_{ik}, k < i, sums
-    (A T)_{il} A_{lk} over l <= k, and those (A T)_{il}, l < i, sum
-    A_{ij} T_{jl} over j >= i.
-    """
-    r, low = to_semidirect(p)
-    adj, c, d = _upper_adjugate(r)
-    t, e = clear_denominators(low)
-    tcols = list(zip(*t.rows))
-    acols = list(zip(*adj))
-    lower = []
-    for i, arow in enumerate(adj):
-        tail = arow[i:]
-        at = [sum(map(mul, tail, tcols[l][i:])) for l in range(i)]
-        lower.append([sum(map(mul, at, acols[k][:k + 1])) for k in range(i)])
-    if c == d == e == 1:
-        return ExactMatrix._of([[-v for v in lrow] + arow[i:]
-                                for i, (arow, lrow) in enumerate(zip(adj, lower))])
-    den = e * d * d
-    c2 = -c * c
-    return ExactMatrix._of([[_ratio(c2 * v, den) for v in lrow]
-                            + [_ratio(c * a, d) for a in arow[i:]]
-                            for i, (arow, lrow) in enumerate(zip(adj, lower))])
 
 
 # --------------------------------------------------------------------- periodic strip

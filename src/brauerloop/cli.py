@@ -20,11 +20,11 @@ Three subcommands:
 Reports are byte-stable for fixed inputs and seed: all randomness is
 derived from the seed, and timing goes to stderr, never into the
 report itself.  Instances are integers drawn from the bits of a seeded
-random.Random by rejection (escheme._below), exactly as its randrange,
-randint and choice would draw them, and the algebra checks draw their
-matrices already cleared of denominators.  Failures never escape as
-tracebacks; each becomes a failed check whose witness carries the
-offending instance, printed as drawn.
+random.Random by rejection (escheme._below, inlined in the matrix draws),
+exactly as its randrange, randint and choice would draw them, and the
+algebra checks draw their matrices already cleared of denominators.
+Failures never escape as tracebacks; each becomes a failed check whose
+witness carries the offending instance, printed as drawn.
 """
 
 from __future__ import annotations
@@ -266,10 +266,17 @@ def _random_cleared(n: int, rng: random.Random) -> tuple[ExactMatrix, int]:
     for i in range(n):
         row = []
         for j in range(n):
-            kind = _below(bits, 6)
+            kind = bits(3)  # _below inlined, n.bit_length() bits: 6, 4 -> 3; 13, 9 -> 4
+            while kind >= 6:
+                kind = bits(3)
             if kind == 0:
-                a = _below(bits, 13) - 6
-                b = _below(bits, 4) + 1
+                a = bits(4)
+                while a >= 13:
+                    a = bits(4)
+                b = bits(3)
+                while b >= 4:
+                    b = bits(3)
+                a, b = a - 6, b + 1
                 g = gcd(a, b)
                 if g != b:
                     b //= g
@@ -279,7 +286,10 @@ def _random_cleared(n: int, rng: random.Random) -> tuple[ExactMatrix, int]:
             elif kind <= 2:
                 row.append(0)
             else:
-                row.append(_below(bits, 9) - 4)
+                r = bits(4)
+                while r >= 9:
+                    r = bits(4)
+                row.append(r - 4)
         rows.append(row)
     if c != 1:
         rows = [[c * x for x in row] for row in rows]

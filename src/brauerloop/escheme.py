@@ -31,6 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable
 
 from .circlealg import ExactMatrix, Rational, cp_inv, cp_mul
@@ -42,16 +43,11 @@ from .linkpat import LinkPattern, RankTable
 def pattern_matrix(pi: LinkPattern, t: tuple[Rational, ...] | None = None) -> ExactMatrix:
     """The matrix with entry t_i at (i, pi(i)) for non-fixed i, zero elsewhere."""
     n = pi.n
-    if t is None:
-        t = (1,) * n
+    t = (1,) * n if t is None else t
     if len(t) != n:
         raise ValueError("t must have one entry per point")
-    m = ExactMatrix.zeros(n)
-    for i in range(1, n + 1):
-        j = pi(i)
-        if j != i:
-            m.rows[i - 1][j - 1] = t[i - 1]
-    return m
+    return ExactMatrix._of([[t[i] if k == j - 1 != i else 0 for k in range(n)]
+                            for i, j in enumerate(pi.pairing)])
 
 
 def check_generic(pi: LinkPattern, t: tuple[Rational, ...]) -> None:
@@ -94,16 +90,29 @@ def _parse(s: str) -> Rational:
     return int(f) if f.denominator == 1 else f
 
 
+def pattern_product(p: ExactMatrix, pi: LinkPattern, t: tuple[Rational, ...]) -> ExactMatrix:
+    """P o (pi t) in closed form: column k of pi t is t_j at row j = pi(k) != k alone."""
+    n = p.n
+    partner = [j - 1 for j in pi.pairing]
+    return ExactMatrix._of([
+        [prow[j] * t[j] if prow[j] and j != k and (j - i) % n <= (k - i) % n else 0
+         for k, j in enumerate(partner)]
+        for i, prow in enumerate(p.rows)])
+
+
 def sample_point(pi: LinkPattern, t: tuple[Rational, ...],
                  p: ExactMatrix) -> SamplePoint:
-    """Conjugate the scaled pattern matrix by a unit-diagonal P."""
+    """Conjugate the scaled pattern matrix by a unit-diagonal P: M = P o (pi t) o P^{o-1}.
+
+    P o (pi t) is in closed form (pattern_product): entry (i, k) is P_{i,pi(k)} t_{pi(k)}
+    when pi(k) != k and (pi(k) - i) mod N <= (k - i) mod N, and 0 otherwise.
+    """
     if p.n != pi.n:
         raise ValueError("size mismatch")
     if any(d != 1 for d in p.diagonal_entries()):
         raise ValueError("conjugator must have unit diagonal")
     check_generic(pi, tuple(t))
-    m = cp_mul(cp_mul(p, pattern_matrix(pi, tuple(t))), cp_inv(p))
-    return SamplePoint(m, pi, tuple(t), p)
+    return SamplePoint(cp_mul(pattern_product(p, pi, t), cp_inv(p)), pi, tuple(t), p)
 
 
 def _below(bits: Callable[[int], int], n: int) -> int:
@@ -137,8 +146,15 @@ def random_t(pi: LinkPattern, rng: random.Random) -> tuple[int, ...]:
 def random_conjugator(n: int, rng: random.Random) -> ExactMatrix:
     """A unit-diagonal matrix with off-diagonal entries in -3..3, row by row."""
     bits = rng.getrandbits
-    return ExactMatrix._of([[1 if i == j else _below(bits, 7) - 3 for j in range(n)]
-                            for i in range(n)])
+    rows = [[1] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in range(n):
+            if j != i:
+                r = bits(3)  # _below(bits, 7) inlined: 7 takes 3 bits
+                while r >= 7:
+                    r = bits(3)
+                row[j] = r - 3
+    return ExactMatrix._of(rows)
 
 
 def random_sample(pi: LinkPattern, rng: random.Random) -> SamplePoint:
@@ -157,9 +173,7 @@ def is_in_E(m: ExactMatrix) -> bool:
 
 def square_diag(m: ExactMatrix) -> list[Rational]:
     """Diagonal of the ordinary square M^2."""
-    n = m.n
-    return [sum(m.rows[i][j] * m.rows[j][i] for j in range(n))
-            for i in range(n)]
+    return [sum(map(mul, row, col)) for row, col in zip(m.rows, zip(*m.rows))]
 
 
 def identify_pattern(m: ExactMatrix) -> LinkPattern:

@@ -4,10 +4,11 @@ The script is loaded by path, as it is run, with one fast fake group in
 place of the timed ones and its output in a temporary directory.  The
 paired mode runs a fake script in child interpreters, each on the sources
 of one of two fake trees.  The host yardstick is checked on a fake clock
-that runs at two speeds.
+that runs at two speeds, between children and within one row.
 """
 
 import importlib.util
+import itertools
 import json
 from pathlib import Path
 
@@ -92,7 +93,7 @@ def test_yardstick_scales_out_two_host_speeds(bench, monkeypatch):
     # a fake clock on which the yardstick and the row both run 1.7 times
     # slower in a slow child, with the yardstick's readings jittering by 2 %
     clock, speed = [0.0], [1.0]
-    jitter = iter([1.0, 1.02, 0.98] * 12)
+    jitter = itertools.cycle([1.0, 1.02, 0.98])
 
     def tick(seconds: float) -> None:
         clock[0] += seconds * speed[0]
@@ -109,6 +110,34 @@ def test_yardstick_scales_out_two_host_speeds(bench, monkeypatch):
     assert row["ratios"] == [1.7, 0.588, 1.0]
     assert row["scaled_ratios"] == pytest.approx([1.0] * 3, abs=0.03)
     assert runs["after"][0]["row"]["yardstick_s"] == pytest.approx(0.004 * 1.7 * 0.98)
+
+
+def test_yardstick_scales_out_a_speed_change_inside_a_row(bench, monkeypatch):
+    # the host slows to 1.7 times after the third of seven samples: each
+    # sample is scaled by the reading taken right before it, so the row's
+    # scaled median is the one it has at a steady speed
+    clock, speed, done = [0.0], [1.0], [0]
+    jitter = itertools.cycle([1.0, 1.02, 0.98])
+
+    def tick(seconds: float) -> None:
+        clock[0] += seconds * speed[0]
+
+    def sample() -> None:
+        tick(0.25)
+        done[0] += 1
+        if done[0] == 3:
+            speed[0] = 1.7
+
+    monkeypatch.setattr(bench.time, "process_time", lambda: clock[0])
+    monkeypatch.setattr(bench, "yardstick", lambda: tick(0.004 * next(jitter)))
+    changing = bench.timed(sample, repeats=7)
+    speed[0] = 1.0
+    steady = bench.timed(lambda: tick(0.25), repeats=7)
+    assert changing["median"] == pytest.approx(1.7 * steady["median"])
+    assert changing["scaled_median"] == steady["scaled_median"] == pytest.approx(0.25 / 0.00392, rel=1e-3)
+    # one reading for the whole row would leave the row 1.7 times slow
+    assert changing["median"] / changing["yardstick_s"] == \
+        pytest.approx(1.7 * steady["scaled_median"], rel=1e-3)
 
 
 def fake_tree(root, name, value):

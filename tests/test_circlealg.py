@@ -162,6 +162,31 @@ def test_upper_inverse_matches_fraction_back_substitution():
             [[type(x) for x in row] for row in want.rows]
 
 
+def strip_band_inverse(p: ExactMatrix) -> ExactMatrix:
+    """Reference: the band of the Fraction inverse of the strip block of rows and columns 0..2N-1."""
+    n = p.n
+    block = ExactMatrix.build(2 * n, lambda a, b: p.rows[(a - 1) % n][(b - 1) % n]
+                              if 0 <= b - a < n else 0)
+    inv = fraction_upper_inverse(block)
+    return ExactMatrix.build(n, lambda i, k: inv[i, i + (k - i) % n])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cp_inv_is_the_band_of_the_strip_inverse(n):
+    rng = random.Random(100 + n)
+    off = [0, 0, 1, -2, 3, -4, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]
+    diagonals = {"unit": [1], "integer": [2, 3, 5], "negative": [-1, -2, -3],
+                 "fraction": [Fraction(1, 3), Fraction(-5, 2), Fraction(4, 7)],
+                 "mixed": [1, -1, 2, -3, Fraction(3, 2), Fraction(-2, 5)]}
+    for diag in diagonals.values():
+        for _ in range(12):
+            p = ExactMatrix.build(n, lambda i, j: rng.choice(diag if i == j else off))
+            got, want = cp_inv(p), strip_band_inverse(p)
+            assert got == want and repr(got) == repr(want)
+            assert [[type(x) for x in row] for row in got.rows] == \
+                [[type(x) for x in row] for row in want.rows]
+
+
 def test_cp_inv_two_sided():
     rng = random.Random(17)
     eye_checked = 0

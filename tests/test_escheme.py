@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from brauerloop.circlealg import ExactMatrix, cp_mul
+from brauerloop.circlealg import ExactMatrix, cp_inv, cp_mul
 from brauerloop.errors import AmbiguousPairing, DegenerateParameters
 from brauerloop.escheme import (
     SamplePoint,
@@ -16,6 +16,7 @@ from brauerloop.escheme import (
     identify_pattern,
     is_in_E,
     pattern_matrix,
+    pattern_product,
     random_sample,
     random_t,
     sample_point,
@@ -73,6 +74,36 @@ def test_square_diag_reads_chord_products():
         d = square_diag(sp.matrix)
         assert d[0] == d[1] == sp.t[0] * sp.t[1]
         assert d[2] == d[3] == sp.t[2] * sp.t[3]
+
+
+def three_product_sample(pi: LinkPattern, t, p: ExactMatrix) -> ExactMatrix:
+    """Reference: P o (pi t) o P^{o-1} by two general circular products."""
+    return cp_mul(cp_mul(p, pattern_matrix(pi, tuple(t))), cp_inv(p))
+
+
+def entry_types(m: ExactMatrix) -> list[list[type]]:
+    return [[type(x) for x in row] for row in m.rows]
+
+
+def test_pattern_product_is_the_circular_product_with_the_pattern_matrix():
+    rng = random.Random(61)
+    off = [0, 0, -3, -1, 1, 2, 3, Fraction(1, 2), Fraction(-5, 3)]
+    values = [1, 2, -3, 7, 40, Fraction(3, 2), Fraction(-7, 5)]
+    for n in range(1, 8):
+        for pi in enumerate_patterns(n):
+            for _ in range(3):
+                p = ExactMatrix.build(n, lambda i, j: 1 if i == j else rng.choice(off))
+                t = tuple(rng.choice(values) for _ in range(n))
+                got, want = pattern_product(p, pi, t), cp_mul(p, pattern_matrix(pi, t))
+                assert got == want and repr(got) == repr(want)
+                assert entry_types(got) == entry_types(want)
+                try:
+                    check_generic(pi, t)
+                except DegenerateParameters:
+                    continue
+                m, ref = sample_point(pi, t, p).matrix, three_product_sample(pi, t, p)
+                assert m == ref and repr(m) == repr(ref) and entry_types(m) == entry_types(ref)
+                assert square_diag(m) == (m @ m).diagonal_entries()
 
 
 def test_sample_point_rejects_bad_conjugator():

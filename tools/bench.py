@@ -31,14 +31,15 @@ is LAYER_CALLS calls.  The settings are fixed so that both labels are
 always taken alike.  Each group's docstring lists its rows.
 
 A shared host can run the same code at different speeds from one process
-to the next, so each timed row also times yardstick(), fixed pure-Python work
-that calls no brauerloop code, YARDSTICK_RUNS times before its samples and
-as often after them.  The row keeps the least of those readings as
-yardstick_s and its median over it as scaled_median, in yardstick runs
-per call.  A paired record gives the scaled medians and their ratios
-beside the raw ones (the scaled_ fields), so a row whose code did not
-change reads near 1 there even when the host changed speed between the
-two children.
+to the next, and from one stretch of a process to the next, so every
+sample of a timed row is taken right after a reading of the host: the
+least of YARDSTICK_RUNS runs of yardstick(), fixed pure-Python work that
+calls no brauerloop code.  Each sample is divided by its own reading; the
+row keeps the median of those quotients as scaled_median, in yardstick
+runs per call, and the least reading as yardstick_s.  A paired record
+gives the scaled medians and their ratios beside the raw ones (the
+scaled_ fields), so a row whose code did not change reads near 1 there
+even when the host changed speed between the two children or within one.
 """
 
 from __future__ import annotations
@@ -116,20 +117,21 @@ def host_readings() -> list[float]:
 
 def timed(fn, repeats: int = REPEATS, number: int = 1) -> dict:
     """CPU seconds per call: median and minimum of repeats samples of number
-    calls, and the median over the least yardstick reading taken before
-    and after them."""
-    readings = host_readings()
-    runs = []
+    calls, and the median of each sample over the yardstick reading (the
+    least of host_readings()) taken right before it."""
+    runs, scaled, readings = [], [], []
     for _ in range(repeats):
+        readings.append(min(host_readings()))
         start = time.process_time()
         for _ in range(number):
             fn()
         runs.append((time.process_time() - start) / number)
-    host = min(readings + host_readings())
+        scaled.append(runs[-1] / readings[-1])
     median = statistics.median(runs)
     return {"unit": "s", "median": float(f"{median:.4g}"),
             "min": float(f"{min(runs):.4g}"), "repeats": repeats, "calls_per_sample": number,
-            "yardstick_s": float(f"{host:.4g}"), "scaled_median": float(f"{median / host:.4g}")}
+            "yardstick_s": float(f"{min(readings):.4g}"),
+            "scaled_median": float(f"{statistics.median(scaled):.4g}")}
 
 
 def source_digest(src: Path | None = None) -> str:
@@ -245,7 +247,9 @@ def chainsuites() -> dict:
     algebra/sfamily/N8 and algebra/strip/N8 of the algebra suite with 100
     instances, seed 1; tangent_dimension_n6_patterns at one sample of each
     N=6 pattern and stabilizer_codim_n6_patterns at one t per N=6 pattern;
-    cp_inv_n6_unit_diagonal_20, 20 N=6 unit-diagonal conjugators.
+    cp_inv_n6_unit_diagonal_20, 20 N=6 unit-diagonal conjugators;
+    sample_point_n6_patterns, one sample_point per N=6 pattern at one
+    fixed conjugator and t = (2, 3, 5, 7, 11, 13).
     End-to-end rows: geometry_suite_n6_30 and algebra_suite_n8_100 (the
     chain workload's sizes, seed 1); criterion_08 and criterion_09, the two
     suites at their defaults, which those acceptance criteria read;
@@ -266,6 +270,8 @@ def chainsuites() -> dict:
     samples6 = [escheme.random_sample(pi, rng) for pi in enumerate_patterns(6)]
     conjugators6 = [escheme.random_conjugator(6, rng) for _ in range(20)]
     jobs = dict(cli.algebra_jobs([8], seed=1, count=100))
+    conjugator6, t6 = escheme.random_conjugator(6, random.Random(6)), (2, 3, 5, 7, 11, 13)
+    patterns6 = list(enumerate_patterns(6))
     dense_rng = random.Random(30)
     dense30 = [[dense_rng.randint(-9, 9) for _ in range(30)] for _ in range(30)]
     return {
@@ -276,6 +282,8 @@ def chainsuites() -> dict:
         "stabilizer_codim_n6_patterns": timed(
             lambda: [escheme.stabilizer_codim(sp.pattern, sp.t) for sp in samples6]),
         "cp_inv_n6_unit_diagonal_20": timed(lambda: [cp_inv(p6) for p6 in conjugators6]),
+        "sample_point_n6_patterns": timed(
+            lambda: [escheme.sample_point(pi, t6, conjugator6) for pi in patterns6]),
         "check_rank_bounds_n6": timed(
             lambda: escheme.check_rank_bounds(sample6, bounds6), number=LAYER_CALLS),
         "rank_dense_n30": timed(lambda: linalg.rank(dense30), number=LAYER_CALLS),
