@@ -1,24 +1,27 @@
-"""tools/bench.py keeps every run, and the checked-in BENCH files are its output.
+"""tools/bench.py keeps every paired record, and the checked-in BENCH files are its output.
 
 The script is loaded by path, as it is run, with one fast fake group in
-place of the timed ones and its output in a temporary directory.  The
-paired mode runs a fake script in child interpreters, each on the sources
-of one of two fake trees.  The host yardstick is checked on a fake clock
+place of the timed ones and its output in a temporary directory.  It runs
+a fake script in child interpreters, each on the sources of one of two
+fake trees.  The host yardstick is checked on a fake clock
 that runs at two speeds, between children and within one row.
 """
 
 import importlib.util
 import itertools
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "tools" / "bench.py"
+# a single-checkout run, kept as history from before paired records
 RUN_KEYS = {"label", "date", "machine", "source_sha256", "rows"}
 PAIRED_KEYS = {"command", "date", "machine", "pairs", "before_sha256", "after_sha256", "rows"}
 PAIRED_ROW_KEYS = {"field", "before", "after", "ratios", "median", "min", "max"}
+AFTER_ONLY_KEYS = {"field", "after"}
 # a timed row's host-scaled values, in records taken since the yardstick
 SCALED_KEYS = {f"scaled_{key}" for key in PAIRED_ROW_KEYS - {"field"}}
 
@@ -31,9 +34,12 @@ import fakemod
 def fake():
     with open(os.environ["FAKE_LOG"], "a") as fh:
         fh.write(fakemod.NAME + "\\n")
-    return {"row": {"unit": "s", "median": fakemod.VALUE},
+    rows = {"row": {"unit": "s", "median": fakemod.VALUE},
             "bytes": {"unit": "bytes", "dict_and_keys": 1000},
             "count": {"unit": "terms", "g": 7}}
+    if hasattr(fakemod, "NEW"):  # a row of a function only one tree has
+        rows["new"] = {"unit": "s", "median": fakemod.NEW}
+    return rows
 
 GROUPS = {"fake": fake}
 """
@@ -45,39 +51,6 @@ def bench():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def command(group: str) -> str:
-    return f"PYTHONPATH=<checkout>/src python3 tools/bench.py {group} --label <before|after>"
-
-
-def test_every_run_is_appended(bench, tmp_path, monkeypatch):
-    medians = iter([2.0, 3.0, 6.0])
-
-    def fake() -> dict:
-        """row: the next of three medians."""
-        return {"row": {"unit": "s", "median": next(medians)}}
-
-    monkeypatch.setattr(bench, "GROUPS", {"fake": fake})
-    monkeypatch.setattr(bench, "ROOT", tmp_path)
-    for label in ("before", "after", "after"):
-        assert bench.main(["fake", "--label", label]) == 0
-    stored = json.loads((tmp_path / "BENCH_fake.json").read_text())
-    assert stored["command"] == command("fake")
-    assert [set(run) for run in stored["runs"]] == [RUN_KEYS] * 3
-    assert [(run["label"], run["rows"]["row"]["median"]) for run in stored["runs"]] == \
-        [("before", 2.0), ("after", 3.0), ("after", 6.0)]
-    assert stored["after_over_before"] == {"row": 3.0}
-
-
-def test_ratios_pair_the_last_after_with_an_earlier_before(bench):
-    def run(label: str, median: float) -> dict:
-        return {"label": label, "rows": {"row": {"median": median}}}
-
-    assert bench.ratios([run("before", 2.0), run("after", 1.0), run("before", 8.0)]) == \
-        {"row": 0.5}
-    assert bench.ratios([run("after", 1.0), run("before", 2.0)]) == {}
-    assert bench.ratios([run("before", 2.0)]) == {}
 
 
 def test_timer_keeps_four_significant_figures(bench, monkeypatch):
@@ -140,11 +113,11 @@ def test_yardstick_scales_out_a_speed_change_inside_a_row(bench, monkeypatch):
         pytest.approx(1.7 * steady["scaled_median"], rel=1e-3)
 
 
-def fake_tree(root, name, value):
+def fake_tree(root, name, value, extra=""):
     """A tree whose src holds fakemod, and a brauerloop module that names it."""
     src = root / name / "src"
     (src / "brauerloop").mkdir(parents=True)
-    (src / "fakemod.py").write_text(f"NAME = {name!r}\nVALUE = {value!r}\n")
+    (src / "fakemod.py").write_text(f"NAME = {name!r}\nVALUE = {value!r}\n{extra}")
     (src / "brauerloop" / "__init__.py").write_text(f"# tree {name}\n")
     return root / name
 
@@ -162,7 +135,8 @@ def test_identical_trees_give_a_spread_that_includes_one(bench, tmp_path, fake_s
     script, log = fake_script
     before, after = fake_tree(tmp_path, "a", 2.5), fake_tree(tmp_path, "b", 2.5)
     record = bench.paired("fake", before, after, script, pairs=3)
-    assert log.read_text().split() == ["a", "b"] * 3  # alternating, before first
+    # alternating, and each tree first in every other pair
+    assert log.read_text().split() == ["a", "b", "b", "a", "a", "b"]
     assert set(record) == PAIRED_KEYS and record["pairs"] == 3
     assert sorted(record["rows"]) == ["bytes", "row"]  # a count has no ratio
     for row in record["rows"].values():
@@ -171,6 +145,14 @@ def test_identical_trees_give_a_spread_that_includes_one(bench, tmp_path, fake_s
         assert row["min"] <= 1 <= row["max"]
     assert record["rows"]["row"]["before"] == record["rows"]["row"]["after"] == [2.5] * 3
     assert record["before_sha256"] != record["after_sha256"]  # the trees' own sources
+
+
+def test_a_row_only_the_after_tree_times_keeps_its_after_values(bench, tmp_path, fake_script):
+    script, _ = fake_script
+    before, after = fake_tree(tmp_path, "a", 2.5), fake_tree(tmp_path, "b", 2.5, "NEW = 0.5\n")
+    rows = bench.paired("fake", before, after, script, pairs=3)["rows"]
+    assert rows["new"] == {"field": "median", "after": [0.5] * 3}
+    assert set(rows["row"]) == PAIRED_ROW_KEYS
 
 
 def test_paired_rows_read_each_tree(bench, tmp_path, fake_script, monkeypatch):
@@ -182,15 +164,32 @@ def test_paired_rows_read_each_tree(bench, tmp_path, fake_script, monkeypatch):
     for _ in range(2):
         assert bench.main(["fake", "--before", str(before)]) == 0
     stored = json.loads((after / "BENCH_fake.json").read_text())
-    assert stored["runs"] == [] and stored["after_over_before"] == {}
-    assert len(stored["paired"]) == 2
+    assert list(stored) == ["paired"] and len(stored["paired"]) == 2
     for record in stored["paired"]:
         assert record["command"] == "PYTHONPATH=src python3 tools/bench.py fake --before <checkout>"
         row = record["rows"]["row"]
         assert row["ratios"] == [0.75] * bench.PAIRS
         assert row["median"] == row["min"] == row["max"] == 0.75
-    with pytest.raises(SystemExit):  # one side at a time
-        bench.main(["fake", "--before", str(before), "--label", "after"])
+    with pytest.raises(SystemExit):  # paired records are the only kind
+        bench.main(["fake", "--label", "after"])
+
+
+def test_a_failed_write_keeps_the_file(bench, tmp_path, monkeypatch):
+    out = tmp_path / "BENCH_fake.json"
+    out.write_text('{\n  "runs": []\n}\n')
+    held = out.read_bytes()
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "GROUPS", {"fake": None})
+    monkeypatch.setattr(bench, "paired", lambda *args: {"rows": {}})
+
+    def fail(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(bench.os, "replace", fail)
+    with pytest.raises(OSError):
+        bench.main(["fake", "--before", str(tmp_path)])
+    assert out.read_bytes() == held
+    assert os.listdir(tmp_path) == [out.name]
 
 
 def test_checked_in_files_are_the_writers_format(bench):
@@ -198,17 +197,20 @@ def test_checked_in_files_are_the_writers_format(bench):
     assert sorted(files) == sorted(bench.GROUPS)
     for group, path in files.items():
         stored = json.loads(path.read_text())
-        assert stored["command"] == command(group)
-        assert stored["runs"] and all(set(run) == RUN_KEYS for run in stored["runs"])
-        assert stored["after_over_before"] == bench.ratios(stored["runs"])
+        assert stored and set(stored) <= {"runs", "paired"}
+        assert all(set(run) == RUN_KEYS for run in stored.get("runs", []))
         for record in stored.get("paired", []):
             assert set(record) == PAIRED_KEYS
             assert record["command"] == \
                 f"PYTHONPATH=src python3 tools/bench.py {group} --before <checkout>"
             for row in record["rows"].values():
+                if set(row) == AFTER_ONLY_KEYS:
+                    assert len(row["after"]) == record["pairs"]
+                    continue
                 assert set(row) in (PAIRED_ROW_KEYS, PAIRED_ROW_KEYS | SCALED_KEYS)
                 assert len(row["ratios"]) == record["pairs"] >= 3
                 assert row["min"] <= row["median"] <= row["max"]
                 if "scaled_ratios" in row:
                     assert len(row["scaled_ratios"]) == record["pairs"]
                     assert row["scaled_min"] <= row["scaled_median"] <= row["scaled_max"]
+        assert path.read_text() == json.dumps(stored, indent=2, sort_keys=True) + "\n"

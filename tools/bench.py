@@ -1,33 +1,31 @@
 """Before/after timings of the library, as rows of the BENCH_<group>.json files.
 
-Paired, from this checkout, against the sources of another checkout:
+From this checkout, against the sources of another checkout:
 
     PYTHONPATH=src python3 tools/bench.py <group> --before <checkout>
 
-runs the group PAIRS times in each source tree, in child interpreters that
-alternate the trees (before, after, before, after, ...), and appends one
-record {command, date, machine, pairs, before_sha256, after_sha256, rows}
-to the file's paired list: per row, the before and after value of each
-pair, the after/before ratio of each pair, and their median, min and max.
-Both trees are timed by the rows of this script, in alternation and
-minutes apart, so a host that slows for a stretch slows both sides of a
-pair, and the spread of the ratios shows how far the pairs disagree.
-Or once per checkout, with that checkout's sources first on the path:
-
-    PYTHONPATH=<checkout>/src python3 tools/bench.py <group> --label before
-    PYTHONPATH=src python3 tools/bench.py <group> --label after
+runs the group PAIRS times in each source tree, in child interpreters
+that alternate the trees and which of them runs first in a pair (before,
+after, after, before, before, after, ...), and appends one record
+{command, date, machine, pairs, before_sha256, after_sha256, rows} to the
+file's paired list: per row, the before and after value of each pair, the
+after/before ratio of each pair, and their median, min and max.  Both
+trees are timed by the rows of this script, so a host that slows for a
+stretch slows both sides of a pair, and the spread of the ratios shows
+how far the pairs disagree.  A row that only the after tree times, such
+as one of a function the other checkout lacks, keeps its after values
+alone.  The file is replaced atomically, so a failed write leaves every
+earlier record intact.
 
 The groups are exactpoly, exchange, chainsuites, tables and sumrules;
-group g writes BENCH_g.json at the repository root.  Each labelled run
-appends one entry {label, date, machine, source_sha256, rows} to the
-file's runs, so the file keeps every run, and after_over_before holds the
-ratio of every row of the latest after run to the latest before run
-recorded before it.
+group g writes BENCH_g.json at the repository root.  The runs list of a
+file keeps the single-checkout runs recorded before paired records
+existed, as history.
 
 A timed row is the median of REPEATS (E2E_REPEATS for the end-to-end rows)
 single-threaded samples in CPU seconds per call (time.process_time), with
 the minimum beside it, both to 4 significant figures; a layer row's sample
-is LAYER_CALLS calls.  The settings are fixed so that both labels are
+is LAYER_CALLS calls.  The settings are fixed so that both trees are
 always taken alike.  Each group's docstring lists its rows.
 
 A shared host can run the same code at different speeds from one process
@@ -62,7 +60,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import brauerloop
 from brauerloop import cli, commvar, escheme, linalg, loopchain, pfdet, psitable
 from brauerloop.circlealg import ExactMatrix, cp_inv, s_mul
 from brauerloop.exactpoly import MultiPoly
@@ -134,9 +131,8 @@ def timed(fn, repeats: int = REPEATS, number: int = 1) -> dict:
             "scaled_median": float(f"{statistics.median(scaled):.4g}")}
 
 
-def source_digest(src: Path | None = None) -> str:
-    """The sha256 of the package's modules, by default of the imported package."""
-    src = Path(brauerloop.__file__).parent if src is None else src
+def source_digest(src: Path) -> str:
+    """The sha256 of the modules of the package directory src."""
     digest = hashlib.sha256()
     for path in sorted(src.glob("*.py")):
         digest.update(path.read_bytes())
@@ -176,8 +172,8 @@ def exactpoly() -> dict:
     N=7.  Memory row: base_mdeg7_term_bytes, the bytes of base_mdeg(7)'s
     term dict and its keys (the coefficients are the same objects under
     any key layout).
-    fixture_terms counts the terms of g and w * g.  End-to-end rows:
-    verify_exchange_n6 on a prebuilt table, and delta_n7, commvar.delta(7).
+    fixture_terms counts the terms of g and w * g.  End-to-end row:
+    delta_n7, commvar.delta(7).  The exchange group times verify_exchange.
     """
     n = 6
     w = MultiPoly.linear(n, 1, {1: 1, 2: -1})
@@ -185,7 +181,6 @@ def exactpoly() -> dict:
     wg = w * g
     point = (7, [3, -5, 11, 2, -13, 17])
     base6, base7 = psitable.base_mdeg(6), psitable.base_mdeg(7)
-    table6 = psitable.compute_table(6)
     keys = sys.getsizeof(base7.terms) + sum(sys.getsizeof(k) for k in base7.terms)
     return {
         "fixture_terms": {"unit": "terms", "g": len(g.terms), "w*g": len(wg.terms)},
@@ -201,7 +196,6 @@ def exactpoly() -> dict:
         "base_mdeg7_term_bytes": {"unit": "bytes", "terms": len(base7.terms),
                                   "dict_and_keys": keys,
                                   "per_term": round(keys / len(base7.terms), 1)},
-        "verify_exchange_n6": timed(lambda: psitable.verify_exchange(table6), E2E_REPEATS),
         "delta_n7": timed(lambda: commvar.delta(7), E2E_REPEATS),
     }
 
@@ -310,11 +304,9 @@ def tables() -> dict:
     Every hashing or writing row starts from a copy of a table built
     beforehand, made with the same fields but without its serialized
     text, so the text is paid for in each call as a fresh table would.
-    Rows: compute_table_n5 and compute_table_n6; representatives_n7, the
-    N=7 orbit representatives alone: psitable.orbit_table(7) on sources
-    that have it, whose compute_table expands every entry, and else
-    compute_table(7) where MdegTable stores the orbits (absent from a run
-    on sources with neither); content_hash_n5;
+    Rows: compute_table_n5 and compute_table_n6; representatives_n7,
+    compute_table(7), which builds the N=7 orbit representatives alone;
+    content_hash_n5;
     write_table_n5 and write_table_n6, to an absent file; store_load_n5 and
     store_load_n6, TableStore.load from a file written beforehand; and
     cmd_table_n6_cold and cmd_table_n6_warm, the whole `brauerloop table
@@ -345,7 +337,7 @@ def tables() -> dict:
         out = root / "out.json"
         cold, warm = root / "cold", root / "warm"
         cmd_table(warm, cold=False)  # writes the file the warm row keeps
-        rows = {
+        return {
             "compute_table_n5": timed(lambda: psitable.compute_table(5)),
             "compute_table_n6": timed(lambda: psitable.compute_table(6)),
             "content_hash_n5": timed(lambda: fresh(built[5]).content_hash()),
@@ -355,12 +347,8 @@ def tables() -> dict:
             "store_load_n6": timed(lambda: store.load(6)),
             "cmd_table_n6_cold": timed(lambda: cmd_table(cold, cold=True), E2E_REPEATS),
             "cmd_table_n6_warm": timed(lambda: cmd_table(warm, cold=False), E2E_REPEATS),
+            "representatives_n7": timed(lambda: psitable.compute_table(7), E2E_REPEATS),
         }
-    if hasattr(psitable, "orbit_table"):
-        rows["representatives_n7"] = timed(lambda: psitable.orbit_table(7), E2E_REPEATS)
-    elif "stored" in {f.name for f in dataclasses.fields(MdegTable)}:
-        rows["representatives_n7"] = timed(lambda: psitable.compute_table(7), E2E_REPEATS)
-    return rows
 
 
 def sumrules() -> dict:
@@ -442,15 +430,19 @@ def _spread(before: list[float], after: list[float]) -> dict:
 def compare(before: list[dict], after: list[dict]) -> dict:
     """Each row's per-pair values and after/before ratios, with their median,
     min and max, over runs taken in pairs; for a timed row also those of
-    its host-scaled medians, as the scaled_ fields."""
+    its host-scaled medians, as the scaled_ fields.  A row that only the
+    after runs have keeps its after values alone."""
     rows = {}
     for name, row in after[0].items():
         field = value_field(row)
-        if field is None or name not in before[0]:
+        if field is None:
             continue
-        rows[name] = {"field": field, **_spread([run[name][field] for run in before],
-                                                [run[name][field] for run in after])}
-        if "scaled_median" in row and "scaled_median" in before[0][name]:
+        values = [run[name][field] for run in after]
+        if name not in before[0]:
+            rows[name] = {"field": field, "after": values}
+            continue
+        rows[name] = {"field": field, **_spread([run[name][field] for run in before], values)}
+        if "scaled_median" in row:
             scaled = _spread([run[name]["scaled_median"] for run in before],
                              [run[name]["scaled_median"] for run in after])
             rows[name].update({f"scaled_{key}": value for key, value in scaled.items()})
@@ -459,11 +451,14 @@ def compare(before: list[dict], after: list[dict]) -> dict:
 
 def paired(group: str, before: Path, after: Path, script: Path,
            pairs: int = PAIRS) -> dict:
-    """pairs alternating runs of the group per tree, and each row's after/before ratios."""
+    """pairs runs of the group per tree, the trees alternating and each
+    running first in every other pair, and each row's after/before ratios."""
     samples: dict[str, list[dict]] = {"before": [], "after": []}
+    order = [("before", before), ("after", after)]
     for _ in range(pairs):
-        for label, tree in (("before", before), ("after", after)):
+        for label, tree in order:
             samples[label].append(child_rows(group, tree, script))
+        order.reverse()
     return {
         "command": f"PYTHONPATH=src python3 tools/bench.py {group} --before <checkout>",
         "date": time.strftime("%Y-%m-%d", time.gmtime()),
@@ -475,54 +470,21 @@ def paired(group: str, before: Path, after: Path, script: Path,
     }
 
 
-def ratios(runs: list[dict]) -> dict:
-    """after / before of every timed median and of the stored bytes.
-
-    The latest after run is compared with the latest before run recorded
-    before it; without such a pair there is nothing to compare.
-    """
-    pair = latest_before = None
-    for run in runs:
-        if run["label"] == "before":
-            latest_before = run
-        elif latest_before is not None:
-            pair = latest_before["rows"], run["rows"]
-    if pair is None:
-        return {}
-    before, after = pair
-    out = {}
-    for name, row in after.items():
-        field = value_field(row)
-        if field and name in before:
-            out[name] = round(row[field] / before[name][field], 3)
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("group", choices=sorted(GROUPS))
-    side = parser.add_mutually_exclusive_group(required=True)
-    side.add_argument("--label", choices=("before", "after"))
-    side.add_argument("--before", type=Path, metavar="CHECKOUT",
-                      help="time this checkout's sources against CHECKOUT's, in alternating pairs")
+    parser.add_argument("--before", type=Path, metavar="CHECKOUT", required=True,
+                        help="time this checkout's sources against CHECKOUT's, in alternating pairs")
     args = parser.parse_args(argv)
     out = ROOT / f"BENCH_{args.group}.json"
-    bench = json.loads(out.read_text()) if out.is_file() else {"runs": []}
-    bench["command"] = (f"PYTHONPATH=<checkout>/src python3 tools/bench.py "
-                        f"{args.group} --label <before|after>")
-    if args.before is not None:
-        record = paired(args.group, args.before.resolve(), ROOT, SCRIPT)
-        bench.setdefault("paired", []).append(record)
-    else:
-        bench["runs"].append({
-            "label": args.label,
-            "date": time.strftime("%Y-%m-%d", time.gmtime()),
-            "machine": machine(),
-            "source_sha256": source_digest(),
-            "rows": GROUPS[args.group](),
-        })
-    bench["after_over_before"] = ratios(bench["runs"])
-    out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
+    bench = json.loads(out.read_text()) if out.is_file() else {}
+    bench.setdefault("paired", []).append(paired(args.group, args.before.resolve(), ROOT, SCRIPT))
+    tmp = out.with_name(f".{out.name}.tmp")
+    try:
+        tmp.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
+        os.replace(tmp, out)
+    finally:
+        tmp.unlink(missing_ok=True)
     return 0
 
 
