@@ -348,3 +348,25 @@ class StripWindow:
                 if b:
                     acc += a * b
         return acc
+
+    def band_product_row(self, other: "StripWindow", i: int) -> list[Rational]:
+        """Row i of the product of two strips on the band: entries (i, i + d), d = 0..N-1.
+
+        Each nonzero strip(i, j), j = i + e, is multiplied into row j of the
+        second strip read from column i on, and added to the entries
+        d >= e: the terms of band_product_entry, gathered a row at a time.
+        """
+        n = self.matrix.n
+        if other.matrix.n != n:
+            raise ValueError("size mismatch")
+        s = (i - 1) % n
+        prow = self.matrix.rows[s]
+        qrows = other.matrix.rows
+        acc: list[Rational] = [0] * n
+        for e in range(n):
+            a = prow[(s + e) % n]
+            if a:
+                qrow = qrows[(s + e) % n]
+                band = qrow[s:] + qrow[:s]
+                acc[e:] = [x + a * y for x, y in zip(acc[e:], band[e:])]
+        return acc

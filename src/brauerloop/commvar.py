@@ -14,6 +14,11 @@ on the spot, which keeps intermediate polynomials small; the alternate
 ordering (theta_g..theta_1 with g growing) must give the same value and
 serves as an oracle at small n.
 
+The degree alone needs far fewer terms (commuting_degree): every theta
+keeps the total degree, and only its d_i part lowers the z-degree, by one,
+so a term of z-degree above the number of thetas still to apply cannot
+reach the A-only term that the degree reads, and is dropped on the spot.
+
 The crosscheck against the table divides the reversal pattern's
 multidegree by the within-half product of weights, exactly, and
 compares the z_{n+i} = 0 specialization with the chain output.
@@ -24,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IdentityViolation, Mismatch
-from .exactpoly import MultiPoly
+from .exactpoly import FIELD_BITS, MultiPoly
 from .linkpat import LinkPattern
 
 
@@ -43,13 +48,16 @@ def _seed(n: int) -> MultiPoly:
     return out
 
 
+def _positive(n: int, value: int) -> int:
+    if value <= 0:
+        raise IdentityViolation(f"commuting degree at n={n} is {value}, not positive")
+    return value
+
+
 def _result(n: int, poly: MultiPoly) -> DeltaResult:
     """Multiply the chain output by A^n and read the degree at A=1, z=0."""
     poly = poly * MultiPoly.gen_a(n) ** n
-    value = poly.z_free_sum()
-    if value <= 0:
-        raise IdentityViolation(f"commuting degree at n={n} is {value}, not positive")
-    return DeltaResult(n, poly, value)
+    return DeltaResult(n, poly, _positive(n, poly.z_free_sum()))
 
 
 def delta(n: int) -> DeltaResult:
@@ -75,8 +83,40 @@ def delta_alt_order(n: int) -> DeltaResult:
     return _result(n, poly)
 
 
+def commuting_degree(n: int) -> int:
+    """delta(n).degree by delta's chain, each step truncated to what the degree reads.
+
+    The seed is homogeneous of degree D = n(n-1), and each theta_i =
+    -2A d_i - tau_i keeps the total degree: tau_i keeps the z-degree of a
+    term, and A d_i trades one z for one A.  So with R thetas still to
+    apply, a term of z-degree above R, that is of A-degree below D - R,
+    cannot reach the z-free terms whose sum is the degree.  A is the top
+    field of a packed key, so those are exactly the keys below
+    (D - R) << FIELD_BITS n, and they are dropped from the seed and after
+    each theta.  Setting a dead variable to 0 keeps the rest homogeneous;
+    at the end only the term A^D is left, and its coefficient is the
+    degree (the factor A^n of delta changes no coefficient).
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    top, left = n * (n - 1), n * (n - 1) // 2
+
+    def truncated(poly: MultiPoly) -> MultiPoly:
+        floor = (top - left) << FIELD_BITS * n
+        return MultiPoly._of(n, {k: c for k, c in poly.terms.items() if k >= floor})
+
+    poly = truncated(_seed(n))
+    for g in range(n - 1, 0, -1):
+        for i in range(1, g + 1):
+            left -= 1
+            poly = truncated(poly.theta(i))
+        poly = poly.subs_z(g + 1, 0)
+    return _positive(n, poly.z_free_sum())
+
+
 def degree_sequence(max_n: int) -> list[int]:
-    return [delta(k).degree for k in range(1, max_n + 1)]
+    """The commuting degrees for n = 1..max_n, by commuting_degree."""
+    return [commuting_degree(k) for k in range(1, max_n + 1)]
 
 
 def reversal_pattern(n2: int) -> LinkPattern:

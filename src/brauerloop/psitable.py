@@ -45,9 +45,10 @@ import hashlib
 import json
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -214,9 +215,19 @@ class MdegTable:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "MdegTable":
+        """The table of a parsed canonical text, consuming its entry list.
+
+        Each parsed entry is replaced by None in obj["entries"] once it is
+        converted, so the parsed terms, several times the size of the
+        packed entries, are freed one entry at a time rather than held
+        beside the whole table.
+        """
         n = obj["n"]
-        entries = {LinkPattern(tuple(pair)): MultiPoly.from_obj(n, poly)
-                   for pair, poly in obj["entries"]}
+        entries = {}
+        items = obj["entries"]
+        for k, (pair, poly) in enumerate(items):
+            entries[LinkPattern(tuple(pair))] = MultiPoly.from_obj(n, poly)
+            items[k] = None
         edges: dict[LinkPattern, tuple[int, LinkPattern] | None] = {}
         for pair, edge in obj.get("edges", []):
             pi = LinkPattern(tuple(pair))
@@ -359,7 +370,7 @@ def verify_edges(table: MdegTable) -> dict:
 
 
 def verify_exchange(table: MdegTable) -> dict:
-    """The denominator-cleared exchange identity at every position.
+    """The denominator-cleared exchange identity at every position and pattern.
 
     With u = z_i - z_{i+1} (cyclic) and Psi the A=1 table,
 
@@ -374,38 +385,71 @@ def verify_exchange(table: MdegTable) -> dict:
       lhs - rhs = 2P - 2uP + uF - u^2 F + 2uE - 2T - uT + u^2 T
                 = 2(P - T) + u[(F + 2E - 2P - T) + u(T - F)],
 
-    which exchange_residuals sums by MultiPoly.horner_u, with no product
-    of two polynomials; each Psi_rho enters the middle layer as its own
-    pair.  The residual is the same polynomial as lhs - rhs, and the
-    identity holds exactly when it is zero.
-    """
-    checked = 0
-    for i, pi, residual in exchange_residuals(table):
-        if residual:
-            raise IdentityViolation(f"exchange identity fails at i={i}, {pi}")
-        checked += 1
-    return {"identities": checked}
+    which MultiPoly.horner_u sums with no product of two polynomials.  The
+    identity holds exactly when this residual R_k is zero, pi = pi_k.
 
+    All the patterns at one position are checked by one horner_u call.
+    Index the patterns pi_0..pi_{m-1} in table.patterns() order.  The
+    residual is linear in the Psi's, so for a width s the packed residual
+    R = sum_k 2^(s k) R_k is the same Horner sum of the packed polynomials
 
-def exchange_residuals(table: MdegTable) -> Iterator[tuple[int, LinkPattern, MultiPoly]]:
-    """(i, pi, lhs - rhs of the exchange identity at i and pi), i = 1..n outer.
+      P = sum_sigma 2^(s idx sigma) Psi_sigma           (the same at every i),
+      T = tau_i P,
+      F = sum_sigma 2^(s idx(f_i.sigma)) Psi_sigma      (f_i is an involution),
+      E = sum_rho 2^(s idx(e_i.rho)) Psi_rho.
 
-    See verify_exchange for the identity and its Horner form in u.
+    Let B be the largest |coefficient| of any Psi and K the largest number
+    of patterns that one e_i glues to one pattern.  The multipliers
+    2(1-u), (2-u)(1+u), u(1-u) and 2u of P, T, F and each Psi_rho have
+    absolute coefficient sums 6, 8, 6 and 4, so every coefficient of every
+    R_k, and of every partial sum the Horner rule forms on the way, is at
+    most (20 + 4K) B in absolute value.  With s = bit_length((20 + 4K) B)
+    + 1, every digit d_k of a coefficient c = sum_k 2^(s k) d_k of R
+    satisfies |d_k| < 2^(s-1): the d_k are c's balanced base-2^s digits,
+    so R determines every R_k.  If j is the least k with d_k != 0, then c
+    has exactly s j + (trailing zero bits of d_j) < s (j + 1) trailing zero
+    bits, as 2^s divides no nonzero d_j.  So R = 0 exactly when every
+    R_k = 0, and otherwise the first failing pattern is pi_k for k the
+    least, over the coefficients c of R, of (trailing zero bits of c) // s:
+    the witness a check of each pattern in turn would name.
+
+    Each Psi is formed once and streamed into one coefficient vector per
+    monomial, from which P, F and E are formed monomial by monomial.
     """
     n = table.n
     pats = table.patterns()
-    psis = {pi: table.psi(pi) for pi in pats}
-    for i in range(1, n + 1):
-        preimage: dict[LinkPattern, list[LinkPattern]] = {}
-        for rho in pats:
-            preimage.setdefault(apply_e(rho, i), []).append(rho)
-        for pi in pats:
-            p, f = psis[pi], psis[apply_f(pi, i)]
-            t = p.tau(i)
-            middle = [(1, f), (-2, p), (-1, t)]
-            middle += [(2, psis[rho]) for rho in preimage.get(pi, ())]
-            yield i, pi, MultiPoly.horner_u(n, i, [[(2, p), (-2, t)], middle,
-                                                   [(1, t), (-1, f)]])
+    index = {pi: k for k, pi in enumerate(pats)}
+    vectors: dict[int, list[int]] = {}
+    bound = 0
+    for k, pi in enumerate(pats):
+        terms = table.psi(pi).terms
+        for key, c in terms.items():
+            vector = vectors.get(key)
+            if vector is None:
+                vector = vectors[key] = [0] * len(pats)
+            vector[k] = c
+        bound = max(bound, max(map(abs, terms.values()), default=0))
+    glued = [[index[apply_e(rho, i)] for rho in pats] for i in range(1, n + 1)]
+    fan_in = max(max(Counter(row).values()) for row in glued)
+    width = ((20 + 4 * fan_in) * bound).bit_length() + 1
+    digits = [1 << width * k for k in range(len(pats))]
+
+    def packed(weights: list[int]) -> MultiPoly:
+        """sum_sigma weights[idx sigma] Psi_sigma, monomial by monomial."""
+        return MultiPoly._of(n, {key: c for key, vector in vectors.items()
+                                 if (c := sum(map(mul, vector, weights)))})
+
+    p = packed(digits)
+    for i, row in enumerate(glued, 1):
+        t = p.tau(i)
+        f = packed([digits[index[apply_f(sigma, i)]] for sigma in pats])
+        e = packed([digits[k] for k in row])
+        residual = MultiPoly.horner_u(n, i, [[(2, p), (-2, t)], [(1, f), (-2, p), (-1, t), (2, e)],
+                                             [(1, t), (-1, f)]])
+        if residual:
+            k = min((c & -c).bit_length() - 1 for c in residual.terms.values()) // width
+            raise IdentityViolation(f"exchange identity fails at i={i}, {pats[k]}")
+    return {"identities": n * len(pats)}
 
 
 # ----------------------------------------------------------------- sum rules

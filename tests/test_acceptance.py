@@ -13,7 +13,7 @@ import time
 
 from conftest import store_table
 
-from brauerloop.commvar import delta
+from brauerloop.commvar import commuting_degree, delta
 from brauerloop.linkpat import LinkPattern
 from brauerloop.loopchain import stationary
 from brauerloop.pfdet import degree_determinant
@@ -158,3 +158,4 @@ def test_criterion_02_stretch_seven(capsys):
                            f"({elapsed:.1f}s)"):
         assert d.degree == 147226330175
         assert elapsed < 1800
+        assert commuting_degree(7) == d.degree

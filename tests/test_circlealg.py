@@ -344,6 +344,21 @@ def test_strip_band_product_matches_circular_product():
                 assert wp.band_product_entry(wq, i, i + d) == want
 
 
+def test_strip_band_product_row_is_the_band_product_entries():
+    rng = random.Random(37)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        p, q = rand_matrix(n, rng), rand_matrix(n, rng)
+        wp, wq = StripWindow(p), StripWindow(q)
+        for i in range(-n, 2 * n + 1):
+            assert wp.band_product_row(wq, i) == [
+                wp.band_product_entry(wq, i, i + d) for d in range(n)]
+    half = StripWindow(ExactMatrix([[Fraction(1, 2), 0], [1, Fraction(-1, 3)]]))
+    assert half.band_product_row(half, 2) == [Fraction(1, 9), Fraction(1, 2) - Fraction(1, 3)]
+    with pytest.raises(ValueError, match="size mismatch"):
+        wp.band_product_row(StripWindow(ExactMatrix.identity(n + 1)), 1)
+
+
 def test_s_family_limits():
     rng = random.Random(31)
     for _ in range(60):

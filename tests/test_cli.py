@@ -362,6 +362,27 @@ def test_algebra_witness_names_the_drawn_matrices(monkeypatch):
     assert str(err.value) == f"instance 0: P={p!r}, Q={q!r}, R={r!r}"
 
 
+@pytest.mark.parametrize("row, col", [(0, 0), (0, 3), (2, 1), (3, 3)])
+def test_strip_witness_is_the_first_entry_in_scan_order(monkeypatch, row, col):
+    # one wrong entry of the product: the row-at-a-time compare names the
+    # entry (i, i + d) that the scan over rows i, then d = 0..n-1, meets first
+    cp_mul = cli.cp_mul
+
+    def off_by_one(p, q):
+        m = cp_mul(p, q)
+        m.rows[row][col] += 1
+        return m
+
+    rng = cli._rng(0, "strip/4")
+    drawn = [_divided(*cli._random_cleared(4, rng)) for _ in range(2)]
+    monkeypatch.setattr(cli, "cp_mul", off_by_one)
+    with pytest.raises(IdentityViolation) as err:
+        cli._check_strip(4, cli._rng(0, "strip/4"), 3)
+    i, d = row + 1, (col - row) % 4
+    p, q = drawn
+    assert str(err.value) == f"instance 0 at ({i}, {i + d}): P={p!r}, Q={q!r}"
+
+
 def test_sfamily_check_catches_a_kernel_without_its_off_arc_term(monkeypatch):
     # the cleared identity v T(P) T(Q) = T(v^N (P x_s Q)) needs the u^N
     # terms; a kernel that drops them must fail the first instance, s = u/v

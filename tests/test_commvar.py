@@ -7,6 +7,7 @@ import json
 import pytest
 
 from brauerloop.commvar import (
+    commuting_degree,
     crosscheck_with_table,
     degree_sequence,
     delta,
@@ -55,12 +56,17 @@ DELTA_HASHES = {
 
 @pytest.mark.parametrize("n", sorted(DELTA_HASHES))
 def test_delta_polynomials_are_pinned(n):
-    text = json.dumps(delta(n).delta.to_obj(), sort_keys=True, separators=(",", ":"))
+    d = delta(n)
+    text = json.dumps(d.delta.to_obj(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == DELTA_HASHES[n]
+    # the truncated chain reads the same degree without the polynomial
+    assert commuting_degree(n) == d.degree
 
 
 def test_degree_sequence():
     assert degree_sequence(5) == [1, 3, 31, 1145, 154881]
+    with pytest.raises(ValueError):
+        commuting_degree(0)
 
 
 def test_orders_agree_after_specialization():

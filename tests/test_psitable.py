@@ -7,6 +7,7 @@ import random
 import re
 from collections import Counter, deque
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from conftest import lex_divide, store_table, tree_text, with_vanishing_term
@@ -25,7 +26,6 @@ from brauerloop.psitable import (
     MdegTable,
     base_mdeg,
     compute_table,
-    exchange_residuals,
     integer_image,
     positivity_spot_check,
     random_point,
@@ -296,6 +296,14 @@ def test_stabilizer_check_catches_tampering():
         assert str(err.value) == f"symmetry r=1, flip=False fixes {base} but not its entry"
 
 
+def test_from_obj_consumes_the_parsed_entries(tables):
+    table = tables(4)
+    obj = table.to_obj()
+    assert MdegTable.from_obj(obj) == table
+    assert obj["entries"] == [None] * len(table.patterns())
+    assert obj["edges"] == table.to_obj()["edges"]
+
+
 def test_loaded_table_equals_built_and_passes_stabilizer_check(tables):
     # a loaded table stores every entry, so every pattern's stabilizer is checked
     for n, symmetries in zip(range(2, 7), (3, 3, 13, 15, 45)):
@@ -399,6 +407,159 @@ def test_exchange_catches_scaling(tables):
             with pytest.raises(IdentityViolation) as err:
                 verify_exchange(bad)
             assert str(err.value) == f"exchange identity fails at i={i}, {sigma}"
+
+
+def exchange_residuals(table):
+    """(i, pi, lhs - rhs of the exchange identity at i and pi), i = 1..n outer.
+
+    One MultiPoly.horner_u call per position and pattern, in the Horner
+    form verify_exchange derives: the per-position oracle for its packed
+    check, which sums every pattern of a position in one call.
+    """
+    n = table.n
+    pats = table.patterns()
+    psis = {pi: table.psi(pi) for pi in pats}
+    for i in range(1, n + 1):
+        preimage = {}
+        for rho in pats:
+            preimage.setdefault(apply_e(rho, i), []).append(rho)
+        for pi in pats:
+            p, f = psis[pi], psis[apply_f(pi, i)]
+            t = p.tau(i)
+            middle = [(1, f), (-2, p), (-1, t)]
+            middle += [(2, psis[rho]) for rho in preimage.get(pi, ())]
+            yield i, pi, MultiPoly.horner_u(n, i, [[(2, p), (-2, t)], middle,
+                                                   [(1, t), (-1, f)]])
+
+
+def oracle_witness(table):
+    """The message verify_exchange owes the table: its first failing (i, pi) by the oracle, or None."""
+    failing = next(((i, pi) for i, pi, residual in exchange_residuals(table) if residual), None)
+    return None if failing is None else "exchange identity fails at i=%d, %s" % failing
+
+
+def packed_witness(table):
+    """What verify_exchange says of the table: None when it passes, else its message."""
+    try:
+        assert verify_exchange(table) == {"identities": table.n * len(table.patterns())}
+    except IdentityViolation as err:
+        return str(err)
+    return None
+
+
+def with_entries(table, changes, cls=MdegTable):
+    """The table with changes[pi](entry) in place of the entry of each pi in changes."""
+    entries = dict(table.entries)
+    for pi, change in changes.items():
+        entries[pi] = change(entries[pi])
+    return cls(table.n, entries, table.edges)
+
+
+def listed_last(table, pi):
+    """The table with pi moved to the end of its patterns() order."""
+    order = tuple(p for p in table.patterns() if p != pi) + (pi,)
+    cls = type("ListedLast", (MdegTable,), {"patterns": lambda self: order})
+    return with_entries(table, {}, cls)
+
+
+def tampered(t):
+    """Tables on which the exchange check must fail, each with its label.
+
+    One monomial added to each entry in turn; the first entry scaled by
+    2^64, so that the digit width must grow; z_1^d added to the two
+    patterns listed last among those with a chord (1, 2), which fail at
+    position 1 and at no other pattern there, as f_1 and e_1 fix them; and
+    one such pattern moved to the end of the order, so that the only
+    failing pattern at position 1 is the one held in the top digit.
+
+    No table fails only at the last pattern of the last position: the
+    residuals of a position sum to (2 + u - u^2)(S - tau_i S), S the sum of
+    the Psi's, so passing positions 1..n-1 make S symmetric and the
+    residuals at position n sum to zero.
+    """
+    n, pats = t.n, t.patterns()
+    for k, pi in enumerate(pats):
+        yield f"monomial/{k}", with_monomial(t, pi, k % n + 1)
+    yield "scaled", with_entries(t, {pats[0]: lambda p: p * 2 ** 64})
+    chorded = [pi for pi in pats if pi(1) == 2]
+    if n > 2:
+        bump = MultiPoly.gen_z(n, 1) ** target_degree(n)
+        yield "two", with_entries(t, {pi: bump.__add__ for pi in chorded[-2:]})
+        yield "top", listed_last(with_entries(t, {chorded[0]: bump.__add__}), chorded[0])
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_packed_exchange_names_the_oracle_witness(tables, n):
+    t = tables(n)
+    assert packed_witness(t) is None and oracle_witness(t) is None
+    cases = tampered(t) if n < 6 else islice(tampered(t), 0, None, 4)
+    for label, bad in cases:
+        # N=2 has one entry, and the identity is linear in it
+        want = oracle_witness(bad)
+        assert packed_witness(bad) == want, label
+        assert (want is None) == (n == 2), label
+
+
+def test_packed_exchange_witness_shapes(tables):
+    t = tables(5)
+    cases = dict(tampered(t))
+    chorded = [pi for pi in t.patterns() if pi(1) == 2]
+    assert packed_witness(cases["two"]) == f"exchange identity fails at i=1, {chorded[-2]}"
+    top = cases["top"]
+    assert top.patterns()[-1] == chorded[0]
+    assert packed_witness(top) == f"exchange identity fails at i=1, {chorded[0]}"
+    failing = [pi for i, pi, residual in exchange_residuals(top) if i == 1 and residual]
+    assert failing == [chorded[0]]
+
+
+def exchange_width(table):
+    """bit_length((20 + 4K) B) + 1, B the largest |coefficient| of any Psi and K
+    the largest number of patterns one e_i glues to one pattern."""
+    pats = table.patterns()
+    bound = max(abs(c) for pi in pats for c in table.psi(pi).terms.values())
+    fan_in = max(max(Counter(apply_e(rho, i) for rho in pats).values())
+                 for i in range(1, table.n + 1))
+    return ((20 + 4 * fan_in) * bound).bit_length() + 1
+
+
+def balanced_digits(c, width, count):
+    """The count digits d_k of c = sum_k 2^(width k) d_k with -2^(width-1) <= d_k < 2^(width-1)."""
+    digits = []
+    for _ in range(count):
+        d = (c + (1 << width - 1) & (1 << width) - 1) - (1 << width - 1)
+        digits.append(d)
+        c = (c - d) >> width
+    assert c == 0
+    return digits
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_packed_residual_digits_are_the_oracle_residuals(monkeypatch, tables, n):
+    """Each horner_u call of verify_exchange returns sum_k 2^(s k) R_k for the width
+    s its docstring derives: read back as balanced digits, it gives every
+    oracle residual of its position, up to the first failing one."""
+    horner_u = MultiPoly.horner_u
+    t = tables(n)
+    for label, table in [("table", t), *tampered(t)]:
+        pats, width = table.patterns(), exchange_width(table)
+        oracle = {(i, pi): residual.terms for i, pi, residual in exchange_residuals(table)}
+        packed = []
+
+        def spy(nz, i, layers):
+            packed.append((i, horner_u(nz, i, layers)))
+            return packed[-1][1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MultiPoly, "horner_u", staticmethod(spy))
+            assert (packed_witness(table) is None) == (label == "table" or n == 2)
+        assert [i for i, _ in packed] == list(range(1, len(packed) + 1))
+        for i, residual in packed:
+            got = [{} for _ in pats]
+            for key, c in residual.terms.items():
+                for k, d in enumerate(balanced_digits(c, width, len(pats))):
+                    if d:
+                        got[k][key] = d
+            assert got == [oracle[i, pi] for pi in pats], (label, i)
 
 
 def test_sum_rule_sector(tables):

@@ -172,8 +172,11 @@ def exactpoly() -> dict:
     N=7.  Memory row: base_mdeg7_term_bytes, the bytes of base_mdeg(7)'s
     term dict and its keys (the coefficients are the same objects under
     any key layout).
-    fixture_terms counts the terms of g and w * g.  End-to-end row:
-    delta_n7, commvar.delta(7).  The exchange group times verify_exchange.
+    fixture_terms counts the terms of g and w * g.  End-to-end rows:
+    delta_n7, commvar.delta(7), and commuting_degree_n7, the same degree by
+    the truncated chain commvar.commuting_degree(7), which a checkout from
+    before that function does not time.  The exchange group times
+    verify_exchange.
     """
     n = 6
     w = MultiPoly.linear(n, 1, {1: 1, 2: -1})
@@ -182,7 +185,7 @@ def exactpoly() -> dict:
     point = (7, [3, -5, 11, 2, -13, 17])
     base6, base7 = psitable.base_mdeg(6), psitable.base_mdeg(7)
     keys = sys.getsizeof(base7.terms) + sum(sys.getsizeof(k) for k in base7.terms)
-    return {
+    rows = {
         "fixture_terms": {"unit": "terms", "g": len(g.terms), "w*g": len(wg.terms)},
         "mul_w_g": timed(lambda: w * g, number=LAYER_CALLS),
         "tau_g": timed(lambda: g.tau(1), number=LAYER_CALLS),
@@ -198,6 +201,9 @@ def exactpoly() -> dict:
                                   "per_term": round(keys / len(base7.terms), 1)},
         "delta_n7": timed(lambda: commvar.delta(7), E2E_REPEATS),
     }
+    if hasattr(commvar, "commuting_degree"):
+        rows["commuting_degree_n7"] = timed(lambda: commvar.commuting_degree(7), E2E_REPEATS)
+    return rows
 
 
 def exchange() -> dict:
