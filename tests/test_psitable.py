@@ -484,8 +484,8 @@ def tampered(t):
     chorded = [pi for pi in pats if pi(1) == 2]
     if n > 2:
         bump = MultiPoly.gen_z(n, 1) ** target_degree(n)
-        yield "two", with_entries(t, {pi: bump.__add__ for pi in chorded[-2:]})
-        yield "top", listed_last(with_entries(t, {chorded[0]: bump.__add__}), chorded[0])
+        yield "two", with_entries(t, {pi: lambda p: p + bump for pi in chorded[-2:]})
+        yield "top", listed_last(with_entries(t, {chorded[0]: lambda p: p + bump}), chorded[0])
 
 
 @pytest.mark.parametrize("n", range(2, 7))
