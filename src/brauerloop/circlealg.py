@@ -314,47 +314,20 @@ def semidirect_mul(a: tuple[ExactMatrix, ExactMatrix],
 class StripWindow:
     """The periodic strip of a matrix, read off the matrix itself.
 
-    entry(i, j) is defined in every row i, for 0 <= j - i < N (ValueError
-    off the band), and equals M_{i mod N, j mod N}.
+    strip(i, j) is defined in every row i, for 0 <= j - i < N, and equals
+    M_{i mod N, j mod N}; the band of the product of two strips is read a
+    row at a time (band_product_row).
     """
 
     matrix: ExactMatrix
 
-    def entry(self, i: int, j: int) -> Rational:
-        n = self.matrix.n
-        if not 0 <= j - i < n:
-            raise ValueError(f"column {j} outside the band of row {i}")
-        return self.matrix[(i - 1) % n + 1, (j - 1) % n + 1]
-
-    def band_product_entry(self, other: "StripWindow", i: int, k: int) -> Rational:
-        """Entry (i, k) of the product of two strips, 0 <= k - i < N (ValueError off the band).
-
-        The terms are strip(i, j) strip(j, k) for i <= j <= k, read off row
-        i of the first matrix and column k of the second.
-        """
-        n = self.matrix.n
-        if other.matrix.n != n:
-            raise ValueError("size mismatch")
-        if not 0 <= k - i < n:
-            raise ValueError(f"column {k} outside the band of row {i}")
-        prow = self.matrix.rows[(i - 1) % n]
-        qrows = other.matrix.rows
-        kc = (k - 1) % n
-        acc: Rational = 0
-        for j in range(i - 1, k):
-            a = prow[j % n]
-            if a:
-                b = qrows[j % n][kc]
-                if b:
-                    acc += a * b
-        return acc
-
     def band_product_row(self, other: "StripWindow", i: int) -> list[Rational]:
         """Row i of the product of two strips on the band: entries (i, i + d), d = 0..N-1.
 
+        Entry (i, k) is the sum of strip(i, j) strip(j, k) over i <= j <= k.
         Each nonzero strip(i, j), j = i + e, is multiplied into row j of the
         second strip read from column i on, and added to the entries
-        d >= e: the terms of band_product_entry, gathered a row at a time.
+        d >= e: those terms, gathered a row at a time.
         """
         n = self.matrix.n
         if other.matrix.n != n:

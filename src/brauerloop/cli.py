@@ -102,10 +102,15 @@ class TableStore:
     def load(self, n: int) -> MdegTable | None:
         """A previously persisted table, or None if absent or unusable.
 
-        The table's size must be n, an int, before any entry is parsed, since
-        the size sets each entry's field count.  The parsed table must hash,
-        from its own canonical text, to the hash the file names, and
-        validate; that hash stays with the table.
+        A file loads exactly when it is, byte for byte, the text write_table
+        writes for the table it holds (_frame); any other layout, even of a
+        table with the right hash, returns None, so the table is computed
+        again.  The file's head must name the size n before any entry is
+        parsed, since the size sets each entry's field count.  The table's
+        canonical text is then decoded one entry at a time
+        (MdegTable.from_text), so no parse tree of the whole file is built.
+        The parsed table must serialize back to that text, hash to the hash
+        the file names, and validate; that hash stays with the table.
         """
         if self.directory is None:
             return None
@@ -113,12 +118,18 @@ class TableStore:
         if not path.is_file():
             return None
         try:
-            obj = json.loads(path.read_text())
-            size = obj["table"]["n"]
-            if type(size) is not int or size != n:
+            text = path.read_text()
+            digest = text[9:73]  # the 64 hex digits after '{"hash":"'
+            head, foot = _frame(digest, n)
+            if not (text.startswith(head) and text.endswith(foot)):
                 return None
-            table = MdegTable.from_obj(obj["table"])
-            if table.content_hash() != obj["hash"]:
+            body = text[len(head):len(text) - len(foot)]
+            del text
+            table = MdegTable.from_text(n, body)
+            if table.canonical_text() != body:
+                return None
+            del body
+            if table.content_hash() != digest:
                 return None
             table.validate()
         except (BrauerLoopError, KeyError, TypeError, ValueError, OSError, RecursionError):
@@ -134,6 +145,15 @@ class TableStore:
         return self._cache[n]
 
 
+def _frame(digest: str, n: int) -> tuple[str, str]:
+    """The text of a table file before and after its table's canonical text.
+
+    The file is {"hash": ..., "n": ..., "table": ...} as compact JSON with
+    sorted keys, so the table's text is written and read in place.
+    """
+    return '{"hash":"%s","n":%d,"table":' % (digest, n), "}\n"
+
+
 def _stored_hash(held: bytes) -> str | None:
     """The hash a table file's text names, or None if it names none."""
     try:
@@ -146,18 +166,18 @@ def _stored_hash(held: bytes) -> str | None:
 def write_table(table: MdegTable, path: Path, force: bool = False) -> bool:
     """Persist a table; returns False when the file already holds it.
 
-    The file is {"hash": ..., "n": ..., "table": ...} as compact JSON with
-    sorted keys, written around the table's canonical text, so the table
-    is serialized once.  An existing file is first compared byte for byte
-    and parsed only when it differs: one naming the same hash is kept, any
-    other is replaced only under force.  A temporary file beside the
-    target replaces it atomically, so a failed write leaves the old file
-    intact.  The temporary file is given the mode open() would create the
-    file with, 0o666 less the umask, before it replaces the target.
+    The file is the table's canonical text in its _frame, so the table is
+    serialized once, and TableStore.load reads it back.  An existing file
+    is first compared byte for byte and parsed only when it differs: one
+    naming the same hash is kept, any other is replaced only under force.
+    A temporary file beside the target replaces it atomically, so a failed
+    write leaves the old file intact.  The temporary file is given the mode
+    open() would create the file with, 0o666 less the umask, before it
+    replaces the target.
     """
     digest = table.content_hash()
-    data = ('{"hash":"%s","n":%d,"table":%s}\n'
-            % (digest, table.n, table.canonical_text())).encode()
+    head, foot = _frame(digest, table.n)
+    data = "".join([head, table.canonical_text(), foot]).encode()
     if path.is_file():
         try:
             held = path.read_bytes()

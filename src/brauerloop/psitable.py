@@ -26,7 +26,8 @@ form lists every entry, and a loaded table stores them all.  That form is
 the table's canonical text, compact JSON with sorted keys, written
 straight from the entries' packed keys (MultiPoly.to_json) with one term
 suffix per monomial cached across the table; its sha256 is the table's
-content hash.
+content hash.  MdegTable.from_text reads that text back one entry at a
+time.
 verify_edges checks every move exactly, tree edge or not, and
 stabilizer_check that every symmetry fixing a stored pattern fixes its
 entry; both run apart from the build.
@@ -215,24 +216,62 @@ class MdegTable:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "MdegTable":
-        """The table of a parsed canonical text, consuming its entry list.
+        """The table of a parsed canonical text, in one pass over its entries.
 
-        Each parsed entry is replaced by None in obj["entries"] once it is
-        converted, so the parsed terms, several times the size of the
-        packed entries, are freed one entry at a time rather than held
-        beside the whole table.
+        obj["entries"] may be any iterable of [pairing, terms] pairs, such
+        as the generator from_text decodes them with.  Each pair's terms
+        are let go once they are converted, before the next pair is asked
+        for, so the iterable decides how many parsed entries are alive.
         """
         n = obj["n"]
         entries = {}
-        items = obj["entries"]
-        for k, (pair, poly) in enumerate(items):
+        for pair, poly in obj["entries"]:
             entries[LinkPattern(tuple(pair))] = MultiPoly.from_obj(n, poly)
-            items[k] = None
+            del poly
         edges: dict[LinkPattern, tuple[int, LinkPattern] | None] = {}
         for pair, edge in obj.get("edges", []):
             pi = LinkPattern(tuple(pair))
             edges[pi] = None if edge is None else (edge[0], LinkPattern(tuple(edge[1])))
         return cls(n, entries, edges)
+
+    @classmethod
+    def from_text(cls, n: int, text: str) -> "MdegTable":
+        """The table of size n whose canonical text is text, decoded one entry at a time.
+
+        The inverse of canonical_text.  text must be
+        {"edges":[...],"entries":[...],"n":n} with no space between its
+        parts (ValueError otherwise).  The edges list is decoded whole, then
+        each [pairing,terms] entry by itself and handed to from_obj, which
+        converts it; each parsed entry is dropped before the next one is
+        decoded, so the parse holds one entry's terms, never the whole tree.
+        """
+        decode = json.JSONDecoder().raw_decode
+        head, middle, tail = '{"edges":', ',"entries":[', ',"n":%d}' % n
+        if not text.startswith(head):
+            raise ValueError("table text does not open with its edges")
+        edges, pos = decode(text, len(head))
+        if not text.startswith(middle, pos):
+            raise ValueError("table text has no entries after its edges")
+        pos += len(middle)
+
+        def entries() -> Iterator[list]:
+            nonlocal pos
+            if not text.startswith("]", pos):
+                while True:
+                    entry, pos = decode(text, pos)
+                    yield entry
+                    del entry
+                    if not text.startswith(",", pos):
+                        break
+                    pos += 1
+            if not text.startswith("]", pos):
+                raise ValueError(f"table text has no entry list end at {pos}")
+            pos += 1
+
+        table = cls.from_obj({"n": n, "edges": edges, "entries": entries()})
+        if text[pos:] != tail:
+            raise ValueError(f"table text does not close with its size {n}")
+        return table
 
     def canonical_text(self) -> str:
         """The table as compact JSON with sorted keys, serialized once per table.
@@ -242,7 +281,8 @@ class MdegTable:
         at the base, and each entry's terms as MultiPoly.to_json writes
         them, from one suffix cache shared by all entries.  It is the text
         json.dumps(..., sort_keys=True, separators=(",", ":")) gives for
-        that object, which to_obj parses back.
+        that object, which to_obj parses back and from_text reads back
+        into the table.
         """
         if self._text is None:
             pats = sorted(self.place, key=lambda p: p.pairing)

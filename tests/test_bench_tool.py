@@ -36,6 +36,7 @@ def fake():
         fh.write(fakemod.NAME + "\\n")
     rows = {"row": {"unit": "s", "median": fakemod.VALUE},
             "bytes": {"unit": "bytes", "dict_and_keys": 1000},
+            "peak": {"unit": "bytes", "peak": 5000, "kept": 2000, "file": 400},
             "count": {"unit": "terms", "g": 7}}
     if hasattr(fakemod, "NEW"):  # a row of a function only one tree has
         rows["new"] = {"unit": "s", "median": fakemod.NEW}
@@ -113,6 +114,15 @@ def test_yardstick_scales_out_a_speed_change_inside_a_row(bench, monkeypatch):
         pytest.approx(1.7 * steady["scaled_median"], rel=1e-3)
 
 
+def test_load_peak_row_is_compared_by_its_peak(bench, tmp_path):
+    store = bench.cli.TableStore(tmp_path)
+    bench.cli.write_table(bench.psitable.compute_table(3), store.path(3))
+    row = bench.load_peak(store, 3)
+    assert row["peak"] >= row["kept"] > 0
+    assert row["file"] == store.path(3).stat().st_size
+    assert bench.value_field(row) == "peak"
+
+
 def fake_tree(root, name, value, extra=""):
     """A tree whose src holds fakemod, and a brauerloop module that names it."""
     src = root / name / "src"
@@ -138,7 +148,10 @@ def test_identical_trees_give_a_spread_that_includes_one(bench, tmp_path, fake_s
     # alternating, and each tree first in every other pair
     assert log.read_text().split() == ["a", "b", "b", "a", "a", "b"]
     assert set(record) == PAIRED_KEYS and record["pairs"] == 3
-    assert sorted(record["rows"]) == ["bytes", "row"]  # a count has no ratio
+    assert sorted(record["rows"]) == ["bytes", "peak", "row"]  # a count has no ratio
+    assert {name: row["field"] for name, row in record["rows"].items()} == \
+        {"bytes": "dict_and_keys", "peak": "peak", "row": "median"}
+    assert record["rows"]["peak"]["before"] == [5000] * 3
     for row in record["rows"].values():
         assert set(row) == PAIRED_ROW_KEYS
         assert row["ratios"] == [1.0] * 3

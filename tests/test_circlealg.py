@@ -306,29 +306,43 @@ def test_semidirect_components():
         assert got.upper_part() == (p.upper_part() @ q.upper_part()).upper_part()
 
 
+def strip_entry(m: ExactMatrix, i: int, j: int):
+    """Entry (i, j) of the periodic strip of m: m_{i mod N, j mod N} for
+    0 <= j - i < N, in every row i; ValueError off the band."""
+    n = m.n
+    if not 0 <= j - i < n:
+        raise ValueError(f"column {j} outside the band of row {i}")
+    return m[(i - 1) % n + 1, (j - 1) % n + 1]
+
+
+def band_product_entry(p: ExactMatrix, q: ExactMatrix, i: int, k: int):
+    """Entry (i, k) of the product of the strips of p and q, 0 <= k - i < N,
+    summed term by term: the oracle of StripWindow.band_product_row."""
+    if p.n != q.n:
+        raise ValueError("size mismatch")
+    strip_entry(p, i, k)  # off the band: ValueError
+    return sum(strip_entry(p, i, j) * strip_entry(q, j, k) for j in range(i, k + 1))
+
+
 def test_strip_window_entries():
     m = ExactMatrix([[1, 2], [3, 4]])
-    w = StripWindow(m)
-    assert w.entry(1, 1) == 1 and w.entry(1, 2) == 2
-    assert w.entry(3, 3) == 1 and w.entry(3, 4) == 2  # period two
-    assert w.entry(4, 5) == 3
+    assert strip_entry(m, 1, 1) == 1 and strip_entry(m, 1, 2) == 2
+    assert strip_entry(m, 3, 3) == 1 and strip_entry(m, 3, 4) == 2  # period two
+    assert strip_entry(m, 4, 5) == 3
     # periodic in every row, however far, and in rows below the first
-    assert w.entry(7, 7) == 1 and w.entry(1000, 1001) == 3
-    assert w.entry(0, 1) == 3 and w.entry(-1, -1) == 1
-    with pytest.raises(ValueError, match="outside the band"):
-        w.entry(1, 3)
-    with pytest.raises(ValueError, match="outside the band"):
-        w.entry(2, 1)
-    with pytest.raises(ValueError, match="outside the band"):
-        w.entry(1001, 1003)
+    assert strip_entry(m, 7, 7) == 1 and strip_entry(m, 1000, 1001) == 3
+    assert strip_entry(m, 0, 1) == 3 and strip_entry(m, -1, -1) == 1
+    for i, j in ((1, 3), (2, 1), (1001, 1003)):
+        with pytest.raises(ValueError, match="outside the band"):
+            strip_entry(m, i, j)
 
 
 def test_strip_band_product_rejects_columns_outside_the_band():
-    w = StripWindow(ExactMatrix([[1, 2], [3, 4]]))
+    m = ExactMatrix([[1, 2], [3, 4]])
     for i, k in ((3, 1), (3, 2), (1, 3), (0, 2), (5, 4)):
         with pytest.raises(ValueError, match="outside the band"):
-            w.band_product_entry(w, i, k)
-    assert w.band_product_entry(w, 3, 4) == 1 * 2 + 2 * 4
+            band_product_entry(m, m, i, k)
+    assert band_product_entry(m, m, 3, 4) == 1 * 2 + 2 * 4
 
 
 def test_strip_band_product_matches_circular_product():
@@ -336,12 +350,11 @@ def test_strip_band_product_matches_circular_product():
     for _ in range(60):
         n = rng.randint(2, 6)
         p, q = rand_matrix(n, rng), rand_matrix(n, rng)
-        wp, wq = StripWindow(p), StripWindow(q)
         prod = cp_mul(p, q)
         for i in range(1, 2 * n + 1):
             for d in range(n):
                 want = prod[(i - 1) % n + 1, (i + d - 1) % n + 1]
-                assert wp.band_product_entry(wq, i, i + d) == want
+                assert band_product_entry(p, q, i, i + d) == want
 
 
 def test_strip_band_product_row_is_the_band_product_entries():
@@ -352,7 +365,7 @@ def test_strip_band_product_row_is_the_band_product_entries():
         wp, wq = StripWindow(p), StripWindow(q)
         for i in range(-n, 2 * n + 1):
             assert wp.band_product_row(wq, i) == [
-                wp.band_product_entry(wq, i, i + d) for d in range(n)]
+                band_product_entry(p, q, i, i + d) for d in range(n)]
     half = StripWindow(ExactMatrix([[Fraction(1, 2), 0], [1, Fraction(-1, 3)]]))
     assert half.band_product_row(half, 2) == [Fraction(1, 9), Fraction(1, 2) - Fraction(1, 3)]
     with pytest.raises(ValueError, match="size mismatch"):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import stat
+import tracemalloc
 from argparse import Namespace
 from fractions import Fraction
 
@@ -57,13 +58,20 @@ def test_table_refuses_foreign_overwrite(tmp_path, capsys):
     assert json.loads(target.read_text())["n"] == 3
 
 
+def compact(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def file_text(obj: dict, n: int) -> str:
+    """A table file of size n holding obj, naming its hash, as a json.dumps
+    of the whole payload in the writer's compact, sorted-keys layout."""
+    digest = hashlib.sha256(compact(obj).encode()).hexdigest()
+    return compact({"n": n, "hash": digest, "table": obj}) + "\n"
+
+
 def canonical_file(table: MdegTable) -> str:
     """The table file as a json.dumps of the whole payload would write it."""
-    obj = table_tree(table)
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(blob.encode()).hexdigest()
-    payload = {"n": table.n, "hash": digest, "table": obj}
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return file_text(table_tree(table), table.n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -135,25 +143,26 @@ def test_table_corrupt_file_is_recomputed(tmp_path, capsys):
         assert table.n == 2
 
 
+def tampered_table_is_recomputed(tmp_path, tables, obj, n=3):
+    """A tampered table, in the writer's layout and naming its own hash, is recomputed.
+
+    The layout is the one write_table gives (file_text, which
+    canonical_file pins to the written bytes), so the tampering is the
+    only thing that can keep the file from loading.
+    """
+    store = cli.TableStore(tmp_path)
+    store.path(3).write_text(file_text(obj, n))
+    assert store.load(3) is None
+    assert store.get(3).content_hash() == tables(3).content_hash()
+
+
 def test_table_with_fractional_coefficient_is_recomputed(tmp_path, tables):
     # a well-formed file whose hash matches, but one coefficient is 1/2
     obj = tables(3).to_obj()
     obj["entries"][0][1][0][0] = "1/2"
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    payload = {"n": 3, "hash": hashlib.sha256(blob.encode()).hexdigest(), "table": obj}
-    store = cli.TableStore(tmp_path)
-    store.path(3).write_text(json.dumps(payload))
-    assert store.load(3) is None
-    assert store.get(3).content_hash() == tables(3).content_hash()
-
-
-def tampered_table_is_recomputed(tmp_path, tables, obj):
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    payload = {"n": 3, "hash": hashlib.sha256(blob.encode()).hexdigest(), "table": obj}
-    store = cli.TableStore(tmp_path)
-    store.path(3).write_text(json.dumps(payload))
-    assert store.load(3) is None
-    assert store.get(3).content_hash() == tables(3).content_hash()
+    with pytest.raises(ValueError, match="1/2"):
+        MdegTable.from_text(3, compact(obj))
+    tampered_table_is_recomputed(tmp_path, tables, obj)
 
 
 def test_table_with_overflowing_exponent_is_recomputed(tmp_path, tables):
@@ -161,14 +170,24 @@ def test_table_with_overflowing_exponent_is_recomputed(tmp_path, tables):
     obj = tables(3).to_obj()
     obj["entries"][0][1][0][1] = MAX_EXPONENT + 1
     with pytest.raises(ExponentOverflow):
-        MdegTable.from_obj(obj)
+        MdegTable.from_text(3, compact(obj))
     tampered_table_is_recomputed(tmp_path, tables, obj)
 
 
-def test_table_with_overflowing_size_is_recomputed(tmp_path, tables):
-    # the size sets each entry's field count, so it is checked before any entry
+def test_table_with_overflowing_size_is_recomputed(tmp_path, tables, monkeypatch):
+    # the size sets each entry's field count: the file's own is checked before any entry
     obj = tables(3).to_obj()
+
+    def refuse(*args, **kw):
+        raise AssertionError("an entry was parsed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MdegTable, "from_text", refuse)
+        tampered_table_is_recomputed(tmp_path, tables, obj, n=2 ** 70)
+    # the table's inner size alone: the text must close with the size it was read at
     obj["n"] = 2 ** 70
+    with pytest.raises(ValueError, match="close with its size 3"):
+        MdegTable.from_text(3, compact(obj))
     tampered_table_is_recomputed(tmp_path, tables, obj)
 
 
@@ -178,7 +197,57 @@ def test_table_missing_an_entry_is_recomputed(tmp_path, tables):
     base = list(maximal_pattern(3).pairing)
     k = next(k for k, (pairing, _) in enumerate(obj["entries"]) if pairing != base)
     del obj["entries"][k], obj["edges"][k]
+    assert MdegTable.from_text(3, compact(obj)).canonical_text() == compact(obj)
     tampered_table_is_recomputed(tmp_path, tables, obj)
+
+
+def test_table_in_another_layout_is_recomputed(tmp_path, tables, monkeypatch):
+    # the right table naming the right hash, but not the bytes write_table writes
+    written = canonical_file(tables(3))
+    payload = json.loads(written)
+    layouts = [
+        json.dumps(payload),  # spaced
+        json.dumps(payload, indent=1) + "\n",
+        json.dumps({"table": payload["table"], "n": 3, "hash": payload["hash"]},
+                   separators=(",", ":")) + "\n",  # keys unsorted
+        written.rstrip("\n"),
+        " " + written,
+        written.replace('"entries":[[', '"entries":[ [', 1),  # between entries
+        written.replace('"entries":[[', '"entries":[[ ', 1),  # inside an entry
+    ]
+    computed = []
+    monkeypatch.setattr(cli, "compute_table", lambda n: computed.append(n) or tables(n))
+    for text in layouts:
+        store = cli.TableStore(tmp_path)
+        store.path(3).write_text(text)
+        assert json.loads(text) == payload
+        assert store.load(3) is None
+        assert store.get(3).content_hash() == tables(3).content_hash()
+    assert computed == [3] * len(layouts)
+    store.path(3).write_text(written)
+    assert store.load(3) == tables(3)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_load_decodes_one_entry_at_a_time(tmp_path, tables, monkeypatch, n):
+    # no parse tree of the whole file: json.loads is never called, and the
+    # load's peak above the table it keeps stays within 4 times the file
+    store = cli.TableStore(tmp_path)
+    assert cli.write_table(tables(n), store.path(n))
+    size = store.path(n).stat().st_size
+
+    def refuse(*args, **kw):
+        raise AssertionError("a table file was parsed whole")
+
+    monkeypatch.setattr(cli.json, "loads", refuse)
+    tracemalloc.start()
+    try:
+        table = store.load(n)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table == tables(n)
+    assert peak - kept < 4 * size
 
 
 def test_table_requires_n():

@@ -190,7 +190,7 @@ def test_canonical_text_is_json_dumps_of_the_tree(tables, tmp_path):
         store = cli.TableStore(tmp_path)
         cli.write_table(built, store.path(n))
         for table in (dataclasses.replace(built), store.load(n),
-                      MdegTable.from_obj(json.loads(want))):
+                      MdegTable.from_obj(json.loads(want)), MdegTable.from_text(n, want)):
             assert table == built
             assert table.canonical_text() == want
         assert built.to_obj() == json.loads(want)
@@ -296,12 +296,22 @@ def test_stabilizer_check_catches_tampering():
         assert str(err.value) == f"symmetry r=1, flip=False fixes {base} but not its entry"
 
 
-def test_from_obj_consumes_the_parsed_entries(tables):
-    table = tables(4)
-    obj = table.to_obj()
-    assert MdegTable.from_obj(obj) == table
-    assert obj["entries"] == [None] * len(table.patterns())
-    assert obj["edges"] == table.to_obj()["edges"]
+def test_from_text_reads_only_the_canonical_text(tables):
+    text = tables(4).canonical_text()
+    assert MdegTable.from_text(4, text) == tables(4)
+    empty = MdegTable(4, {}, {})
+    assert MdegTable.from_text(4, empty.canonical_text()) == empty
+    for bad, reason in ((" " + text, "open with its edges"),
+                        (text.replace(',"entries"', ' ,"entries"'), "no entries after"),
+                        (text.replace('"entries":[[', '"entries":[ [', 1), "Expecting value"),
+                        (text.replace("]]]],[[", "]]]] ,[[", 1), "no entry list end"),
+                        (text.replace(']],"n"', '] ],"n"'), "no entry list end"),
+                        (text.replace('],"n"', '] ,"n"'), "close with its size 4"),
+                        (text[:-1], "close with its size 4"),
+                        (text + "\n", "close with its size 4"),
+                        (text.replace('"n":4', '"n":5'), "close with its size 4")):
+        with pytest.raises(ValueError, match=reason):
+            MdegTable.from_text(4, bad)
 
 
 def test_loaded_table_equals_built_and_passes_stabilizer_check(tables):

@@ -57,6 +57,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -304,6 +305,20 @@ def chainsuites() -> dict:
     }
 
 
+def load_peak(store: cli.TableStore, n: int) -> dict:
+    """Bytes of one store.load(n) under tracemalloc: the peak of what it
+    allocates, what the loaded table keeps, and the file's size."""
+    tracemalloc.start()
+    try:
+        table = store.load(n)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table is not None, n
+    return {"unit": "bytes", "peak": peak, "kept": kept,
+            "file": store.path(n).stat().st_size}
+
+
 def tables() -> dict:
     """Timings of building, hashing, writing and reloading tables.
 
@@ -320,6 +335,8 @@ def tables() -> dict:
     wrote there, its stdout discarded.
     Rows with a cheap call take REPEATS samples, the cmd_table rows and
     representatives_n7 E2E_REPEATS, all of one call.
+    Memory rows: store_load_n5_peak and store_load_n6_peak, the tracemalloc
+    peak of one of those loads (load_peak).
     """
     def fresh(table: MdegTable) -> MdegTable:
         return dataclasses.replace(table)
@@ -351,6 +368,8 @@ def tables() -> dict:
             "write_table_n6": timed(lambda: write_absent(built[6], out)),
             "store_load_n5": timed(lambda: store.load(5)),
             "store_load_n6": timed(lambda: store.load(6)),
+            "store_load_n5_peak": load_peak(store, 5),
+            "store_load_n6_peak": load_peak(store, 6),
             "cmd_table_n6_cold": timed(lambda: cmd_table(cold, cold=True), E2E_REPEATS),
             "cmd_table_n6_warm": timed(lambda: cmd_table(warm, cold=False), E2E_REPEATS),
             "representatives_n7": timed(lambda: psitable.compute_table(7), E2E_REPEATS),
@@ -401,8 +420,9 @@ GROUPS = {"exactpoly": exactpoly, "exchange": exchange,
 
 
 def value_field(row: dict) -> str | None:
-    """The field of a row that a ratio compares: a timed median or the stored bytes."""
-    return "median" if "median" in row else "dict_and_keys" if "dict_and_keys" in row else None
+    """The field of a row that a ratio compares: a timed median, the stored
+    bytes or a peak of traced bytes."""
+    return next((field for field in ("median", "dict_and_keys", "peak") if field in row), None)
 
 
 # a child interpreter: load the script by path, run one group, write its rows
