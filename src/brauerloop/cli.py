@@ -5,10 +5,12 @@ Three subcommands:
 * ``table``   computes the multidegree table for one size, or reloads
   it, and persists it as JSON with a content hash.  Each table has one
   canonical text, serialized at most once: the hash is taken of it and
-  the file is written around it.  A file already holding those bytes is
-  kept unparsed; one with a different hash is only overwritten under
-  ``--force``.  Reloading a table re-serializes it to check its hash, so
-  a warm run is still slower than a cold one.
+  the file is written around it.  The store and the writer read a file by
+  its head and foot alone (_read_frame): a file already holding those
+  bytes is kept unparsed, one naming the table's hash in other bytes is
+  replaced, and any other is only overwritten under ``--force``.
+  Reloading a table re-serializes it to check its hash, so a warm run is
+  still slower than a cold one.
 * ``degrees`` prints exact degree numbers: the pattern-sum against the
   closed determinant form (scheme E), the two closed forms for the
   doubled scheme at a seeded sample point (scheme D1), or the commuting
@@ -34,6 +36,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import sys
 import tempfile
 import time
@@ -103,28 +106,22 @@ class TableStore:
         """A previously persisted table, or None if absent or unusable.
 
         A file loads exactly when it is, byte for byte, the text write_table
-        writes for the table it holds (_frame); any other layout, even of a
-        table with the right hash, returns None, so the table is computed
-        again.  The file's head must name the size n before any entry is
-        parsed, since the size sets each entry's field count.  The table's
-        canonical text is then decoded one entry at a time
-        (MdegTable.from_text), so no parse tree of the whole file is built.
-        The parsed table must serialize back to that text, hash to the hash
-        the file names, and validate; that hash stays with the table.
+        writes for the table it holds: _read_frame must find the head
+        naming the size n, which sets each entry's field count, before any
+        entry is parsed.  The table's canonical text is then decoded one
+        entry at a time (MdegTable.from_text), so no parse tree of the whole
+        file is built.  The parsed table must serialize back to that text,
+        hash to the hash the file names, and validate; that hash stays with
+        the table.
         """
         if self.directory is None:
             return None
-        path = self.path(n)
-        if not path.is_file():
+        framed = _read_frame(self.path(n))
+        if framed is None or framed[1] != n:
             return None
+        digest, _, body = framed
+        del framed
         try:
-            text = path.read_text()
-            digest = text[9:73]  # the 64 hex digits after '{"hash":"'
-            head, foot = _frame(digest, n)
-            if not (text.startswith(head) and text.endswith(foot)):
-                return None
-            body = text[len(head):len(text) - len(foot)]
-            del text
             table = MdegTable.from_text(n, body)
             if table.canonical_text() != body:
                 return None
@@ -132,7 +129,7 @@ class TableStore:
             if table.content_hash() != digest:
                 return None
             table.validate()
-        except (BrauerLoopError, KeyError, TypeError, ValueError, OSError, RecursionError):
+        except (BrauerLoopError, KeyError, TypeError, ValueError, RecursionError):
             return None
         return table
 
@@ -151,16 +148,28 @@ def _frame(digest: str, n: int) -> tuple[str, str]:
     The file is {"hash": ..., "n": ..., "table": ...} as compact JSON with
     sorted keys, so the table's text is written and read in place.
     """
-    return '{"hash":"%s","n":%d,"table":' % (digest, n), "}\n"
+    return '{"hash":"%s","n":%d,"table":' % (digest, n), _FOOT
 
 
-def _stored_hash(held: bytes) -> str | None:
-    """The hash a table file's text names, or None if it names none."""
+# _frame's head and foot: the hash as hexdigest writes it, the size as %d writes it
+_HEAD = re.compile(r'\{"hash":"([0-9a-f]{64})","n":([1-9][0-9]*),"table":')
+_FOOT = "}\n"
+
+
+def _read_frame(path: Path) -> tuple[str, int, str] | None:
+    """(hash, size, table text) of a file in _frame's layout, or None.
+
+    Only the head and the foot are read, from the bytes decoded as
+    write_table encodes them, with no newline translation.
+    """
     try:
-        obj = json.loads(held)
-    except (ValueError, RecursionError):
+        text = path.read_bytes().decode()
+        head = _HEAD.match(text)
+        if head is None or not text.endswith(_FOOT):
+            return None
+        return head[1], int(head[2]), text[head.end():len(text) - len(_FOOT)]
+    except (OSError, ValueError):
         return None
-    return obj.get("hash") if isinstance(obj, dict) else None
 
 
 def write_table(table: MdegTable, path: Path, force: bool = False) -> bool:
@@ -168,30 +177,27 @@ def write_table(table: MdegTable, path: Path, force: bool = False) -> bool:
 
     The file is the table's canonical text in its _frame, so the table is
     serialized once, and TableStore.load reads it back.  An existing file
-    is first compared byte for byte and parsed only when it differs: one
-    naming the same hash is kept, any other is replaced only under force.
+    is read as load reads it (_read_frame), and its table's text is never
+    parsed.  It is kept when it is what would be written, and replaced
+    when it names this table's hash in any other text, so a damaged copy
+    repairs itself.  A file naming another hash, or none in _frame's
+    layout, is replaced only under force, and the refusal names the hash.
     A temporary file beside the target replaces it atomically, so a failed
     write leaves the old file intact.  The temporary file is given the mode
     open() would create the file with, 0o666 less the umask, before it
     replaces the target.
     """
     digest = table.content_hash()
-    head, foot = _frame(digest, table.n)
-    data = "".join([head, table.canonical_text(), foot]).encode()
     if path.is_file():
-        try:
-            held = path.read_bytes()
-        except OSError:
-            held = b""
-        if held == data:
+        framed = _read_frame(path)
+        if framed == (digest, table.n, table.canonical_text()):
             return False
-        stored = _stored_hash(held)
-        if stored == digest:
-            return False
-        if not force:
+        if not force and (framed is None or framed[0] != digest):
             raise SystemExit(
                 f"error: {path} holds a different table "
-                f"(hash {stored or 'unreadable'}); pass --force to overwrite")
+                f"(hash {framed[0] if framed else 'unreadable'}); pass --force to overwrite")
+    head, foot = _frame(digest, table.n)
+    data = "".join([head, table.canonical_text(), foot]).encode()
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
@@ -692,7 +698,7 @@ def cmd_degrees(args) -> int:
         raise SystemExit("error: --scheme D1 needs --n")
     n = args.n
     rng = _rng(args.seed, f"d1point/{n}")
-    a, z = psitable.random_point(n, rng)
+    a, z = pfdet.random_point(n, rng)
     local = pfdet.d1_mdeg_localization(n, a, z)
     pf = pfdet.d1_mdeg_pfaffian_form(n, a, z)
     if args.format == "json":

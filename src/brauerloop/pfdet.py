@@ -13,14 +13,18 @@ product.  Both are rational-function identities, so they are checked by
 exact evaluation at admissible points, never with floating point.  Both
 forms are homogeneous, so each is evaluated at the integer image of the
 point and divided by one power of its common denominator at the end.
-They tie the whole table together: D1 degenerates onto the loop scheme
-with multiplicity 2^(n+r) on every component, so
+The points come from here too: random_point draws a seeded point and
+screens it by the integer image and pole rule the forms evaluate with
+(_integer_point), and integer_image gives that image to the table checks.
+The forms tie the whole table together: D1 degenerates onto the loop
+scheme with multiplicity 2^(n+r) on every component, so
 
     form = 2^(n+r) A^N sum_pi mdeg E_pi.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import comb, lcm, prod
 from typing import Callable, Sequence
@@ -173,6 +177,35 @@ def _integer_point(n: int, a: Rational, z: Sequence[Rational]) -> tuple[int, int
     return scale, ai, zi
 
 
+def integer_image(a: Fraction, z: list[Fraction]) -> tuple[int, list[int]]:
+    """The point D (a, z) for the least D > 0 that makes it integral (_integer_point).
+
+    Both sides of an identity between forms homogeneous of one degree d
+    are D^d times their values at (a, z) there, so the identity holds at
+    the image exactly when it holds at (a, z), and a polynomial over Z
+    evaluates over Z.  A pole raises PoleHit, as in the forms.
+    """
+    _, ai, zi = _integer_point(len(z), a, z)
+    return ai, zi
+
+
+def random_point(n: int, rng: random.Random) -> tuple[Fraction, list[Fraction]]:
+    """An exact evaluation point (a, z), distinct z, avoiding the usual denominators.
+
+    A candidate is a = p/q, p in 1..60 and q in 1..20, and each z_i = s/t,
+    s in -40..40 and t in 1..12, drawn in that order.  It is accepted
+    unless _integer_point finds a pole: two equal z, or z_j - z_i = a.
+    """
+    while True:
+        a = Fraction(rng.randint(1, 60), rng.randint(1, 20))
+        z = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(n)]
+        try:
+            _integer_point(n, a, z)
+        except PoleHit:
+            continue
+        return a, z
+
+
 def total_mdeg_pfaffian_value(n: int, a: Rational, z: Sequence[Rational]) -> Rational:
     """The Pfaffian product formula for the total multidegree, at a point.
 
@@ -278,14 +311,10 @@ def d0_multiplicity_check(table, points: int = 20, seed: int = 4093) -> dict:
     2^(n+r); the A^N accounts for the full matrix space against the
     zero-diagonal subspace.  Every side is homogeneous of degree
     ceil(N^2/2), so each seeded rational point is evaluated at its integer
-    image (psitable.integer_image).  The points are drawn first, the
-    table's total is evaluated at all their images in one call, and the
-    closed forms are compared point by point in the order drawn.
+    image.  The points are drawn first, the table's total is evaluated at
+    all their images in one call, and the closed forms are compared point
+    by point in the order drawn.
     """
-    import random
-
-    from .psitable import integer_image, random_point
-
     if points < 1:
         raise ValueError(f"points must be at least 1, not {points}")
     n = table.n

@@ -21,7 +21,8 @@ these edges form a spanning tree rooted at the base.  The first pattern
 reached in an orbit is the orbit's representative, and its entry is one
 recursion step along its edge; every other entry is its representative's
 under one symmetry.  The table stores the representatives' entries only
-and derives each other one when it is read (MdegTable.mdeg); its persisted
+and derives each other one when it is read (MdegTable.mdeg; a degree,
+which no symmetry moves, is read off the representative).  Its persisted
 form lists every entry, and a loaded table stores them all.  That form is
 the table's canonical text, compact JSON with sorted keys, written
 straight from the entries' packed keys (MultiPoly.to_json) with one term
@@ -33,11 +34,12 @@ stabilizer_check that every symmetry fixing a stored pattern fixes its
 entry; both run apart from the build.
 
 The remaining functions verify, symbolically or at exact rational
-points, the identities these polynomials satisfy: the exchange
-relations tying the family to the transfer matrix, sector and total sum
-rules, the specialization that removes a small chord, the small-arch
-identity, rotation and reflection covariance, and positivity on the
-region where every weight 1 + z_i - z_j is positive.
+points (pfdet.random_point, evaluated at their integer images), the
+identities these polynomials satisfy: the exchange relations tying the
+family to the transfer matrix, sector and total sum rules, the
+specialization that removes a small chord, the small-arch identity,
+rotation and reflection covariance, and positivity on the region where
+every weight 1 + z_i - z_j is positive.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .exactpoly import MultiPoly
 from .linkpat import (LinkPattern, apply_e, apply_f, enumerate_patterns,
                       in_permutation_sector, maximal_pattern, reflect,
                       restrict_pattern, rotate, strands_cross_at, symmetries, _wrap)
+from .pfdet import degree_determinant, integer_image, random_point, total_mdeg_pfaffian_value
 
 
 def target_degree(n: int) -> int:
@@ -171,7 +174,8 @@ class MdegTable:
         return self.mdeg(pi).specialize_a(1)
 
     def degree(self, pi: LinkPattern) -> int:
-        return self.mdeg(pi).z_free_sum()
+        """The entry of pi at z = 0, A = 1: its representative's, as a symmetry keeps it."""
+        return self.stored[self.place[pi][0]].z_free_sum()
 
     def degrees(self) -> dict[LinkPattern, int]:
         return {pi: self.degree(pi) for pi in self.patterns()}
@@ -210,14 +214,11 @@ class MdegTable:
 
     # ------------------------------------------------------------- persistence
 
-    def to_obj(self) -> dict:
-        """Every placed pattern's entry and edge, sorted by pairing: the canonical text parsed."""
-        return json.loads(self.canonical_text())
-
     @classmethod
     def from_obj(cls, obj: dict) -> "MdegTable":
         """The table of a parsed canonical text, in one pass over its entries.
 
+        obj holds "n", "edges" and "entries", as the canonical text does.
         obj["entries"] may be any iterable of [pairing, terms] pairs, such
         as the generator from_text decodes them with.  Each pair's terms
         are let go once they are converted, before the next pair is asked
@@ -229,7 +230,7 @@ class MdegTable:
             entries[LinkPattern(tuple(pair))] = MultiPoly.from_obj(n, poly)
             del poly
         edges: dict[LinkPattern, tuple[int, LinkPattern] | None] = {}
-        for pair, edge in obj.get("edges", []):
+        for pair, edge in obj["edges"]:
             pi = LinkPattern(tuple(pair))
             edges[pi] = None if edge is None else (edge[0], LinkPattern(tuple(edge[1])))
         return cls(n, entries, edges)
@@ -281,8 +282,7 @@ class MdegTable:
         at the base, and each entry's terms as MultiPoly.to_json writes
         them, from one suffix cache shared by all entries.  It is the text
         json.dumps(..., sort_keys=True, separators=(",", ":")) gives for
-        that object, which to_obj parses back and from_text reads back
-        into the table.
+        that object, which from_text reads back into the table.
         """
         if self._text is None:
             pats = sorted(self.place, key=lambda p: p.pairing)
@@ -513,43 +513,6 @@ def sum_rule_sector(table: MdegTable) -> dict:
     return {"patterns": len(sector)}
 
 
-# a common multiple of every denominator random_point draws, 1..20
-_POINT_DENOMINATORS = math.lcm(*range(1, 21))
-
-
-def random_point(n: int, rng: random.Random) -> tuple[Fraction, list[Fraction]]:
-    """An exact evaluation point (a, z), distinct z, avoiding the usual denominators.
-
-    A candidate is a = p/q, p in 1..60 and q in 1..20, and each z_i = s/t,
-    s in -40..40 and t in 1..12, drawn in that order.  It is screened on
-    its image under the common multiple L of all possible denominators:
-    the z must be distinct, and no z_j - z_i may equal a (a > 0, so i != j).
-    Only an accepted candidate becomes Fractions.
-    """
-    while True:
-        p, q = rng.randint(1, 60), rng.randint(1, 20)
-        z = [(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(n)]
-        zs = {s * (_POINT_DENOMINATORS // t) for s, t in z}
-        if len(zs) != n:
-            continue
-        shift = p * (_POINT_DENOMINATORS // q)
-        if any(x + shift in zs for x in zs):
-            continue
-        return Fraction(p, q), [Fraction(s, t) for s, t in z]
-
-
-def integer_image(a: Fraction, z: list[Fraction]) -> tuple[int, list[int]]:
-    """The point D (a, z) for the least D > 0 that makes it integral.
-
-    Both sides of an identity between forms homogeneous of one degree d
-    are D^d times their values at (a, z) there, so the identity holds at
-    the image exactly when it holds at (a, z), and a polynomial over Z
-    evaluates over Z.
-    """
-    d = math.lcm(a.denominator, *(x.denominator for x in z))
-    return (a * d).numerator, [(x * d).numerator for x in z]
-
-
 def sum_rule_total(table: MdegTable, points: int = 20, seed: int = 2011) -> dict:
     """Degree sum against the determinant, full sum against the Pfaffian.
 
@@ -560,8 +523,6 @@ def sum_rule_total(table: MdegTable, points: int = 20, seed: int = 2011) -> dict
     the table's total is evaluated at all their images in one call, and
     the Pfaffian side is compared point by point in the order drawn.
     """
-    from .pfdet import degree_determinant, total_mdeg_pfaffian_value
-
     if points < 1:
         raise ValueError(f"points must be at least 1, not {points}")
     n = table.n

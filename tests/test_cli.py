@@ -102,38 +102,117 @@ def test_table_command_serializes_once(tmp_path, capsys, monkeypatch):
         assert calls == [3] * len(enumerate_patterns(3))
 
 
+def refuse_whole_parse(monkeypatch) -> None:
+    """From here on, json.loads, as cli sees it, fails the test."""
+    def refuse(*args, **kw):
+        raise AssertionError("a table file was parsed whole")
+
+    monkeypatch.setattr(cli.json, "loads", refuse)
+
+
+def head_of(written: str) -> str:
+    """A table file's text before its table's text: the head naming hash and size."""
+    return written[:written.index(',"table":') + len(',"table":')]
+
+
+def other_layouts(written: str) -> tuple[list[str], list[str]]:
+    """The right table naming the right hash, in texts write_table does not write.
+
+    The first list keeps the writer's head and foot around a changed
+    table text; the second is in other layouts.
+    """
+    payload = json.loads(written)
+    framed = [
+        written.replace('"entries":[[', '"entries":[ [', 1),  # between entries
+        written.replace('"entries":[[', '"entries":[[ ', 1),  # inside an entry
+    ]
+    other = [
+        json.dumps(payload),  # spaced
+        json.dumps(payload, indent=1) + "\n",
+        json.dumps({"table": payload["table"], "n": 3, "hash": payload["hash"]},
+                   separators=(",", ":")) + "\n",  # keys unsorted
+        written.rstrip("\n"),
+        written.replace("}\n", "}\r\n"),
+        " " + written,
+    ]
+    return framed, other
+
+
 def test_identical_file_is_kept_unparsed(tmp_path, monkeypatch, tables):
     path = tmp_path / "mdeg-3.json"
     assert cli.write_table(tables(3), path)
     before = path.stat().st_mtime_ns
-
-    def refuse(*args, **kw):
-        raise AssertionError("an identical file was parsed")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(cli.json, "loads", refuse)
-        assert cli.write_table(tables(3), path) is False
-    assert path.stat().st_mtime_ns == before
-    # a file naming the same hash in another layout is parsed and kept too
-    spaced = json.dumps(json.loads(canonical_file(tables(3))))
-    path.write_text(spaced)
+    refuse_whole_parse(monkeypatch)
     assert cli.write_table(tables(3), path) is False
-    assert path.read_text() == spaced
+    assert path.stat().st_mtime_ns == before
 
 
-def test_refusal_names_the_foreign_hash(tmp_path, tables):
+def test_same_hash_in_other_bytes_is_replaced(tmp_path, monkeypatch, tables):
+    # the writer's head naming this table's hash, and its foot, around other text:
+    # the file is repaired without --force, and then loads
+    store = cli.TableStore(tmp_path)
+    written = canonical_file(tables(3))
+    framed, _ = other_layouts(written)
+    framed.append(head_of(written) + '{"edges":[],"entries":[],"n":3}}\n')
+    refuse_whole_parse(monkeypatch)
+    for text in framed:
+        store.path(3).write_text(text)
+        assert store.load(3) is None
+        assert cli.write_table(tables(3), store.path(3)) is True
+        assert store.path(3).read_text() == written
+        assert store.load(3) == tables(3)
+
+
+def test_refusal_names_the_foreign_hash(tmp_path, monkeypatch, tables):
+    # the hash is read from the head alone, however large or deeply nested the file
     path = tmp_path / "mdeg.json"
-    assert cli.write_table(tables(2), path)
-    with pytest.raises(SystemExit, match=tables(2).content_hash()):
-        cli.write_table(tables(3), path)
-    for text in ("[]", "[" * 100_000):
+    two, five = (canonical_file(tables(n)) for n in (2, 5))
+    named = [(two, tables(2).content_hash()), (five, tables(5).content_hash()),
+             (head_of(two) + "[" * 100_000 + "}\n", tables(2).content_hash())]
+    refuse_whole_parse(monkeypatch)
+    for text, digest in named:
+        path.write_text(text)
+        with pytest.raises(SystemExit, match=f"hash {digest}"):
+            cli.write_table(tables(3), path)
+        assert path.read_text() == text
+    assert cli.write_table(tables(3), path, force=True) is True
+    assert path.read_text() == canonical_file(tables(3))
+
+
+def test_file_in_another_layout_is_refused(tmp_path, monkeypatch, tables):
+    # no other head and foot name a hash, not even around the right table
+    path = tmp_path / "mdeg-3.json"
+    written = canonical_file(tables(3))
+    _, other = other_layouts(written)
+    refuse_whole_parse(monkeypatch)
+    for text in ["", "{not json", "[]", "[" * 100_000, *other]:
         path.write_text(text)
         with pytest.raises(SystemExit, match="hash unreadable"):
             cli.write_table(tables(3), path)
+        assert path.read_bytes() == text.encode()
+        assert cli.write_table(tables(3), path, force=True) is True
+        assert path.read_text() == written
+
+
+def test_table_command_repairs_its_file_and_refuses_others(tmp_path, capsys):
+    args = ["table", "--n", "2", "--table-dir", str(tmp_path)]
+    run(args, capsys)
+    path = tmp_path / "mdeg-2.json"
+    written = path.read_text()
+    path.write_text(head_of(written) + '{"edges":[],"entries":[],"n":2}}\n')
+    for word in ("wrote", "kept"):
+        code, out = run(args, capsys)
+        assert code == 0 and out.splitlines()[-1] == f"{word} {path}"
+    path.write_text(json.dumps(json.loads(written), indent=2))
+    with pytest.raises(SystemExit, match="hash unreadable"):
+        cli.main(args)
+    code, out = run([*args, "--force"], capsys)
+    assert code == 0 and out.splitlines()[-1] == f"wrote {path}"
+    assert path.read_text() == written
 
 
 def test_table_corrupt_file_is_recomputed(tmp_path, capsys):
-    # the second text nests too deeply for json.loads, which raises RecursionError
+    # the second text nests too deeply for a whole-file json.loads; neither has a head
     for text in ("{not json", "[" * 100_000):
         path = tmp_path / "mdeg-2.json"
         path.write_text(text)
@@ -154,11 +233,18 @@ def tampered_table_is_recomputed(tmp_path, tables, obj, n=3):
     store.path(3).write_text(file_text(obj, n))
     assert store.load(3) is None
     assert store.get(3).content_hash() == tables(3).content_hash()
+    # nor is it kept: it is replaced, under --force when it names another hash
+    digest = hashlib.sha256(compact(obj).encode()).hexdigest()
+    foreign = digest != tables(3).content_hash()
+    if foreign:
+        with pytest.raises(SystemExit, match=digest):
+            cli.write_table(tables(3), store.path(3))
+    assert cli.write_table(tables(3), store.path(3), force=foreign) is True
 
 
 def test_table_with_fractional_coefficient_is_recomputed(tmp_path, tables):
     # a well-formed file whose hash matches, but one coefficient is 1/2
-    obj = tables(3).to_obj()
+    obj = table_tree(tables(3))
     obj["entries"][0][1][0][0] = "1/2"
     with pytest.raises(ValueError, match="1/2"):
         MdegTable.from_text(3, compact(obj))
@@ -167,7 +253,7 @@ def test_table_with_fractional_coefficient_is_recomputed(tmp_path, tables):
 
 def test_table_with_overflowing_exponent_is_recomputed(tmp_path, tables):
     # a well-formed file whose hash matches, but one A-exponent needs a wider field
-    obj = tables(3).to_obj()
+    obj = table_tree(tables(3))
     obj["entries"][0][1][0][1] = MAX_EXPONENT + 1
     with pytest.raises(ExponentOverflow):
         MdegTable.from_text(3, compact(obj))
@@ -176,7 +262,7 @@ def test_table_with_overflowing_exponent_is_recomputed(tmp_path, tables):
 
 def test_table_with_overflowing_size_is_recomputed(tmp_path, tables, monkeypatch):
     # the size sets each entry's field count: the file's own is checked before any entry
-    obj = tables(3).to_obj()
+    obj = table_tree(tables(3))
 
     def refuse(*args, **kw):
         raise AssertionError("an entry was parsed")
@@ -193,7 +279,7 @@ def test_table_with_overflowing_size_is_recomputed(tmp_path, tables, monkeypatch
 
 def test_table_missing_an_entry_is_recomputed(tmp_path, tables):
     # a well-formed file whose hash matches, with one non-base entry and its edge gone
-    obj = tables(3).to_obj()
+    obj = table_tree(tables(3))
     base = list(maximal_pattern(3).pairing)
     k = next(k for k, (pairing, _) in enumerate(obj["entries"]) if pairing != base)
     del obj["entries"][k], obj["edges"][k]
@@ -204,27 +290,19 @@ def test_table_missing_an_entry_is_recomputed(tmp_path, tables):
 def test_table_in_another_layout_is_recomputed(tmp_path, tables, monkeypatch):
     # the right table naming the right hash, but not the bytes write_table writes
     written = canonical_file(tables(3))
-    payload = json.loads(written)
-    layouts = [
-        json.dumps(payload),  # spaced
-        json.dumps(payload, indent=1) + "\n",
-        json.dumps({"table": payload["table"], "n": 3, "hash": payload["hash"]},
-                   separators=(",", ":")) + "\n",  # keys unsorted
-        written.rstrip("\n"),
-        " " + written,
-        written.replace('"entries":[[', '"entries":[ [', 1),  # between entries
-        written.replace('"entries":[[', '"entries":[[ ', 1),  # inside an entry
-    ]
+    framed, other = other_layouts(written)
+    layouts = framed + other
     computed = []
     monkeypatch.setattr(cli, "compute_table", lambda n: computed.append(n) or tables(n))
     for text in layouts:
         store = cli.TableStore(tmp_path)
         store.path(3).write_text(text)
-        assert json.loads(text) == payload
+        assert json.loads(text) == json.loads(written)
         assert store.load(3) is None
         assert store.get(3).content_hash() == tables(3).content_hash()
+        # and is never kept
+        assert cli.write_table(tables(3), store.path(3), force=True) is True
     assert computed == [3] * len(layouts)
-    store.path(3).write_text(written)
     assert store.load(3) == tables(3)
 
 

@@ -193,7 +193,6 @@ def test_canonical_text_is_json_dumps_of_the_tree(tables, tmp_path):
                       MdegTable.from_obj(json.loads(want)), MdegTable.from_text(n, want)):
             assert table == built
             assert table.canonical_text() == want
-        assert built.to_obj() == json.loads(want)
     # hand-built tables: every stored entry placed on itself, edges null or absent
     t = tables(4)
     base = maximal_pattern(4)
@@ -289,7 +288,7 @@ def test_stabilizer_check_catches_tampering():
     assert stabilizer_check(table) == {"symmetries": 10}
     base = maximal_pattern(4)  # (1 3)(2 4): every rotation and reflection fixes it
     bad = table.stored[base] + MultiPoly.gen_z(4, 1) ** target_degree(4)
-    loaded = MdegTable.from_obj(table.to_obj())
+    loaded = MdegTable.from_obj(json.loads(table.canonical_text()))
     for t in (table, loaded):
         with pytest.raises(ChainInconsistency) as err:
             stabilizer_check(MdegTable(4, {**t.stored, base: bad}, t.edges, t.place))
@@ -318,10 +317,18 @@ def test_loaded_table_equals_built_and_passes_stabilizer_check(tables):
     # a loaded table stores every entry, so every pattern's stabilizer is checked
     for n, symmetries in zip(range(2, 7), (3, 3, 13, 15, 45)):
         built = tables(n)
-        loaded = MdegTable.from_obj(built.to_obj())
+        loaded = MdegTable.from_obj(json.loads(built.canonical_text()))
         assert len(loaded.stored) == len(loaded.place) == len(built.place)
         assert loaded == built
         assert stabilizer_check(loaded) == {"symmetries": symmetries}
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_degree_is_the_entry_at_zero(tables, n):
+    # read off the representative, as every symmetry keeps the value at z = 0
+    table = tables(n)
+    for pi in table.patterns():
+        assert table.degree(pi) == table.mdeg(pi).z_free_sum()
 
 
 def test_orbit_table_seven():
@@ -330,6 +337,7 @@ def test_orbit_table_seven():
     sizes = Counter(rep for rep, _, _ in table.place.values())
     assert sum(sizes[rep] * entry.z_free_sum() for rep, entry in table.stored.items()) \
         == degree_determinant(7) == 6153
+    assert all(table.degree(pi) == table.mdeg(pi).z_free_sum() for pi in table.patterns())
     assert stabilizer_check(table) == {"symmetries": 7}
     assert sum(len(entry.terms) for entry in table.stored.values()) == 1417564
     for entry in table.stored.values():
@@ -633,7 +641,7 @@ def fold_of_entries(table: MdegTable) -> MultiPoly:
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_mdeg_sum_is_the_fold_once_per_table(tables, n):
     built = tables(n)
-    for table in (built, MdegTable.from_obj(built.to_obj())):
+    for table in (built, MdegTable.from_obj(json.loads(built.canonical_text()))):
         total = table.mdeg_sum()
         assert total == fold_of_entries(table)
         assert table.mdeg_sum() is total
